@@ -103,8 +103,14 @@ class ReadBuffer:
                 del self._by_file[key[0]]
 
     def invalidate_file(self, name: str) -> None:
-        """Drop all blocks of a deleted SSTable (O(blocks of that file))."""
-        for key in self._by_file.pop(name, ()):
+        """Drop all blocks of a deleted SSTable (O(blocks of that file)).
+
+        Slots are freed in block order, not ``set`` order: the free list
+        decides later slot offsets, which an enclave-resident buffer
+        charges as paging, so set order would make the simulated clock
+        depend on ``PYTHONHASHSEED``.
+        """
+        for key in sorted(self._by_file.pop(name, ())):
             _, slot = self._entries.pop(key)
             self._free_slots.append(slot)
 

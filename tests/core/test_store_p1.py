@@ -1,5 +1,10 @@
 """eLSM-P1 strawman behaviour."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.lsm.sstable import BlockCorruptionError
@@ -101,3 +106,43 @@ def test_timestamps_monotonic(store):
     t2 = store.delete(b"a")
     assert t2 > t1
     assert store.current_ts == t2
+
+
+_HASH_SEED_SCRIPT = """
+from tests.conftest import kv, make_p1_store
+
+store = make_p1_store(read_buffer_bytes=16 * 1024)
+for round_ in range(3):
+    for i in range(150):
+        store.put(*kv(i, version=round_))
+    for i in range(0, 150, 3):
+        store.get(kv(i)[0])
+    store.scan(kv(10)[0], kv(40)[0])
+print(repr(store.clock.now_us))
+"""
+
+
+def _clock_under_hash_seed(seed: str) -> str:
+    root = Path(__file__).resolve().parents[2]
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=seed,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_simulated_clock_independent_of_hash_seed():
+    """The enclave-resident read buffer recycles slots freed by
+    compaction; if that order followed ``set`` iteration, paging offsets
+    and hence the simulated clock would vary with PYTHONHASHSEED."""
+    assert _clock_under_hash_seed("0") == _clock_under_hash_seed("1")
