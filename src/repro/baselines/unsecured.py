@@ -40,7 +40,6 @@ class UnsecuredLSMStore:
         write_buffer_bytes: int | None = None,
         level1_max_bytes: int | None = None,
         compaction: bool = True,
-        keep_versions: bool = True,
         name_prefix: str = "plain",
     ) -> None:
         self.scale = scale or ScaleConfig()
@@ -68,7 +67,6 @@ class UnsecuredLSMStore:
             buffer_location="untrusted",
             protect_files=False,
             compaction_enabled=compaction,
-            keep_versions=keep_versions,
         )
         self.db = LSMStore(self.env, lsm_config, name_prefix=name_prefix)
         self.telemetry = self.env.telemetry

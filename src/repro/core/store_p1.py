@@ -36,12 +36,9 @@ class ELSMP1Store:
         read_buffer_bytes: int | None = None,
         write_buffer_bytes: int | None = None,
         level1_max_bytes: int | None = None,
-        level_size_ratio: int = 10,
         file_max_bytes: int | None = None,
         block_bytes: int = 4096,
-        bloom_bits_per_key: int = 10,
         compaction: bool = True,
-        keep_versions: bool = True,
         compression: bool = False,
         wal_sync_every: int | None = None,
         max_immutable_memtables: int = 0,
@@ -64,10 +61,8 @@ class ELSMP1Store:
             write_buffer_bytes=write_buffer_bytes
             or max(self.scale.scale_bytes(4 * MB), 8 * 1024),
             block_bytes=block_bytes,
-            bloom_bits_per_key=bloom_bits_per_key,
             level1_max_bytes=level1_max_bytes
             or max(self.scale.scale_bytes(10 * MB), 32 * 1024),
-            level_size_ratio=level_size_ratio,
             file_max_bytes=file_max_bytes
             or max(self.scale.scale_bytes(2 * MB), 16 * 1024),
             read_mode="buffer",  # the paper: P1 cannot use mmap
@@ -77,7 +72,6 @@ class ELSMP1Store:
             protect_files=True,
             compression=compression,
             compaction_enabled=compaction,
-            keep_versions=keep_versions,
             wal_sync_every=wal_sync_every,
             max_immutable_memtables=max_immutable_memtables,
         )

@@ -103,21 +103,14 @@ class ELSMP2Store:
         read_buffer_bytes: int | None = None,
         write_buffer_bytes: int | None = None,
         level1_max_bytes: int | None = None,
-        level_size_ratio: int = 10,
         file_max_bytes: int | None = None,
         block_bytes: int = 4096,
-        bloom_bits_per_key: int = 10,
         use_bloom: bool = True,
         salted_bloom: bool = True,
-        admission_rate_per_s: float | None = None,
-        admission_burst: float | None = None,
-        admission_proof_bytes_per_token: int = 4096,
         compaction: bool = True,
-        keep_versions: bool = True,
         compression: bool = False,
         encryption_mode: str = MODE_PLAIN,
         secret: bytes = b"",
-        encryption_key_width: int = 16,
         rollback_protection: bool = False,
         counter_buffer_ops: int = 64,
         counter_slack: int = 0,
@@ -186,9 +179,7 @@ class ELSMP2Store:
         self.listener = AuthCompactionListener(
             self.registry, self.env, embed_proofs=(proof_mode == "embedded")
         )
-        self.codec = KeyValueCodec(
-            encryption_mode, secret, key_width=encryption_key_width
-        )
+        self.codec = KeyValueCodec(encryption_mode, secret)
 
         # Keyed Bloom hashing: the master salt comes from enclave
         # randomness, so the attacker outside cannot precompute
@@ -203,11 +194,9 @@ class ELSMP2Store:
             write_buffer_bytes=write_buffer_bytes
             or max(self.scale.scale_bytes(4 * MB), 8 * 1024),
             block_bytes=block_bytes,
-            bloom_bits_per_key=bloom_bits_per_key,
             use_bloom=use_bloom,
             level1_max_bytes=level1_max_bytes
             or max(self.scale.scale_bytes(10 * MB), 32 * 1024),
-            level_size_ratio=level_size_ratio,
             file_max_bytes=file_max_bytes
             or max(self.scale.scale_bytes(2 * MB), 16 * 1024),
             read_mode=read_mode,
@@ -217,7 +206,6 @@ class ELSMP2Store:
             protect_files=False,
             compression=compression,
             compaction_enabled=compaction,
-            keep_versions=keep_versions,
             wal_sync_every=wal_sync_every,
             max_immutable_memtables=max_immutable_memtables,
             bloom_salt=bloom_salt,
@@ -229,15 +217,9 @@ class ELSMP2Store:
             name_prefix=name_prefix,
             reopen=reopen,
         )
-        # Token-bucket admission control at the ECall boundary (off by
-        # default; the adversarial defense stack turns it on).
+        # Token-bucket admission control at the ECall boundary (off until
+        # enable_admission; the adversarial defense stack turns it on).
         self.admission: AdmissionController | None = None
-        if admission_rate_per_s is not None:
-            self.enable_admission(
-                admission_rate_per_s,
-                burst=admission_burst,
-                proof_bytes_per_token=admission_proof_bytes_per_token,
-            )
         self._client = "default"
         prover_cls = Prover if proof_mode == "embedded" else OnDemandProver
         self.prover = prover_cls(self.db)
@@ -280,8 +262,7 @@ class ELSMP2Store:
         self._durable_ts = 0
         if autoseal:
             self.db.commit_hook = self._autoseal_commit
-            if self.db.wal is not None:
-                self.db.wal.on_sync = lambda: self._autoseal_commit("wal_sync")
+            self.db.wal.on_sync = lambda: self._autoseal_commit("wal_sync")
 
     # ------------------------------------------------------------------
     # Timestamp manager (runs in the enclave)
@@ -417,32 +398,6 @@ class ELSMP2Store:
                 self.db.put(stored_key, stored_value, ts)
                 self._maybe_anchor()
                 return ts
-
-    def write_batch(self, pairs, deletes=()) -> list[int]:
-        """Atomic multi-write: one ECall, one lock, consecutive stamps."""
-        from repro.lsm.db import WriteBatch
-
-        batch = WriteBatch()
-        total_bytes = 0
-        for key, value in pairs:
-            batch.put(self.codec.encode_key(key), self.codec.encode_value(value))
-            total_bytes += len(key) + len(value)
-        for key in deletes:
-            batch.delete(self.codec.encode_key(key))
-            total_bytes += len(key)
-        with self._op_lock:
-            self._admit("write_batch")
-            return self._write_batch_admitted(batch, total_bytes)
-
-    def _write_batch_admitted(self, batch, total_bytes: int) -> list[int]:
-        with self.env.op_call("write_batch", in_bytes=total_bytes):
-            if self.codec.mode != MODE_PLAIN:
-                self.env.trusted_cipher(total_bytes)
-            stamps = self.db.write_batch(batch)
-            if stamps:
-                self._ts = max(self._ts, stamps[-1])
-            self._maybe_anchor()
-            return stamps
 
     def group_commit(self, ops) -> list[int]:
         """Commit a group of writes with ONE ECall, ONE WAL disk write,
@@ -933,7 +888,7 @@ class ELSMP2Store:
             "counter": self.anchor.anchored_value,
             "dataset": dataset.hex(),
             "manifest_seq": self.db.manifest_seq,
-            "wal_epoch": self.db.wal.epoch if self.db.wal is not None else 0,
+            "wal_epoch": self.db.wal.epoch,
             # The background-flush time cut: WAL records at or below this
             # are already in committed SSTables (one log + one digest
             # cover the active table AND the immutable queue, so the
@@ -1045,7 +1000,6 @@ class ELSMP2Store:
 
         payload = self.check_recovery(blob)
         self.load_trusted_state(payload)
-        assert self.db.wal is not None
         # Adopt the on-disk seal numbering *before* replay: a recovery-
         # triggered flush may autoseal, and its seal must outnumber every
         # seal already on disk or a stale one would win the next restart.

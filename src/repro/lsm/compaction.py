@@ -10,9 +10,8 @@ events eLSM's authenticated COMPACTION hangs off.  Guarantees:
 * tombstone GC matches LevelDB: records older than a tombstone among the
   merge inputs are dropped with it, and the tombstone itself is dropped
   only when the output is the bottom level;
-* with ``keep_versions=False``, only the newest surviving version of a
-  key is kept (the space-saving mode; the paper's chains need the
-  default ``True``).
+* every other version survives: the paper's per-key hash chains need
+  the whole version history.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class Compactor:
         block_bytes: int,
         file_max_bytes: int,
         bloom_bits_per_key: int,
-        keep_versions: bool = True,
         protect_files: bool = False,
         compression: bool = False,
         bloom_salt_provider: Callable[[], bytes] | None = None,
@@ -46,7 +44,6 @@ class Compactor:
         self.block_bytes = block_bytes
         self.file_max_bytes = file_max_bytes
         self.bloom_bits_per_key = bloom_bits_per_key
-        self.keep_versions = keep_versions
         self.protect_files = protect_files
         self.compression = compression
         # Read lazily so a salt restored after construction (seal
@@ -87,23 +84,18 @@ class Compactor:
         merged = heapq.merge(*(tagged(lvl, it) for lvl, it in sources))
         current_key: bytes | None = None
         deleted_at: int | None = None  # ts of the governing tombstone
-        emitted_for_key = 0
         for _, level_id, record in merged:
             for listener in self.listeners:
                 listener.on_compaction_input_record(ctx, level_id, record)
             if record.key != current_key:
                 current_key = record.key
                 deleted_at = None
-                emitted_for_key = 0
             if deleted_at is not None and record.ts < deleted_at:
                 continue  # shadowed by a newer tombstone in this merge
             if record.is_tombstone:
                 deleted_at = record.ts
                 if ctx.is_bottom_level:
                     continue  # tombstone has done its job; drop it
-            if not self.keep_versions and emitted_for_key >= 1:
-                continue
-            emitted_for_key += 1
             for listener in self.listeners:
                 listener.on_compaction_output_record(ctx, record)
             yield record

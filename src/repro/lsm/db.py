@@ -36,6 +36,11 @@ _TABLE_META_REGION = "table_meta"
 #: retune every store an experiment constructs.
 DEFAULT_WAL_SYNC_EVERY = 32
 
+#: Bloom filter density and level fan-out: LevelDB's defaults, used by
+#: every store and experiment.
+BLOOM_BITS_PER_KEY = 10
+LEVEL_SIZE_RATIO = 10
+
 
 class StoreDegradedError(RuntimeError):
     """The store is read-only after a persistent storage failure.
@@ -54,10 +59,8 @@ class LSMConfig:
 
     write_buffer_bytes: int = 16 * 1024
     block_bytes: int = 4096
-    bloom_bits_per_key: int = 10
     use_bloom: bool = True
     level1_max_bytes: int = 40 * 1024
-    level_size_ratio: int = 10
     file_max_bytes: int = 16 * 1024
     read_mode: str = "buffer"  # "buffer" or "mmap"
     read_buffer_bytes: int = 256 * 1024
@@ -65,8 +68,6 @@ class LSMConfig:
     protect_files: bool = False
     compression: bool = False
     compaction_enabled: bool = True
-    keep_versions: bool = True
-    wal_enabled: bool = True
     wal_sync_every: int | None = None  # None -> DEFAULT_WAL_SYNC_EVERY
     #: Pipelined write path: when > 0, a full write buffer *rotates* the
     #: active MemTable into an immutable queue (bounded to this many
@@ -79,31 +80,6 @@ class LSMConfig:
     #: seals it with the trusted state; it must never be persisted to
     #: the untrusted disk.
     bloom_salt: bytes = b""
-
-
-class WriteBatch:
-    """An atomic group of writes (LevelDB's WriteBatch).
-
-    All operations are applied under one lock acquisition and logged
-    consecutively; the flush trigger is evaluated once at the end, so a
-    batch never straddles a MemTable flush.
-    """
-
-    def __init__(self) -> None:
-        self.ops: list[tuple[int, bytes, bytes]] = []
-
-    def put(self, key: bytes, value: bytes) -> "WriteBatch":
-        """Queue a PUT; returns self for chaining."""
-        self.ops.append((KIND_PUT, key, value))
-        return self
-
-    def delete(self, key: bytes) -> "WriteBatch":
-        """Queue a DELETE; returns self for chaining."""
-        self.ops.append((KIND_DELETE, key, b""))
-        return self
-
-    def __len__(self) -> int:
-        return len(self.ops)
 
 
 @dataclass
@@ -220,11 +196,9 @@ class LSMStore:
         #: Simulated instant at which the background flush worker frees
         #: up — its single track serializes consecutive flushes.
         self._bg_free_us = 0.0
-        self.wal: WriteAheadLog | None = None
-        if self.config.wal_enabled:
-            self.wal = WriteAheadLog(
-                env, f"{name_prefix}/wal.log", sync_every=self.config.wal_sync_every
-            )
+        self.wal = WriteAheadLog(
+            env, f"{name_prefix}/wal.log", sync_every=self.config.wal_sync_every
+        )
 
         buffer = None
         if self.config.read_mode == "buffer":
@@ -247,8 +221,7 @@ class LSMStore:
             self.listeners,
             block_bytes=self.config.block_bytes,
             file_max_bytes=self.config.file_max_bytes,
-            bloom_bits_per_key=self.config.bloom_bits_per_key,
-            keep_versions=self.config.keep_versions,
+            bloom_bits_per_key=BLOOM_BITS_PER_KEY,
             protect_files=self.config.protect_files,
             compression=self.config.compression,
             bloom_salt_provider=lambda: self.config.bloom_salt,
@@ -298,33 +271,6 @@ class LSMStore:
                 self._degrade("delete", exc)
             return ts
 
-    def write_batch(self, batch: WriteBatch) -> list[int]:
-        """Apply a batch atomically; returns the assigned timestamps."""
-        with self._lock:
-            self._guard_write()
-            self._m_ops.inc(op="write_batch")
-            stamps: list[int] = []
-            try:
-                for kind, key, value in batch.ops:
-                    ts = self._resolve_ts(None)
-                    stamps.append(ts)
-                    record = Record(key=key, ts=ts, kind=kind, value=value)
-                    if self.wal is not None:
-                        for listener in self.listeners:
-                            listener.on_wal_append(record)
-                        self.wal.append(record)
-                    self.memtable.add(record)
-                    nbytes = record.approximate_bytes()
-                    self.stats.user_bytes_written += nbytes
-                    self._m_user_bytes.inc(nbytes)
-                    self.env.meta_grow(_MEMTABLE_REGION, nbytes)
-                    self._touch_memtable(record.key, nbytes, write=True)
-                self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
-                self._maybe_flush()
-            except StorageFailure as exc:
-                self._degrade("write_batch", exc)
-            return stamps
-
     def commit_group(
         self,
         ops: list[tuple[int, bytes, bytes]],
@@ -333,15 +279,17 @@ class LSMStore:
         """Group commit: apply many writes with ONE WAL write and ONE
         fsync (all-or-nothing durability for the group).
 
-        ``ops`` is a list of ``(kind, key, value)`` tuples as built by
-        :class:`WriteBatch`; ``stamps`` optionally pins the timestamps
-        (recovery/replication), otherwise consecutive timestamps are
-        assigned.  Returns the timestamps in op order.  Unlike
-        :meth:`write_batch` — which logs each record with its own disk
-        write under the WAL's fsync cadence — the whole group lands as a
-        single :meth:`~repro.lsm.wal.WriteAheadLog.append_group`, so the
+        ``ops`` is a list of ``(kind, key, value)`` tuples; ``stamps``
+        optionally pins the timestamps (recovery/replication), otherwise
+        consecutive timestamps are assigned.  Returns the timestamps in
+        op order.  Unlike :meth:`put` — which logs its record with its
+        own disk write under the WAL's fsync cadence — the whole group
+        lands as a single
+        :meth:`~repro.lsm.wal.WriteAheadLog.append_group`, so the
         per-operation cost of the fsync (and, in eLSM, of the enclave
-        transition and seal) is amortised across the group.
+        transition and seal) is amortised across the group.  The flush
+        trigger is evaluated once, after the whole group, so a group
+        never straddles a MemTable flush.
         """
         with self._lock:
             self._guard_write()
@@ -355,11 +303,10 @@ class LSMStore:
                     records.append(Record(key=key, ts=ts, kind=kind, value=value))
                 if not records:
                     return assigned
-                if self.wal is not None:
-                    for record in records:
-                        for listener in self.listeners:
-                            listener.on_wal_append(record)
-                    self.wal.append_group(records)
+                for record in records:
+                    for listener in self.listeners:
+                        listener.on_wal_append(record)
+                self.wal.append_group(records)
                 for record in records:
                     self.memtable.add(record)
                     nbytes = record.approximate_bytes()
@@ -600,7 +547,7 @@ class LSMStore:
         """Largest timestamp guaranteed to survive a power cut: covered
         either by a committed flush (in SSTables + manifest) or by a
         completed WAL fsync."""
-        wal_ts = self.wal.durable_ts if self.wal is not None else 0
+        wal_ts = self.wal.durable_ts
         with self._lock:
             return max(self._flushed_ts, wal_ts)
 
@@ -668,7 +615,7 @@ class LSMStore:
         return ts
 
     def _write(self, record: Record, log: bool = True) -> None:
-        if log and self.wal is not None:
+        if log:
             for listener in self.listeners:
                 listener.on_wal_append(record)
             self.wal.append(record)
@@ -784,8 +731,6 @@ class LSMStore:
         flushing is deferred to the end — a flush mid-replay would
         truncate the very log being iterated.
         """
-        if self.wal is None:
-            return 0
         with self._lock:
             if records is None:
                 records = list(self.wal.replay())
@@ -848,11 +793,10 @@ class LSMStore:
             self.immutables.clear()
             self._immutable_enqueued_us.clear()
             self.env.meta_reset(_MEMTABLE_REGION)
-            if self.wal is not None:
-                self._pending_deletes.append(self.wal.advance_epoch())
-                self.env.crash_point("flush.after_wal_epoch")
-                for listener in self.listeners:
-                    listener.on_wal_reset()
+            self._pending_deletes.append(self.wal.advance_epoch())
+            self.env.crash_point("flush.after_wal_epoch")
+            for listener in self.listeners:
+                listener.on_wal_reset()
             self.stats.flushes += 1
             # Advance flushed_ts before sealing: the commit publishes
             # the flush as durable, so the recovery boundary it implies
@@ -930,7 +874,7 @@ class LSMStore:
                 # covers every WAL record appended so far — sync first,
                 # or a crash right after sealing could truncate records
                 # the digest vouches for and recovery would refuse.
-                if self.wal is not None and self.wal.has_unsynced:
+                if self.wal.has_unsynced:
                     self.wal.sync()
                 # Advance the time-cut BEFORE sealing: the seal that
                 # publishes this flush must carry the new boundary, or
@@ -1119,9 +1063,7 @@ class LSMStore:
             level += 1
 
     def _level_capacity(self, level: int) -> int:
-        return self.config.level1_max_bytes * (
-            self.config.level_size_ratio ** (level - 1)
-        )
+        return self.config.level1_max_bytes * LEVEL_SIZE_RATIO ** (level - 1)
 
     def _is_bottom(self, level: int) -> bool:
         return all(
@@ -1231,7 +1173,7 @@ class LSMStore:
                             level,
                             entry["file_no"],
                             block_bytes=self.config.block_bytes,
-                            bloom_bits_per_key=self.config.bloom_bits_per_key,
+                            bloom_bits_per_key=BLOOM_BITS_PER_KEY,
                             protect=self.config.protect_files,
                             compress=self.config.compression,
                             bloom_salt=self.config.bloom_salt,
@@ -1287,8 +1229,7 @@ class LSMStore:
             elif name.startswith(manifest_prefix) and name != current_manifest:
                 self.env.file_delete(name)
                 removed.append(name)
-        if self.wal is not None:
-            removed.extend(self.wal.drop_other_epochs())
+        removed.extend(self.wal.drop_other_epochs())
         self._pending_deletes = []
         return removed
 

@@ -120,10 +120,6 @@ class WriteAheadLog:
         self._appends_since_sync = 0
         return old_path
 
-    def reset(self) -> str:
-        """Truncate after a successful MemTable flush (epoch advance)."""
-        return self.advance_epoch()
-
     def set_epoch(self, epoch: int) -> None:
         """Adopt a specific epoch (recovery from a sealed state names
         the epoch its WAL digest covers)."""

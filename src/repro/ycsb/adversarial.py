@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 
+from repro.lsm.db import BLOOM_BITS_PER_KEY
 from repro.lsm.sstable import rebuild_meta
 from repro.ycsb.workload import (
     OP_DELETE,
@@ -157,7 +158,7 @@ class FilterSaturationWorkload(AdversarialWorkload):
                         meta.level,
                         meta.file_no,
                         block_bytes=config.block_bytes,
-                        bloom_bits_per_key=config.bloom_bits_per_key,
+                        bloom_bits_per_key=BLOOM_BITS_PER_KEY,
                         protect=config.protect_files,
                         compress=config.compression,
                     )
@@ -230,8 +231,8 @@ class AlwaysMissWorkload(AdversarialWorkload):
 class HotKeyFloodWorkload(AdversarialWorkload):
     """Update-floods the zipfian-hottest key (index 0).
 
-    Every update appends a version; with ``keep_versions`` (the paper's
-    default, required by hash chains) the key's version group grows
+    Every update appends a version; the engine keeps every version (the
+    paper's hash chains need them), so the key's version group grows
     without bound, so any read of the hot key reveals an ever-longer
     chain.  The flood's own reads keep pulling those proofs while honest
     zipfian traffic — which by construction favours the same hot keys —

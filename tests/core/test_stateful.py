@@ -2,7 +2,7 @@
 
 A hypothesis rule-based state machine drives the eLSM-P2 store through
 random sequences of PUT / DELETE / GET / SCAN / FLUSH / explicit
-COMPACTION / batch writes, checking after every step that verified
+COMPACTION / group commits, checking after every step that verified
 results match a model dictionary and that the trusted registry mirrors
 the manifest.  This is the strongest correctness net in the suite: any
 interaction bug between flushing, cascaded authenticated compaction,
@@ -38,13 +38,23 @@ class ELSMStateMachine(RuleBasedStateMachine):
         self.store.delete(key)
         self.model.pop(key, None)
 
-    @rule(keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=5, unique=True))
-    def batch(self, keys: list[bytes]) -> None:
+    @rule(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.sampled_from(KEYS)), min_size=1, max_size=5
+        )
+    )
+    def batch(self, ops: list[tuple[bool, bytes]]) -> None:
+        """A group of puts and deletes, possibly repeating a key: it must
+        resolve exactly like the same ops applied one by one."""
         self.version += 1
-        pairs = [(key, b"b%d" % self.version) for key in keys]
-        self.store.write_batch(pairs)
-        for key, value in pairs:
-            self.model[key] = value
+        value = b"b%d" % self.version
+        group = [("put", key, value) if is_put else ("delete", key) for is_put, key in ops]
+        self.store.group_commit(group)
+        for op in group:
+            if op[0] == "put":
+                self.model[op[1]] = op[2]
+            else:
+                self.model.pop(op[1], None)
 
     @rule(key=st.sampled_from(KEYS))
     def get(self, key: bytes) -> None:

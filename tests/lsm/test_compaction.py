@@ -11,14 +11,13 @@ def entry(key, ts, value=b"v"):
     return (Record(key=key, ts=ts, value=value), b"")
 
 
-def make_compactor(env, listeners=(), keep_versions=True, file_max=10_000):
+def make_compactor(env, listeners=(), file_max=10_000):
     return Compactor(
         env,
         list(listeners),
         block_bytes=256,
         file_max_bytes=file_max,
         bloom_bits_per_key=10,
-        keep_versions=keep_versions,
     )
 
 
@@ -72,13 +71,6 @@ def test_keep_versions_retains_chains(free_env):
     b = [entry(b"k", 4), entry(b"k", 1)]
     _, out = run_compaction(free_env, [(1, a), (2, b)])
     assert [r.ts for r in out] == [9, 4, 1]
-
-
-def test_keep_versions_false_keeps_newest_only(free_env):
-    a = [entry(b"k", 9)]
-    b = [entry(b"k", 4), entry(b"k", 1)]
-    _, out = run_compaction(free_env, [(1, a), (2, b)], keep_versions=False)
-    assert [r.ts for r in out] == [9]
 
 
 def test_tombstone_shadows_older_records(free_env):

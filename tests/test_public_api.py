@@ -57,7 +57,7 @@ def test_readme_entry_points_exist():
     )
     from repro.core import AttestedClient, RemoteQueryServer  # noqa: F401
     from repro.core.adversary import StaleRevealProver  # noqa: F401
-    from repro.lsm import BackgroundCompactor, LSMStore, WriteBatch  # noqa: F401
+    from repro.lsm import BackgroundCompactor, LSMStore  # noqa: F401
     from repro.ycsb import WORKLOAD_A, CoreWorkload, run_phase  # noqa: F401
     from repro.transparency import CTLogServer, DomainMonitor  # noqa: F401
 
