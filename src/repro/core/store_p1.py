@@ -15,6 +15,7 @@ import threading
 
 from repro.lsm.cache import LOCATION_ENCLAVE
 from repro.lsm.db import LSMConfig, LSMStore
+from repro.lsm.records import parse_write_ops
 from repro.sgx.enclave import Enclave
 from repro.sgx.env import ExecutionEnv
 from repro.sim.clock import SimClock
@@ -111,20 +112,8 @@ class ELSMP1Store:
         """Group commit: one ECall, one WAL write, one fsync for the
         whole group of ``("put", key, value)`` / ``("delete", key)``
         ops (same contract as eLSM-P2's)."""
-        from repro.lsm.records import KIND_DELETE, KIND_PUT
-
-        encoded: list[tuple[int, bytes, bytes]] = []
-        total_bytes = 0
-        for op in ops:
-            if op[0] in ("put", KIND_PUT):
-                _, key, value = op
-                encoded.append((KIND_PUT, key, value))
-                total_bytes += len(key) + len(value)
-            elif op[0] in ("delete", KIND_DELETE):
-                encoded.append((KIND_DELETE, op[1], b""))
-                total_bytes += len(op[1])
-            else:
-                raise ValueError(f"unknown group-commit op: {op[0]!r}")
+        encoded = parse_write_ops(ops)
+        total_bytes = sum(len(key) + len(value) for _, key, value in encoded)
         with self._op_lock, self.telemetry.span(
             "elsm.group_commit"
         ), self.env.op_call("group_commit", in_bytes=total_bytes):

@@ -39,7 +39,7 @@ from repro.core.proofs import (
 from repro.core.verifier import Verifier
 from repro.cryptoprim.hashing import FILTER_SALT_LEN, constant_time_eq
 from repro.lsm.db import LSMConfig, LSMStore
-from repro.lsm.records import KIND_DELETE, KIND_PUT, Record
+from repro.lsm.records import KIND_PUT, Record, parse_write_ops
 from repro.sgx.counter import BufferedCounterAnchor, TrustedMonotonicCounter
 from repro.sgx.enclave import Enclave
 from repro.sgx.env import ExecutionEnv
@@ -414,25 +414,16 @@ class ELSMP2Store:
         effect.
         """
         with self._op_lock, self.telemetry.span("elsm.group_commit") as span:
-            encoded: list[tuple[int, bytes, bytes]] = []
-            total_bytes = 0
-            for op in ops:
-                if op[0] in ("put", KIND_PUT):
-                    _, key, value = op
-                    encoded.append(
-                        (
-                            KIND_PUT,
-                            self.codec.encode_key(key),
-                            self.codec.encode_value(value),
-                        )
-                    )
-                    total_bytes += len(key) + len(value)
-                elif op[0] in ("delete", KIND_DELETE):
-                    key = op[1]
-                    encoded.append((KIND_DELETE, self.codec.encode_key(key), b""))
-                    total_bytes += len(key)
-                else:
-                    raise ValueError(f"unknown group-commit op: {op[0]!r}")
+            parsed = parse_write_ops(ops)
+            total_bytes = sum(len(key) + len(value) for _, key, value in parsed)
+            encoded = [
+                (
+                    kind,
+                    self.codec.encode_key(key),
+                    self.codec.encode_value(value) if kind == KIND_PUT else b"",
+                )
+                for kind, key, value in parsed
+            ]
             self._admit("group_commit", cost=float(max(1, len(encoded))))
             with self.env.op_call("group_commit", in_bytes=total_bytes):
                 if self.codec.mode != MODE_PLAIN:

@@ -14,7 +14,8 @@ import heapq
 import json
 import threading
 import zlib
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.lsm.cache import LOCATION_UNTRUSTED, ReadBuffer
@@ -249,26 +250,23 @@ class LSMStore:
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes, ts: int | None = None) -> int:
         """Write <key, value>; returns the timestamp assigned."""
-        with self._lock:
-            self._guard_write()
-            self._m_ops.inc(op="put")
-            ts = self._resolve_ts(ts)
-            try:
-                self._write(Record(key=key, ts=ts, kind=KIND_PUT, value=value))
-            except StorageFailure as exc:
-                self._degrade("put", exc)
-            return ts
+        return self._write_one("put", KIND_PUT, key, value, ts)
 
     def delete(self, key: bytes, ts: int | None = None) -> int:
         """Write a tombstone for ``key``."""
+        return self._write_one("delete", KIND_DELETE, key, b"", ts)
+
+    def _write_one(
+        self, op: str, kind: int, key: bytes, value: bytes, ts: int | None
+    ) -> int:
         with self._lock:
             self._guard_write()
-            self._m_ops.inc(op="delete")
+            self._m_ops.inc(op=op)
             ts = self._resolve_ts(ts)
             try:
-                self._write(Record(key=key, ts=ts, kind=KIND_DELETE))
+                self._write(Record(key=key, ts=ts, kind=kind, value=value))
             except StorageFailure as exc:
-                self._degrade("delete", exc)
+                self._degrade(op, exc)
             return ts
 
     def commit_group(
@@ -294,33 +292,28 @@ class LSMStore:
         with self._lock:
             self._guard_write()
             self._m_ops.inc(op="group_commit")
-            assigned: list[int] = []
-            records: list[Record] = []
+            records = [
+                Record(
+                    key=key,
+                    ts=self._resolve_ts(stamps[i] if stamps else None),
+                    kind=kind,
+                    value=value,
+                )
+                for i, (kind, key, value) in enumerate(ops)
+            ]
+            if not records:
+                return []
             try:
-                for i, (kind, key, value) in enumerate(ops):
-                    ts = self._resolve_ts(stamps[i] if stamps else None)
-                    assigned.append(ts)
-                    records.append(Record(key=key, ts=ts, kind=kind, value=value))
-                if not records:
-                    return assigned
                 for record in records:
                     for listener in self.listeners:
                         listener.on_wal_append(record)
                 self.wal.append_group(records)
-                for record in records:
-                    self.memtable.add(record)
-                    nbytes = record.approximate_bytes()
-                    self.stats.user_bytes_written += nbytes
-                    self._m_user_bytes.inc(nbytes)
-                    self.env.meta_grow(_MEMTABLE_REGION, nbytes)
-                    self._touch_memtable(record.key, nbytes, write=True)
-                self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
                 self._m_gc_groups.inc()
                 self._m_gc_records.inc(len(records))
-                self._maybe_flush()
+                self._apply(records)
             except StorageFailure as exc:
                 self._degrade("group_commit", exc)
-            return assigned
+            return [record.ts for record in records]
 
     # ------------------------------------------------------------------
     # Health
@@ -407,22 +400,12 @@ class LSMStore:
                 self._m_get_level.inc(level="0")
                 return GetResult(record=record, level=0)
             for level in self.level_indices():
-                run = self._levels[level]
-                self.env.clock.charge(
-                    "compute", self.env.costs.cpu_block_scan_us
+                record = self._level_lookup(
+                    self._levels[level], self.fetcher, key, ts_query
                 )
-                if self.config.use_bloom:
-                    self._m_bloom_checks.inc()
-                    if not run.may_contain(key):
-                        self._m_bloom_negatives.inc()
-                        continue
-                group = run.get_group(self.fetcher, key)
-                if not group and self.config.use_bloom:
-                    self._m_bloom_fp.inc()
-                for candidate, _aux in group:
-                    if ts_query is None or candidate.ts <= ts_query:
-                        self._m_get_level.inc(level=str(level))
-                        return GetResult(record=candidate, level=level)
+                if record is not None:
+                    self._m_get_level.inc(level=str(level))
+                    return GetResult(record=record, level=level)
             self._m_get_level.inc(level="miss")
             return GetResult(record=None, level=None)
 
@@ -463,23 +446,7 @@ class LSMStore:
                 run = self._levels[level]
                 still_pending: list[bytes] = []
                 for key in pending:
-                    self.env.clock.charge(
-                        "compute", self.env.costs.cpu_block_scan_us
-                    )
-                    if self.config.use_bloom:
-                        self._m_bloom_checks.inc()
-                        if not run.may_contain(key):
-                            self._m_bloom_negatives.inc()
-                            still_pending.append(key)
-                            continue
-                    found = None
-                    group = run.get_group(scoped, key)
-                    if not group and self.config.use_bloom:
-                        self._m_bloom_fp.inc()
-                    for candidate, _aux in group:
-                        if ts_query is None or candidate.ts <= ts_query:
-                            found = candidate
-                            break
+                    found = self._level_lookup(run, scoped, key, ts_query)
                     if found is None:
                         still_pending.append(key)
                     else:
@@ -495,6 +462,26 @@ class LSMStore:
                 else:
                     out.append(record.value)
             return out
+
+    def _level_lookup(
+        self, run: LevelRun, fetcher, key: bytes, ts_query: int | None
+    ) -> Record | None:
+        """Newest version of ``key`` in one level visible at ``ts_query``,
+        consulting the level's filter first.  ``fetcher`` is the store's
+        block fetcher for a GET, or a MULTIGET's shared block scope."""
+        self.env.clock.charge("compute", self.env.costs.cpu_block_scan_us)
+        if self.config.use_bloom:
+            self._m_bloom_checks.inc()
+            if not run.may_contain(key):
+                self._m_bloom_negatives.inc()
+                return None
+        group = run.get_group(fetcher, key)
+        if not group and self.config.use_bloom:
+            self._m_bloom_fp.inc()
+        for candidate, _aux in group:
+            if ts_query is None or candidate.ts <= ts_query:
+                return candidate
+        return None
 
     def scan(
         self, lo: bytes, hi: bytes, ts_query: int | None = None
@@ -615,16 +602,26 @@ class LSMStore:
         return ts
 
     def _write(self, record: Record, log: bool = True) -> None:
+        """One record through the per-record WAL front (digest, append,
+        cadence fsync) — skipped by WAL replay — then into the MemTable.
+        Group commit shares everything but the front: one
+        ``append_group`` and one fsync for the whole group."""
         if log:
             for listener in self.listeners:
                 listener.on_wal_append(record)
             self.wal.append(record)
-        self.memtable.add(record)
-        nbytes = record.approximate_bytes()
-        self.stats.user_bytes_written += nbytes
-        self._m_user_bytes.inc(nbytes)
-        self.env.meta_grow(_MEMTABLE_REGION, nbytes)
-        self._touch_memtable(record.key, nbytes, write=True)
+        self._apply([record])
+
+    def _apply(self, records: list[Record]) -> None:
+        """Add logged records to the active MemTable (one operation's
+        worth of CPU), then handle a full write buffer."""
+        for record in records:
+            self.memtable.add(record)
+            nbytes = record.approximate_bytes()
+            self.stats.user_bytes_written += nbytes
+            self._m_user_bytes.inc(nbytes)
+            self.env.meta_grow(_MEMTABLE_REGION, nbytes)
+            self._touch_memtable(record.key, nbytes, write=True)
         self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
         self._maybe_flush()
 
@@ -784,10 +781,7 @@ class LSMStore:
             memtable_bytes=self.mem_bytes(),
         ):
             flushed_ts = self._auto_ts
-            if self.config.compaction_enabled:
-                self._flush_merging()
-            else:
-                self._flush_stacking()
+            self._flush_tables(self._memtable_source())
             self.env.crash_point("flush.after_install")
             self.memtable = SkipListMemTable(seed=self.stats.flushes)
             self.immutables.clear()
@@ -803,8 +797,7 @@ class LSMStore:
             # must already be in place when the seal lands (EL702).
             self._flushed_ts = max(self._flushed_ts, flushed_ts)
             self._commit("flush")
-        if self.config.compaction_enabled:
-            self._maybe_compact()
+        self._maybe_compact()
 
     def _commit(self, reason: str) -> None:
         """Make the preceding installs durable and reap superseded files."""
@@ -856,12 +849,7 @@ class LSMStore:
                 records=len(imm),
                 queued=len(self.immutables),
             ):
-                boundary_ts = imm.max_ts
-                source = [(record, b"") for record in imm]
-                if self.config.compaction_enabled:
-                    self._flush_merging(source)
-                else:
-                    self._flush_stacking(source)
+                self._flush_tables([(record, b"") for record in imm])
                 self.env.crash_point("flush.background.publish")
                 self.immutables.pop(0)
                 self._immutable_enqueued_us.pop(0)
@@ -879,10 +867,9 @@ class LSMStore:
                 # Advance the time-cut BEFORE sealing: the seal that
                 # publishes this flush must carry the new boundary, or
                 # recovery would replay records the SSTable already holds.
-                self._flushed_ts = max(self._flushed_ts, boundary_ts)
+                self._flushed_ts = max(self._flushed_ts, imm.max_ts)
                 self._commit("background_flush")
-            if self.config.compaction_enabled:
-                self._maybe_compact()
+            self._maybe_compact()
         self._bg_free_us = max(self._bg_free_us, track.end_us)
         self._m_bg_flush_us.inc(track.elapsed_us)
         if wait:
@@ -914,89 +901,81 @@ class LSMStore:
             )
         ]
 
-    def _flush_merging(self, source: list[Entry] | None = None) -> None:
-        """Merge the MemTable with the existing L1 run (leveled flush)."""
-        existing = self._levels.get(1)
-        if source is None:
-            source = self._memtable_source()
+    def _flush_tables(self, source: list[Entry]) -> None:
+        """Write one level-0 source into level 1: merged with the existing
+        level 1 (leveled), or — with compaction off — stacked as a new
+        level 1 above every existing level."""
         sources: list[tuple[int, Iterable[Entry]]] = [(0, source)]
-        input_levels = [0]
-        if existing is not None and not existing.is_empty:
-            sources.append((1, existing.iter_entries(self.env)))
-            input_levels.append(1)
-        ctx = CompactionContext(
-            kind="flush",
-            input_levels=input_levels,
-            output_level=1,
-            is_bottom_level=self._is_bottom(1),
-        )
-        metas = self._compactor.run(ctx, sources, self._next_file)
-        flushed = sum(m.size_bytes for m in metas)
-        self.stats.bytes_flushed += flushed
-        self._m_flush_bytes.inc(flushed)
-        self._install_run(1, metas, replaced=[1] if existing else [])
+        if self.config.compaction_enabled:
+            is_bottom = self._is_bottom(1)
+            existing = self._levels.get(1)
+            if existing is not None and not existing.is_empty:
+                sources.append((1, existing.iter_entries(self.env)))
+        else:
+            is_bottom = not self._levels
+            # Shift existing levels one deeper to make room at level 1.
+            for level in sorted(self._levels, reverse=True):
+                self._levels[level + 1] = self._levels.pop(level)
+            for listener in self.listeners:
+                listener.on_level_inserted(1)
+        self._merge_into("flush", sources, 1, is_bottom)
 
-    def _flush_stacking(self, source: list[Entry] | None = None) -> None:
-        """No-compaction mode: stack the flush as a brand-new level 1."""
-        if source is None:
-            source = self._memtable_source()
+    def _merge_into(
+        self,
+        kind: str,
+        sources: list[tuple[int, Iterable[Entry]]],
+        output: int,
+        is_bottom: bool,
+        emptied: Iterable[int] = (),
+    ) -> None:
+        """Run the authenticated merge of ``sources`` and install its
+        output as level ``output``; every level in ``emptied`` is left
+        empty.  The one merge-and-install path of flushes and
+        compactions: the manifest is published only after the merge —
+        and with it eLSM's per-level root update — completed (EL811)."""
         ctx = CompactionContext(
-            kind="flush",
-            input_levels=[0],
-            output_level=1,
-            is_bottom_level=not self._levels,
+            kind=kind,
+            input_levels=[level for level, _ in sources],
+            output_level=output,
+            is_bottom_level=is_bottom,
         )
-        # Shift existing levels one deeper to make room at level 1.
-        for level in sorted(self._levels, reverse=True):
-            self._levels[level + 1] = self._levels.pop(level)
-        for listener in self.listeners:
-            listener.on_level_inserted(1)
-        metas = self._compactor.run(ctx, [(0, source)], self._next_file)
-        flushed = sum(m.size_bytes for m in metas)
-        self.stats.bytes_flushed += flushed
-        self._m_flush_bytes.inc(flushed)
-        self._install_run(1, metas, replaced=[])
-
-    def compact_level(self, level: int) -> None:
-        """Merge level ``level`` into ``level + 1`` (authenticated in eLSM)."""
-        with self._lock:
-            source = self._levels.get(level)
-            if source is None or source.is_empty:
-                return
-            target = self._levels.get(level + 1)
-            sources: list[tuple[int, Iterable[Entry]]] = [
-                (level, source.iter_entries(self.env))
-            ]
-            input_levels = [level]
-            if target is not None and not target.is_empty:
-                sources.append((level + 1, target.iter_entries(self.env)))
-                input_levels.append(level + 1)
-            ctx = CompactionContext(
-                kind="compaction",
-                input_levels=input_levels,
-                output_level=level + 1,
-                is_bottom_level=self._is_bottom(level + 1),
-            )
-            with self._tracer.span(
+        span = (
+            self._tracer.span(
                 "lsm.compaction",
-                input_levels=list(input_levels),
-                output_level=level + 1,
-            ) as span:
-                metas = self._compactor.run(ctx, sources, self._next_file)
-                compacted = sum(m.size_bytes for m in metas)
-                span.set(output_bytes=compacted, output_files=len(metas))
+                input_levels=list(ctx.input_levels),
+                output_level=output,
+            )
+            if kind == "compaction"
+            else nullcontext()
+        )
+        with span as open_span:
+            metas = self._compactor.run(ctx, sources, self._next_file)
+            written = sum(m.size_bytes for m in metas)
+            if open_span is not None:
+                open_span.set(output_bytes=written, output_files=len(metas))
+        if kind == "flush":
+            self.stats.bytes_flushed += written
+            self._m_flush_bytes.inc(written)
+        else:
             self.stats.compactions += 1
-            self.stats.bytes_compacted += compacted
-            self._m_compact_bytes.inc(compacted)
+            self.stats.bytes_compacted += written
+            self._m_compact_bytes.inc(written)
+        for level in emptied:
             self._drop_run(level)
             self._levels[level] = LevelRun(level, [])
             for listener in self.listeners:
                 listener.on_level_replaced(level)
-            # Install (and persist the manifest) only after the emptied
-            # source level is reflected in the in-memory state.
-            self._install_run(level + 1, metas, replaced=[level + 1] if target else [])
-            self.env.crash_point("compaction.after_install")
-            self._commit("compaction")
+        # Install (and persist the manifest) only after the emptied
+        # levels are reflected in the in-memory state.
+        self._install_run(output, metas, replaced=[output])
+
+    def compact_level(self, level: int) -> None:
+        """Merge level ``level`` into ``level + 1`` (authenticated in eLSM)."""
+        with self._lock:
+            run = self._levels.get(level)
+            if run is None or run.is_empty:
+                return
+            self.compact_levels([level, level + 1])
 
     def compact_levels(self, levels: list[int]) -> None:
         """Merge several adjacent levels into the deepest of them.
@@ -1013,44 +992,27 @@ class LSMStore:
             if levels != list(range(levels[0], levels[-1] + 1)):
                 raise ValueError("levels must be contiguous")
             sources: list[tuple[int, Iterable[Entry]]] = []
-            input_levels: list[int] = []
             for level in levels:
                 run = self._levels.get(level)
-                if run is None or run.is_empty:
-                    continue
-                sources.append((level, run.iter_entries(self.env)))
-                input_levels.append(level)
-            if not input_levels:
+                if run is not None and not run.is_empty:
+                    sources.append((level, run.iter_entries(self.env)))
+            if not sources:
                 return
             output = levels[-1]
-            ctx = CompactionContext(
-                kind="compaction",
-                input_levels=input_levels,
-                output_level=output,
-                is_bottom_level=self._is_bottom(output),
+            self._merge_into(
+                "compaction",
+                sources,
+                output,
+                self._is_bottom(output),
+                emptied=levels[:-1],
             )
-            with self._tracer.span(
-                "lsm.compaction",
-                input_levels=list(input_levels),
-                output_level=output,
-            ) as span:
-                metas = self._compactor.run(ctx, sources, self._next_file)
-                compacted = sum(m.size_bytes for m in metas)
-                span.set(output_bytes=compacted, output_files=len(metas))
-            self.stats.compactions += 1
-            self.stats.bytes_compacted += compacted
-            self._m_compact_bytes.inc(compacted)
-            for level in levels[:-1]:
-                self._drop_run(level)
-                self._levels[level] = LevelRun(level, [])
-                for listener in self.listeners:
-                    listener.on_level_replaced(level)
-            self._install_run(output, metas, replaced=[output])
             self.env.crash_point("compaction.after_install")
             self._commit("compaction")
 
     def _maybe_compact(self) -> None:
         """Cascade compactions while any level exceeds its capacity."""
+        if not self.config.compaction_enabled:
+            return
         level = 1
         while True:
             run = self._levels.get(level)

@@ -49,6 +49,22 @@ def tombstone(key: bytes, ts: int) -> Record:
     return Record(key=key, ts=ts, kind=KIND_DELETE, value=b"")
 
 
+def parse_write_ops(ops) -> list[tuple[int, bytes, bytes]]:
+    """Normalise a group commit's ``("put", key, value)`` and
+    ``("delete", key)`` ops (the kind may also be ``KIND_PUT`` /
+    ``KIND_DELETE``) into ``(kind, key, value)`` tuples."""
+    parsed: list[tuple[int, bytes, bytes]] = []
+    for op in ops:
+        if op[0] in ("put", KIND_PUT):
+            _, key, value = op
+            parsed.append((KIND_PUT, key, value))
+        elif op[0] in ("delete", KIND_DELETE):
+            parsed.append((KIND_DELETE, op[1], b""))
+        else:
+            raise ValueError(f"unknown group-commit op: {op[0]!r}")
+    return parsed
+
+
 def encode_record(record: Record) -> bytes:
     """Canonical byte encoding (used on disk and in hash chains)."""
     return (
