@@ -103,7 +103,9 @@ class ELSMP1Store:
 
     def delete(self, key: bytes) -> int:
         """Tombstone write inside the enclave."""
-        with self._op_lock, self.env.op_call("delete", in_bytes=len(key)):
+        with self._op_lock, self.telemetry.span("elsm.delete"), self.env.op_call(
+            "delete", in_bytes=len(key)
+        ):
             ts = self._next_ts()
             self.db.delete(key, ts)
             return ts

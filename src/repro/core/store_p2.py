@@ -435,8 +435,10 @@ class ELSMP2Store:
                 return assigned
 
     def delete(self, key: bytes) -> int:
-        """DELETE(k): writes a tombstone."""
-        with self._op_lock:
+        """DELETE(k): writes a tombstone.  As in :meth:`put`, the span
+        opens outside the ECall so the boundary charge lands in
+        ``elsm.delete``'s ledger."""
+        with self._op_lock, self.telemetry.span("elsm.delete"):
             self._admit(
                 "delete",
                 cost=self.TOMBSTONE_LEVEL_COST
@@ -445,6 +447,8 @@ class ELSMP2Store:
             )
             with self.env.op_call("delete", in_bytes=len(key)):
                 ts = self._next_ts()
+                if self.codec.mode != MODE_PLAIN:
+                    self.env.trusted_cipher(len(key))
                 self.db.delete(self.codec.encode_key(key), ts)
                 self._maybe_anchor()
                 return ts

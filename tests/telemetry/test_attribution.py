@@ -15,7 +15,7 @@ import pytest
 from repro.telemetry.tracing import Tracer
 from repro.telemetry.trace_export import to_chrome_trace
 from repro.telemetry.trace_report import build_report
-from tests.conftest import kv, make_p2_store
+from tests.conftest import kv, make_p1_store, make_p2_store
 
 
 class FakeClock:
@@ -187,3 +187,35 @@ def test_span_resources_attribute_proof_bytes():
     spans = [s for s in store.telemetry.tracer.spans if s.name == "elsm.get"]
     assert spans
     assert spans[-1].inclusive().resource("proof.bytes") > 0
+
+
+@pytest.mark.parametrize("make_store", [make_p2_store, make_p1_store])
+def test_delete_charges_land_in_its_own_span(make_store):
+    """A DELETE's ECall and WAL append belong to ``elsm.delete``: the
+    span wraps the ECall, so nothing leaks into ``unattributed``."""
+    store = make_store(write_buffer_bytes=1 << 20)
+    store.put(*kv(1))
+    tracer = store.telemetry.tracer
+    unattributed = dict(tracer.unattributed.us)
+    start = store.clock.now_us
+    store.delete(kv(1)[0])
+    span = tracer.spans[-1]
+    assert span.name == "elsm.delete"
+    ledger = span.inclusive().us
+    assert ledger["ecall"] > 0  # the boundary crossing
+    assert ledger["ocall"] > 0 and ledger["kernel_write"] > 0  # WAL append
+    assert span.inclusive().total_us() == pytest.approx(
+        store.clock.now_us - start
+    )
+    assert dict(tracer.unattributed.us) == unattributed
+
+
+def test_encrypted_delete_charges_the_key_cipher():
+    store = make_p2_store(encryption_mode="de", secret=b"s" * 16)
+    store.put(*kv(1))
+    cipher_bytes = store.telemetry.counter("enclave.cipher.bytes")
+    before = cipher_bytes.total()
+    store.delete(kv(1)[0])
+    assert cipher_bytes.total() - before == len(kv(1)[0])
+    assert store.telemetry.tracer.spans[-1].inclusive().us["crypto"] > 0
+    assert store.get(kv(1)[0]) is None
