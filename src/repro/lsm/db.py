@@ -43,6 +43,13 @@ BLOOM_BITS_PER_KEY = 10
 LEVEL_SIZE_RATIO = 10
 
 
+def _merged(streams: list[Iterator[Record]]) -> Iterator[Record]:
+    """Merge sorted per-table record streams by (key, -ts)."""
+    if len(streams) == 1:
+        return streams[0]
+    return heapq.merge(*streams, key=lambda r: r.sort_key())
+
+
 class StoreDegradedError(RuntimeError):
     """The store is read-only after a persistent storage failure.
 
@@ -534,9 +541,8 @@ class LSMStore:
         """Largest timestamp guaranteed to survive a power cut: covered
         either by a committed flush (in SSTables + manifest) or by a
         completed WAL fsync."""
-        wal_ts = self.wal.durable_ts
         with self._lock:
-            return max(self._flushed_ts, wal_ts)
+            return max(self._flushed_ts, self.wal.durable_ts)
 
     @property
     def flushed_ts(self) -> int:
@@ -702,14 +708,7 @@ class LSMStore:
     def mem_range(self, lo: bytes, hi: bytes) -> Iterator[Record]:
         """In-memory records with lo <= key <= hi in (key, -ts) order,
         merged across the active table and the immutable queue."""
-        tables = [t for t in self.memtables() if len(t)]
-        if not tables:
-            return iter(())
-        if len(tables) == 1:
-            return tables[0].range(lo, hi)
-        return heapq.merge(
-            *(t.range(lo, hi) for t in tables), key=lambda r: r.sort_key()
-        )
+        return _merged([t.range(lo, hi) for t in self.memtables() if len(t)])
 
     def mem_records(self) -> int:
         """Records buffered in memory (active + immutables)."""
@@ -889,17 +888,8 @@ class LSMStore:
         table and every queued immutable merged by (key, -ts) — a single
         trusted source, so the authenticated-compaction listener treats
         the whole in-memory state uniformly."""
-        tables = [t for t in self.memtables() if len(t)]
-        if not tables:
-            return []
-        if len(tables) == 1:
-            return [(record, b"") for record in tables[0]]
-        return [
-            (record, b"")
-            for record in heapq.merge(
-                *(iter(t) for t in tables), key=lambda r: r.sort_key()
-            )
-        ]
+        tables = [iter(t) for t in self.memtables() if len(t)]
+        return [(record, b"") for record in _merged(tables)]
 
     def _flush_tables(self, source: list[Entry]) -> None:
         """Write one level-0 source into level 1: merged with the existing
@@ -961,13 +951,10 @@ class LSMStore:
             self.stats.bytes_compacted += written
             self._m_compact_bytes.inc(written)
         for level in emptied:
-            self._drop_run(level)
-            self._levels[level] = LevelRun(level, [])
-            for listener in self.listeners:
-                listener.on_level_replaced(level)
+            self._replace_run(level, [])
         # Install (and persist the manifest) only after the emptied
         # levels are reflected in the in-memory state.
-        self._install_run(output, metas, replaced=[output])
+        self._install_run(output, metas)
 
     def compact_level(self, level: int) -> None:
         """Merge level ``level`` into ``level + 1`` (authenticated in eLSM)."""
@@ -1042,30 +1029,21 @@ class LSMStore:
             self._file_no,
         )
 
-    def _drop_run(self, level: int) -> None:
-        run = self._levels.get(level)
-        if run is None:
-            return
-        for meta in run.tables:
-            self.fetcher.invalidate_file(meta.name)
-            self._pending_deletes.append(meta.name)
-        self._account_meta()
-
-    def _install_run(
-        self, level: int, metas: list[SSTableMeta], replaced: list[int]
-    ) -> None:
+    def _replace_run(self, level: int, metas: list[SSTableMeta]) -> None:
         # Superseded files are only *queued* for deletion here; they stay
         # on disk until _commit so a crash mid-install can still recover
         # the previous manifest's state.
-        for old_level in replaced:
-            old = self._levels.get(old_level)
-            if old is not None:
-                for meta in old.tables:
-                    self.fetcher.invalidate_file(meta.name)
-                    self._pending_deletes.append(meta.name)
+        old = self._levels.get(level)
+        if old is not None:
+            for meta in old.tables:
+                self.fetcher.invalidate_file(meta.name)
+                self._pending_deletes.append(meta.name)
         self._levels[level] = LevelRun(level, metas)
         for listener in self.listeners:
             listener.on_level_replaced(level)
+
+    def _install_run(self, level: int, metas: list[SSTableMeta]) -> None:
+        self._replace_run(level, metas)
         self._account_meta()
         self._write_manifest()
 

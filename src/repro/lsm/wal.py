@@ -33,6 +33,13 @@ _ENTRY_HEADER = struct.Struct("<II")  # payload length, crc32
 logger = logging.getLogger("repro.lsm.wal")
 
 
+def _frame(record: Record) -> bytes:
+    """One log entry: length + CRC32 header, then the encoded record."""
+    payload = encode_record(record)
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    return _ENTRY_HEADER.pack(len(payload), crc) + payload
+
+
 class WriteAheadLog:
     """Append-only log of recent writes on the (untrusted) disk."""
 
@@ -148,9 +155,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, record: Record) -> None:
         """Append one record; fsyncs every ``sync_every`` appends."""
-        payload = encode_record(record)
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
-        entry = _ENTRY_HEADER.pack(len(payload), crc) + payload
+        entry = _frame(record)
         self._m_appends.inc()
         self._m_bytes.inc(len(entry))
         self.env.crash_point("wal.append.before_write")
@@ -174,11 +179,7 @@ class WriteAheadLog:
         """
         if not records:
             return
-        chunks = []
-        for record in records:
-            payload = encode_record(record)
-            crc = zlib.crc32(payload) & 0xFFFFFFFF
-            chunks.append(_ENTRY_HEADER.pack(len(payload), crc) + payload)
+        chunks = [_frame(record) for record in records]
         entry = b"".join(chunks)
         self._m_appends.inc(len(records))
         self._m_bytes.inc(len(entry))
