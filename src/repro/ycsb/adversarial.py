@@ -231,10 +231,10 @@ class AlwaysMissWorkload(AdversarialWorkload):
 class HotKeyFloodWorkload(AdversarialWorkload):
     """Update-floods the zipfian-hottest key (index 0).
 
-    Every update appends a version; the engine keeps every version (the
-    paper's hash chains need them), so the key's version group grows
-    without bound, so any read of the hot key reveals an ever-longer
-    chain.  The flood's own reads keep pulling those proofs while honest
+    Every update appends a version and the engine keeps every version
+    (the paper's hash chains need them), so the key's version group
+    grows without bound and any read of the hot key reveals an
+    ever-longer chain.  The flood's own reads keep pulling those proofs while honest
     zipfian traffic — which by construction favours the same hot keys —
     degrades collaterally.
     """
