@@ -18,8 +18,6 @@ accrue to ``store.clock``.
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass
 
 from repro.core.admission import AdmissionController
@@ -27,6 +25,7 @@ from repro.core.auth_compaction import AuthCompactionListener
 from repro.core.digest import DigestRegistry
 from repro.core.encryption import MODE_PLAIN, KeyValueCodec
 from repro.core.errors import RollbackDetected
+from repro.core.placed import PlacedStore
 from repro.core.prover import OnDemandProver, Prover
 from repro.core.proofs import (
     BatchGetProof,
@@ -38,11 +37,9 @@ from repro.core.proofs import (
 )
 from repro.core.verifier import Verifier
 from repro.cryptoprim.hashing import FILTER_SALT_LEN, constant_time_eq
-from repro.lsm.db import LSMConfig, LSMStore
+from repro.lsm.db import LSMConfig
 from repro.lsm.records import KIND_PUT, Record, parse_write_ops
 from repro.sgx.counter import BufferedCounterAnchor, TrustedMonotonicCounter
-from repro.sgx.enclave import Enclave
-from repro.sgx.env import ExecutionEnv
 from repro.sgx.sealing import (
     SealedBlob,
     SealError,
@@ -51,10 +48,6 @@ from repro.sgx.sealing import (
     store_blob,
     unseal,
 )
-from repro.sim.clock import SimClock
-from repro.sim.costs import DEFAULT_COSTS, CostModel
-from repro.sim.disk import SimDisk
-from repro.sim.scale import MB, ScaleConfig
 from repro.telemetry.metrics import SIZE_BUCKETS_BYTES
 
 
@@ -89,49 +82,85 @@ class VerifiedMultiGet:
         ]
 
 
-class ELSMP2Store:
-    """The authenticated LSM key-value store, eLSM-P2 design."""
+class ELSMP2Store(PlacedStore):
+    """The authenticated LSM key-value store, eLSM-P2 design.
+
+    Engine geometry and the simulated machine are the shell's options
+    (:class:`~repro.core.placed.PlacedStore`); the ones below configure
+    authentication.
+    """
+
+    enclave_name = "elsm-enclave"
 
     def __init__(
         self,
         *,
-        scale: ScaleConfig | None = None,
-        costs: CostModel = DEFAULT_COSTS,
-        clock: SimClock | None = None,
-        disk: SimDisk | None = None,
-        read_mode: str = "mmap",
-        read_buffer_bytes: int | None = None,
-        write_buffer_bytes: int | None = None,
-        level1_max_bytes: int | None = None,
-        file_max_bytes: int | None = None,
-        block_bytes: int = 4096,
-        use_bloom: bool = True,
         salted_bloom: bool = True,
-        compaction: bool = True,
-        compression: bool = False,
         encryption_mode: str = MODE_PLAIN,
         secret: bytes = b"",
         rollback_protection: bool = False,
         counter_buffer_ops: int = 64,
         counter_slack: int = 0,
         autoseal: bool = False,
-        wal_sync_every: int | None = None,
-        max_immutable_memtables: int = 0,
         early_stop: bool = True,
         proof_mode: str = "embedded",
         counter: TrustedMonotonicCounter | None = None,
-        reopen: bool = False,
         name_prefix: str = "p2",
+        **options,
     ) -> None:
-        self.scale = scale or ScaleConfig()
-        self.costs = costs
-        self.clock = clock or SimClock()
-        self.disk = disk or SimDisk(
-            self.clock, costs, cache_bytes=self.scale.ram_bytes
+        if proof_mode not in ("embedded", "on_demand"):
+            raise ValueError(f"unknown proof_mode: {proof_mode}")
+        self.proof_mode = proof_mode
+        self.salted_bloom = salted_bloom
+        self.codec = KeyValueCodec(encryption_mode, secret)
+        super().__init__(name_prefix=name_prefix, **options)
+        # Token-bucket admission control at the ECall boundary (off until
+        # enable_admission; the adversarial defense stack turns it on).
+        self.admission: AdmissionController | None = None
+        self._client = "default"
+        prover_cls = Prover if proof_mode == "embedded" else OnDemandProver
+        self.prover = prover_cls(self.db)
+        self.early_stop = early_stop
+        self.verifier = Verifier(self.registry, self.env, early_stop=early_stop)
+
+        self.rollback_protection = rollback_protection
+        # The monotonic counter models persistent hardware: a reopened
+        # store must be handed the same counter it used before the crash.
+        self.counter = counter or TrustedMonotonicCounter(self.clock)
+        self.anchor = BufferedCounterAnchor(self.counter, counter_buffer_ops)
+        #: Counter increments a recovered seal may legitimately trail the
+        #: hardware by (a crash can land between the increment and the
+        #: seal write).  0 keeps the strict equality check.
+        self.counter_slack = counter_slack
+        self.total_proof_bytes = 0
+
+        self._m_recovery_dropped_bytes = self.telemetry.counter(
+            "wal.recovery.dropped_bytes",
+            "WAL bytes discarded by authenticated recovery "
+            "(beyond the sealed digest, torn, or corrupt)",
         )
-        self.enclave = Enclave(self.clock, costs, self.scale.epc_bytes)
-        self.env = ExecutionEnv(self.clock, costs, self.disk, enclave=self.enclave)
-        self.telemetry = self.env.telemetry
+        self._m_recovery_dropped_entries = self.telemetry.counter(
+            "wal.recovery.dropped_entries",
+            "WAL records discarded by authenticated recovery",
+        )
+        self._m_seals = self.telemetry.counter(
+            "seal.persisted", "sealed trusted states written to disk"
+        )
+        #: Seal-on-sync: persist the sealed trusted state at every commit
+        #: point (flush/compaction commit and WAL fsync), making "fsync
+        #: acknowledged" imply "covered by an on-disk seal" — the
+        #: durability contract the crash harness checks.
+        self.autoseal = autoseal
+        self._seal_seq = 0
+        self._durable_ts = 0
+        if autoseal:
+            self.db.commit_hook = self._autoseal_commit
+            self.db.wal.on_sync = lambda: self._autoseal_commit("wal_sync")
+
+    def _before_engine(self, config: LSMConfig) -> list:
+        """Proof instruments, the digest registry, the authenticating
+        listener and the Bloom salt: all exist before the engine, which
+        is built with the listener attached."""
         self._m_proof_get_bytes = self.telemetry.histogram(
             "proof.get.bytes",
             "verified-GET proof size",
@@ -171,109 +200,18 @@ class ELSMP2Store:
             "lsm.bloom.false_positives",
             "filter said maybe but the level had no group for the key",
         )
-
-        if proof_mode not in ("embedded", "on_demand"):
-            raise ValueError(f"unknown proof_mode: {proof_mode}")
-        self.proof_mode = proof_mode
         self.registry = DigestRegistry(self.env)
         self.listener = AuthCompactionListener(
-            self.registry, self.env, embed_proofs=(proof_mode == "embedded")
+            self.registry, self.env, embed_proofs=(self.proof_mode == "embedded")
         )
-        self.codec = KeyValueCodec(encryption_mode, secret)
-
         # Keyed Bloom hashing: the master salt comes from enclave
         # randomness, so the attacker outside cannot precompute
         # filter-saturating keys.  A reopened store overwrites this with
         # the *sealed* salt in load_trusted_state before the manifest
         # (and hence every filter) is rebuilt.
-        self.salted_bloom = salted_bloom
-        bloom_salt = (
-            self.enclave.random_bytes(FILTER_SALT_LEN) if salted_bloom else b""
-        )
-        lsm_config = LSMConfig(
-            write_buffer_bytes=write_buffer_bytes
-            or max(self.scale.scale_bytes(4 * MB), 8 * 1024),
-            block_bytes=block_bytes,
-            use_bloom=use_bloom,
-            level1_max_bytes=level1_max_bytes
-            or max(self.scale.scale_bytes(10 * MB), 32 * 1024),
-            file_max_bytes=file_max_bytes
-            or max(self.scale.scale_bytes(2 * MB), 16 * 1024),
-            read_mode=read_mode,
-            read_buffer_bytes=read_buffer_bytes
-            or self.scale.scale_bytes(64 * MB),
-            buffer_location="untrusted",
-            protect_files=False,
-            compression=compression,
-            compaction_enabled=compaction,
-            wal_sync_every=wal_sync_every,
-            max_immutable_memtables=max_immutable_memtables,
-            bloom_salt=bloom_salt,
-        )
-        self.db = LSMStore(
-            self.env,
-            lsm_config,
-            listeners=[self.listener],
-            name_prefix=name_prefix,
-            reopen=reopen,
-        )
-        # Token-bucket admission control at the ECall boundary (off until
-        # enable_admission; the adversarial defense stack turns it on).
-        self.admission: AdmissionController | None = None
-        self._client = "default"
-        prover_cls = Prover if proof_mode == "embedded" else OnDemandProver
-        self.prover = prover_cls(self.db)
-        self.early_stop = early_stop
-        self.verifier = Verifier(self.registry, self.env, early_stop=early_stop)
-
-        self.rollback_protection = rollback_protection
-        # The monotonic counter models persistent hardware: a reopened
-        # store must be handed the same counter it used before the crash.
-        self.counter = counter or TrustedMonotonicCounter(self.clock)
-        self.anchor = BufferedCounterAnchor(self.counter, counter_buffer_ops)
-        #: Counter increments a recovered seal may legitimately trail the
-        #: hardware by (a crash can land between the increment and the
-        #: seal write).  0 keeps the strict equality check.
-        self.counter_slack = counter_slack
-
-        self._ts = 0
-        # The in-enclave mutex guarding concurrent operations (5.5.2).
-        self._op_lock = threading.RLock()
-        self.total_proof_bytes = 0
-
-        self._m_recovery_dropped_bytes = self.telemetry.counter(
-            "wal.recovery.dropped_bytes",
-            "WAL bytes discarded by authenticated recovery "
-            "(beyond the sealed digest, torn, or corrupt)",
-        )
-        self._m_recovery_dropped_entries = self.telemetry.counter(
-            "wal.recovery.dropped_entries",
-            "WAL records discarded by authenticated recovery",
-        )
-        self._m_seals = self.telemetry.counter(
-            "seal.persisted", "sealed trusted states written to disk"
-        )
-        #: Seal-on-sync: persist the sealed trusted state at every commit
-        #: point (flush/compaction commit and WAL fsync), making "fsync
-        #: acknowledged" imply "covered by an on-disk seal" — the
-        #: durability contract the crash harness checks.
-        self.autoseal = autoseal
-        self._seal_seq = 0
-        self._durable_ts = 0
-        if autoseal:
-            self.db.commit_hook = self._autoseal_commit
-            self.db.wal.on_sync = lambda: self._autoseal_commit("wal_sync")
-
-    # ------------------------------------------------------------------
-    # Timestamp manager (runs in the enclave)
-    # ------------------------------------------------------------------
-    def _next_ts(self) -> int:
-        self._ts += 1
-        return self._ts
-
-    @property
-    def current_ts(self) -> int:
-        return self._ts
+        if self.salted_bloom:
+            config.bloom_salt = self.enclave.random_bytes(FILTER_SALT_LEN)
+        return [self.listener]
 
     # ------------------------------------------------------------------
     # Admission control (ECall boundary)
@@ -319,10 +257,6 @@ class ELSMP2Store:
             on_recover=self.db.exit_overload,
         )
         return self.admission
-
-    def health(self) -> dict:
-        """Graded health (``ok`` / ``overloaded`` / ``degraded``)."""
-        return self.db.health()
 
     #: Per-level admission price of a tombstone write.  A delete is
     #: nearly free to issue but its lifecycle is all debt: a WAL append
@@ -742,10 +676,6 @@ class ELSMP2Store:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Flush the MemTable (runs an authenticated flush-merge)."""
-        self.db.flush()
-
     def compact_level(self, level: int) -> None:
         """Authenticated merge of one level into the next."""
         self.db.compact_level(level)
@@ -770,99 +700,58 @@ class ELSMP2Store:
             self.db, self.registry, check_embedded_proofs=check_embedded_proofs
         )
 
-    def report(self) -> dict:
-        """A structured operational snapshot (levels, costs, security).
-
-        Operational counters are read back from the telemetry registry —
-        the registry *is* the source of truth, so a ``--metrics-out``
-        dump and this report can never disagree for the same run.
-        """
-        levels = {}
-        level_bytes_total = 0
-        for level in self.db.level_indices():
-            run = self.db.level_run(level)
-            digest = self.registry.get(level)
-            level_bytes_total += run.total_bytes
-            levels[level] = {
-                "files": len(run.tables),
-                "bytes": run.total_bytes,
-                "records": run.record_count,
-                "distinct_keys": digest.leaf_count,
-                "root": digest.root.hex()[:16],
-            }
-        pager = self.enclave.pager
-        metrics = self.telemetry.metrics
+    def _level_report(self, level: int) -> dict:
+        run = self.db.level_run(level)
+        digest = self.registry.get(level)
         return {
-            "timestamp": self._ts,
-            "health": self.db.health(),
-            "wal_sync_every": self.db.config.wal_sync_every,
-            "durable_ts": self.durability_ts(),
-            "levels": levels,
-            "level_bytes_total": level_bytes_total,
-            "memtable_records": self.db.mem_records(),
-            "immutable_memtables": len(self.db.immutables),
-            "memtable_rotations": int(
-                metrics.counter("lsm.memtable.rotations").total()
-            ),
-            "group_commits": int(
-                metrics.counter("lsm.group_commit.groups").total()
-            ),
-            "background_flush_us": metrics.counter(
-                "lsm.flush.background_us"
-            ).total(),
-            "enclave_bytes": self.enclave.total_bytes(),
-            "epc_bytes": self.enclave.epc_bytes,
-            "epc_faults": pager.fault_count,
-            "dirty_evictions": pager.evicted_dirty_count,
-            "ecalls": int(metrics.counter("enclave.ecalls", labels=("call",)).total()),
-            "ocalls": int(metrics.counter("enclave.ocalls", labels=("call",)).total()),
-            "boundary_copy_bytes": int(
-                metrics.counter("enclave.copy.bytes", labels=("dir",)).total()
-            ),
-            "flushes": self.db.stats.flushes,
-            "compactions": self.db.stats.compactions,
-            "bytes_flushed": int(metrics.counter("lsm.flush.bytes").total()),
-            "bytes_compacted": int(
-                metrics.counter("lsm.compaction.bytes").total()
-            ),
-            "user_bytes_written": self.db.stats.user_bytes_written,
-            "write_amplification": self.db.stats.write_amplification(),
-            "wal_appends": int(metrics.counter("wal.appends").total()),
-            "wal_bytes": int(metrics.counter("wal.bytes").total()),
-            "cache_hits": int(
-                metrics.counter("cache.hits", labels=("region",)).total()
-            ),
-            "cache_misses": int(
-                metrics.counter("cache.misses", labels=("region",)).total()
-            ),
-            "hash_invocations": int(
-                metrics.counter("enclave.hash.invocations").total()
-            ),
-            "verified_gets": self.verifier.verified_gets,
-            "verified_multi_gets": self.verifier.verified_multi_gets,
-            "verified_scans": self.verifier.verified_scans,
-            "verifier_cache_hits": (
-                self.verifier.node_cache.hits
-                if self.verifier.node_cache is not None
-                else 0
-            ),
-            "verifier_cache_misses": (
-                self.verifier.node_cache.misses
-                if self.verifier.node_cache is not None
-                else 0
-            ),
-            "proof_bytes_total": self.total_proof_bytes,
-            "proof_get_bytes_mean": self._m_proof_get_bytes.mean(),
-            "disk_bytes": self.disk.total_bytes(),
-            "simulated_us": self.clock.now_us,
-            "cost_breakdown_us": self.clock.breakdown(),
-            "spans_dropped": self.telemetry.tracer.dropped,
-            "events_dropped": self.telemetry.events.dropped,
-            "salted_bloom": bool(self.db.config.bloom_salt),
-            "admission": (
-                self.admission.snapshot() if self.admission is not None else None
-            ),
+            **super()._level_report(level),
+            "records": run.record_count,
+            "distinct_keys": digest.leaf_count,
+            "root": digest.root.hex()[:16],
         }
+
+    def report(self) -> dict:
+        """The shell's placement snapshot with the proof keys spliced in
+        (levels gain their digests; see :meth:`PlacedStore.report`)."""
+        placement = super().report()
+        cache = self.verifier.node_cache
+        proof_keys = {
+            "wal_sync_every": {"durable_ts": self.durability_ts()},
+            "levels": {
+                "level_bytes_total": sum(
+                    entry["bytes"] for entry in placement["levels"].values()
+                )
+            },
+            "cache_misses": {
+                "hash_invocations": int(
+                    self.telemetry.metrics.counter(
+                        "enclave.hash.invocations"
+                    ).total()
+                ),
+                "verified_gets": self.verifier.verified_gets,
+                "verified_multi_gets": self.verifier.verified_multi_gets,
+                "verified_scans": self.verifier.verified_scans,
+                "verifier_cache_hits": cache.hits if cache is not None else 0,
+                "verifier_cache_misses": (
+                    cache.misses if cache is not None else 0
+                ),
+                "proof_bytes_total": self.total_proof_bytes,
+                "proof_get_bytes_mean": self._m_proof_get_bytes.mean(),
+            },
+            "events_dropped": {
+                "salted_bloom": bool(self.db.config.bloom_salt),
+                "admission": (
+                    self.admission.snapshot()
+                    if self.admission is not None
+                    else None
+                ),
+            },
+        }
+        report = {}
+        for key, value in placement.items():
+            report[key] = value
+            report.update(proof_keys.get(key, {}))
+        return report
 
     # ------------------------------------------------------------------
     # State continuity: sealing and rollback defence (Section 5.6.1)
@@ -1099,3 +988,7 @@ class ELSMP2Store:
                 f"no intact sealed state found on disk: {last_error}"
             )
         raise IntegrityViolation("no sealed state found on disk")
+
+    #: A P2 restart is always authenticated: the shell's plain WAL replay
+    #: would trust whatever the host's disk says.
+    recover = recover_from_disk

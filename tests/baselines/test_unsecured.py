@@ -46,3 +46,37 @@ def test_historical_reads():
     t1 = store.put(b"k", b"v1")
     store.put(b"k", b"v2")
     assert store.get(b"k", ts_query=t1) == b"v1"
+
+
+def _reopenable(**overrides):
+    options = dict(
+        scale=SCALE, write_buffer_bytes=1 << 20, name_prefix="plainrec"
+    )
+    options.update(overrides)
+    return UnsecuredLSMStore(**options)
+
+
+def test_reopen_replays_the_wal_tail():
+    store = _reopenable()  # everything stays in the WAL
+    for i in range(30):
+        store.put(b"key%04d" % i, b"v%d" % i)
+    store.delete(b"key0003")
+    revived = _reopenable(disk=store.disk, clock=store.clock, reopen=True)
+    assert revived.recover() == 31
+    assert revived.current_ts == store.current_ts == 31
+    assert revived.get(b"key0007") == b"v7"
+    assert revived.get(b"key0003") is None
+    assert revived.put(b"new", b"x") == 32
+
+
+def test_reopen_restores_flushed_levels():
+    store = _reopenable(write_buffer_bytes=None)
+    for i in range(150):
+        store.put(b"key%04d" % i, b"v" * 30)
+    store.flush()
+    revived = _reopenable(
+        disk=store.disk, clock=store.clock, write_buffer_bytes=None, reopen=True
+    )
+    revived.recover()
+    assert revived.get(b"key0042") == b"v" * 30
+    assert len(revived.scan(b"key0010", b"key0019")) == 10

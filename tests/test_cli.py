@@ -217,3 +217,20 @@ def test_perf_report_missing_history(capsys, tmp_path):
     missing = tmp_path / "nope.jsonl"
     assert main(["perf-report", "--history", str(missing)]) == 2
     assert "cannot read history" in capsys.readouterr().err
+
+
+def test_ycsb_plain_json_out_carries_the_report(capsys, tmp_path):
+    """The unsecured store reports through the shared placement shell, so
+    the no-enclave line gets its boundary counters (all zero)."""
+    out_path = tmp_path / "plain.json"
+    assert main(
+        ["ycsb", "--workload", "A", "--system", "plain",
+         "--records", "300", "--ops", "100", "--factor", "0.0002",
+         "--json-out", str(out_path)]
+    ) == 0
+    import json
+
+    payload = json.loads(out_path.read_text())
+    assert payload["ecalls"] == payload["ocalls"] == 0
+    assert payload["boundary_copy_bytes"] == 0
+    assert "proof_bytes_total" not in payload

@@ -43,14 +43,13 @@ def _make(system: str, max_immutable: int, compaction: bool):
         )
     from repro.baselines.unsecured import UnsecuredLSMStore
 
-    store = UnsecuredLSMStore(
+    return UnsecuredLSMStore(
         scale=TEST_SCALE,
         in_enclave=(system == "plain-enclave"),
+        max_immutable_memtables=max_immutable,
         compaction=compaction,
         **_GEOMETRY,
     )
-    store.db.config.max_immutable_memtables = max_immutable
-    return store
 
 
 def _compact_deepest_pair(store) -> None:
