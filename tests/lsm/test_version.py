@@ -1,11 +1,17 @@
 """Level runs: lookup with neighbours, ranges, iteration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsm.cache import ReadBuffer
 from repro.lsm.records import Record
 from repro.lsm.sstable import BlockFetcher, SSTableBuilder
 from repro.lsm.version import LevelRun
+from repro.sgx.env import ExecutionEnv
+from repro.sim.clock import SimClock
+from repro.sim.costs import ZERO_COSTS
+from repro.sim.disk import SimDisk
 
 
 def build_run(env, groups, files=1, block_bytes=128):
@@ -157,3 +163,84 @@ def test_empty_run(free_env):
     assert run.is_empty
     assert run.total_bytes == 0
     assert run.min_key is None
+
+
+# ----------------------------------------------------------------------
+# Brute-force reference: navigation equals a scan of the sorted entries
+# ----------------------------------------------------------------------
+def _key(index: int) -> bytes:
+    return b"k%04d" % index
+
+
+def _versioned_groups(versions: list[int]) -> list[tuple[bytes, list[int]]]:
+    """Keys k0002, k0004, ... with the given version counts, ts descending."""
+    groups = []
+    ts = 10 * len(versions)
+    for i, count in enumerate(versions):
+        groups.append((_key(2 * i + 2), list(range(ts, ts - count, -1))))
+        ts -= count
+    return groups
+
+
+class _Reference:
+    """What a brute-force scan of the run's sorted entries answers."""
+
+    def __init__(self, groups):
+        self.entries = [
+            (Record(key=key, ts=ts, value=b"v%d" % ts), b"")
+            for key, ts_list in groups
+            for ts in ts_list
+        ]
+        self.keys = [key for key, _ in groups]
+
+    def group(self, key):
+        return [entry for entry in self.entries if entry[0].key == key]
+
+    def between(self, lo, hi):
+        return [entry for entry in self.entries if lo <= entry[0].key <= hi]
+
+    def newest_below(self, key):
+        below = [k for k in self.keys if k < key]
+        return self.group(below[-1])[0] if below else None
+
+    def newest_above(self, key):
+        above = [k for k in self.keys if k > key]
+        return self.group(above[0])[0] if above else None
+
+
+def _zero_cost_env() -> ExecutionEnv:
+    clock = SimClock()
+    return ExecutionEnv(clock, ZERO_COSTS, SimDisk(clock, ZERO_COSTS))
+
+
+@given(
+    versions=st.lists(st.integers(1, 6), min_size=1, max_size=40),
+    block_bytes=st.integers(16, 512),
+    files=st.integers(1, 14),
+    bounds=st.lists(st.tuples(st.integers(0, 90), st.integers(0, 90)), max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_navigation_matches_brute_force(versions, block_bytes, files, bounds):
+    env = _zero_cost_env()
+    groups = _versioned_groups(versions)
+    run = build_run(env, groups, files=files, block_bytes=block_bytes)
+    fetcher = make_fetcher(env)
+    ref = _Reference(groups)
+    last = 2 * len(versions) + 2
+    # Even indices are stored; odd ones are absent: below the minimum
+    # (1), between two keys, or above the maximum (last + 1).
+    probes = [_key(i) for i in range(1, last + 2)] + [b"k9999"]
+    for key in probes:
+        result = run.lookup(fetcher, key)
+        assert result.group == ref.group(key)
+        assert result.left == ref.newest_below(key)
+        assert result.right == ref.newest_above(key)
+        assert run.get_group(fetcher, key) == ref.group(key)
+    ranges = [(_key(0), b"k9999"), (_key(2), _key(last))]  # full run
+    ranges += [(_key(i), _key(i)) for i in range(1, last + 2)]  # one key / empty
+    ranges += [(_key(min(pair)), _key(max(pair))) for pair in bounds]
+    for lo, hi in ranges:
+        left, entries, right = run.range_entries(fetcher, lo, hi)
+        assert entries == ref.between(lo, hi)
+        assert left == ref.newest_below(lo)
+        assert right == ref.newest_above(hi)
