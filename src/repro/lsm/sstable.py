@@ -22,7 +22,7 @@ import hashlib
 import struct
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.cryptoprim.hashing import derive_filter_salt
 from repro.lsm.bloom import BloomFilter
@@ -94,6 +94,12 @@ class SSTableMeta:
     record_count: int
     size_bytes: int
     compressed: bool = False
+    #: ``last_key`` of every block in order: the bisect list behind
+    #: :meth:`block_for_key`, built once per table.
+    last_keys: list[bytes] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.last_keys = [h.last_key for h in self.handles]
 
     def meta_bytes(self) -> int:
         """Approximate in-enclave footprint of index + Bloom filter."""
@@ -104,8 +110,7 @@ class SSTableMeta:
 
     def block_for_key(self, key: bytes) -> int | None:
         """Index of the first block whose last_key >= key, if any."""
-        last_keys = [h.last_key for h in self.handles]
-        index = bisect_left(last_keys, key)
+        index = bisect_left(self.last_keys, key)
         if index >= len(self.handles):
             return None
         return index
@@ -406,11 +411,13 @@ class BlockFetcher:
 
 
 class ScopedBlockCache:
-    """Memoises ``read_block`` for the duration of one batched operation.
+    """Memoises ``read_block`` for the duration of one operation.
 
-    A MULTIGET visits many keys that land in the same data blocks; the
+    Every walk over a level run reads through one (see
+    :class:`~repro.lsm.version.LevelRun`), and a MULTIGET shares one scope
+    across all its keys, which often land in the same data blocks; the
     scope guarantees each block is fetched — and its access cost charged —
-    at most once per batch, however many keys resolve through it.  The
+    at most once per operation, however many keys resolve through it.  The
     scope holds only references to already-decoded blocks, so it needs no
     invalidation: it must not outlive the operation that created it.
     """

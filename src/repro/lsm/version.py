@@ -12,25 +12,58 @@ access patterns the system needs:
 * ``range_entries`` — all entries in a key range plus both neighbours,
   feeding SCAN completeness proofs;
 * ``iter_entries`` — sequential scan for compaction.
+
+``lookup``, ``get_group`` and ``range_entries`` are one walk of a
+:class:`_RunCursor`, which owns block residency for the operation: each
+data block is fetched at most once, blocks are stepped over using only
+the block index, and neighbours are resolved only when a caller asks for
+them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from functools import cached_property
 from typing import Iterator
 
-from repro.lsm.sstable import BlockFetcher, Entry, SSTableMeta
+from repro.lsm.sstable import BlockFetcher, Entry, ScopedBlockCache, SSTableMeta
 from repro.sgx.env import ExecutionEnv
 
 
-@dataclass
 class LookupResult:
-    """Outcome of a point lookup within one level."""
+    """Outcome of a walk over one level: a key's group or a range's entries.
 
-    group: list[Entry]  # all versions of the key, newest first
-    left: Entry | None  # newest entry of the greatest key < target
-    right: Entry | None  # newest entry of the smallest key > target
+    ``group`` holds the entries found (for a point lookup: all versions of
+    the key, newest first).  ``left`` is the newest entry of the greatest
+    key below them and ``right`` the newest entry of the smallest key
+    above; both are resolved on first access, so a membership proof, which
+    never reads them, never fetches a block only they live in.  A result
+    reads through its operation's block scope, so like
+    :class:`~repro.lsm.sstable.ScopedBlockCache` it must not outlive the
+    operation that created it.
+    """
+
+    def __init__(
+        self,
+        group: list[Entry],
+        cursor: "_RunCursor",
+        start: "_Position | None",
+        after: "_Position | None",
+    ) -> None:
+        self.group = group
+        self._cursor = cursor
+        self._start = start
+        self._after = after
+
+    @cached_property
+    def left(self) -> Entry | None:
+        """Newest entry of the greatest key below the group."""
+        return self._cursor.newest_before(self._start)
+
+    @cached_property
+    def right(self) -> Entry | None:
+        """Newest entry of the smallest key above the group."""
+        return self._cursor.entry(self._after)
 
 
 class LevelRun:
@@ -45,6 +78,7 @@ class LevelRun:
                     f"overlapping tables in level {level}: "
                     f"{prev.name} and {cur.name}"
                 )
+        self._max_keys = [t.max_key for t in self.tables]
 
     @property
     def total_bytes(self) -> int:
@@ -77,8 +111,7 @@ class LevelRun:
         return meta.bloom.may_contain(key)
 
     def _table_for_key(self, key: bytes) -> int | None:
-        max_keys = [t.max_key for t in self.tables]
-        index = bisect_left(max_keys, key)
+        index = bisect_left(self._max_keys, key)
         if index >= len(self.tables):
             return None
         return index
@@ -87,41 +120,12 @@ class LevelRun:
     # Cursor-based navigation
     # ------------------------------------------------------------------
     def lookup(self, fetcher: BlockFetcher, key: bytes) -> LookupResult:
-        """Find a key's version group and its neighbouring entries."""
-        cursor = _RunCursor(self, fetcher)
-        position = cursor.seek(key)
-        group: list[Entry] = []
-        walker = position
-        while walker is not None:
-            entry = cursor.entry(walker)
-            if entry[0].key != key:
-                break
-            group.append(entry)
-            walker = cursor.next(walker)
-        right = cursor.entry(walker) if walker is not None else None
-        if group:
-            left = self._newest_of_prev_group(cursor, position)
-        elif position is not None:
-            # position is the successor's newest entry
-            right = cursor.entry(position)
-            left = self._newest_of_prev_group(cursor, position)
-        else:
-            right = None
-            left = self._newest_of_last_group(cursor)
-        return LookupResult(group=group, left=left, right=right)
+        """Find a key's version group; its neighbours resolve on access."""
+        return self._walk(fetcher, key, key)
 
     def get_group(self, fetcher: BlockFetcher, key: bytes) -> list[Entry]:
         """Just the version group of ``key`` (no neighbours), newest first."""
-        cursor = _RunCursor(self, fetcher)
-        position = cursor.seek(key)
-        group: list[Entry] = []
-        while position is not None:
-            entry = cursor.entry(position)
-            if entry[0].key != key:
-                break
-            group.append(entry)
-            position = cursor.next(position)
-        return group
+        return self._walk(fetcher, key, key).group
 
     def range_entries(
         self, fetcher: BlockFetcher, lo: bytes, hi: bytes
@@ -129,22 +133,19 @@ class LevelRun:
         """All entries with lo <= key <= hi, plus both neighbours."""
         if lo > hi:
             raise ValueError("empty range")
+        window = self._walk(fetcher, lo, hi)
+        return window.left, window.group, window.right
+
+    def _walk(self, fetcher: BlockFetcher, lo: bytes, hi: bytes) -> LookupResult:
+        """The one walk behind every lookup: entries with lo <= key <= hi.
+
+        ``fetcher`` is a bare :class:`BlockFetcher` or a MULTIGET's
+        :class:`ScopedBlockCache`, which the cursor joins.
+        """
         cursor = _RunCursor(self, fetcher)
-        position = cursor.seek(lo)
-        entries: list[Entry] = []
-        walker = position
-        while walker is not None:
-            entry = cursor.entry(walker)
-            if entry[0].key > hi:
-                break
-            entries.append(entry)
-            walker = cursor.next(walker)
-        right = cursor.entry(walker) if walker is not None else None
-        if position is not None:
-            left = self._newest_of_prev_group(cursor, position)
-        else:
-            left = self._newest_of_last_group(cursor)
-        return left, entries, right
+        start = cursor.seek(lo)
+        entries, after = cursor.collect(start, hi)
+        return LookupResult(entries, cursor, start, after)
 
     def iter_entries(self, env: ExecutionEnv) -> Iterator[Entry]:
         """Sequential scan for compaction, bypassing the read buffer."""
@@ -154,107 +155,106 @@ class LevelRun:
             for handle in meta.handles:
                 yield from read_block_sequential(env, meta, handle)
 
-    def _newest_of_prev_group(
-        self, cursor: "_RunCursor", position: "_Position"
-    ) -> Entry | None:
-        """Newest entry of the key group immediately before ``position``."""
-        prev = cursor.prev(position)
-        if prev is None:
-            return None
-        prev_key = cursor.entry(prev)[0].key
-        newest = prev
-        while True:
-            before = cursor.prev(newest)
-            if before is None or cursor.entry(before)[0].key != prev_key:
-                break
-            newest = before
-        return cursor.entry(newest)
-
-    def _newest_of_last_group(self, cursor: "_RunCursor") -> Entry | None:
-        """Newest entry of the run's greatest key (run's logical tail)."""
-        last = cursor.last()
-        if last is None:
-            return None
-        return cursor.entry(cursor.first_of_group_ending_at(last))
-
 
 _Position = tuple[int, int, int]  # (table index, block index, entry index)
 
 
-class _RunCursor:
-    """Navigates a level run entry-by-entry across blocks and files."""
+def _entry_key(entry: Entry) -> bytes:
+    return entry[0].key
 
-    def __init__(self, run: LevelRun, fetcher: BlockFetcher) -> None:
+
+class _RunCursor:
+    """Navigates a level run entry by entry across blocks and files.
+
+    The cursor owns block residency for its operation: handed a bare
+    fetcher it wraps it in a :class:`ScopedBlockCache`, handed a MULTIGET
+    scope it joins that scope, so every block is fetched — and its access
+    cost charged — at most once however often the walk returns to it.
+    Moving between blocks reads only the block index (``first_key`` /
+    ``last_key``), never a block the answer does not contain.
+    """
+
+    def __init__(self, run: LevelRun, fetcher: BlockFetcher | ScopedBlockCache) -> None:
         self.run = run
-        self.fetcher = fetcher
+        self.tables = run.tables
+        if not isinstance(fetcher, ScopedBlockCache):
+            fetcher = ScopedBlockCache(fetcher)
+        self.blocks = fetcher
 
     def _block_entries(self, table: int, block: int) -> list[Entry]:
-        meta = self.run.tables[table]
-        return self.fetcher.read_block(meta, meta.handles[block]).entries
+        meta = self.tables[table]
+        return self.blocks.read_block(meta, meta.handles[block]).entries
 
-    def entry(self, position: _Position) -> Entry:
+    def entry(self, position: _Position | None) -> Entry | None:
+        if position is None:
+            return None
         table, block, index = position
         return self._block_entries(table, block)[index]
 
     def seek(self, key: bytes) -> _Position | None:
         """Position of the first entry with entry.key >= key."""
-        tables = self.run.tables
-        max_keys = [t.max_key for t in tables]
-        table = bisect_left(max_keys, key)
-        if table >= len(tables):
+        table = self.run._table_for_key(key)
+        if table is None:
             return None
-        meta = tables[table]
-        block = meta.block_for_key(key)
-        if block is None:  # pragma: no cover - table choice guarantees a block
-            return None
-        entries = self._block_entries(table, block)
-        for index, (record, _) in enumerate(entries):
-            if record.key >= key:
-                return (table, block, index)
-        # key falls between this block's last key and the next block.
-        return self.next((table, block, len(entries) - 1))
+        return self._seek_in_table(table, key)
 
-    def next(self, position: _Position) -> _Position | None:
-        table, block, index = position
+    def _seek_in_table(self, table: int, key: bytes) -> _Position:
+        # key <= the table's max key, so the first block whose last key is
+        # >= key exists and holds the entry.
+        block = self.tables[table].block_for_key(key)
+        assert block is not None
         entries = self._block_entries(table, block)
-        if index + 1 < len(entries):
-            return (table, block, index + 1)
-        meta = self.run.tables[table]
-        if block + 1 < len(meta.handles):
+        return (table, block, bisect_left(entries, key, key=_entry_key))
+
+    def _next_block(self, table: int, block: int) -> _Position | None:
+        """First position after the last entry of ``(table, block)``."""
+        if block + 1 < len(self.tables[table].handles):
             return (table, block + 1, 0)
-        if table + 1 < len(self.run.tables):
+        if table + 1 < len(self.tables):
             return (table + 1, 0, 0)
         return None
 
-    def prev(self, position: _Position) -> _Position | None:
-        table, block, index = position
-        if index > 0:
-            return (table, block, index - 1)
-        if block > 0:
-            entries = self._block_entries(table, block - 1)
-            return (table, block - 1, len(entries) - 1)
-        if table > 0:
-            meta = self.run.tables[table - 1]
-            last_block = len(meta.handles) - 1
-            entries = self._block_entries(table - 1, last_block)
-            return (table - 1, last_block, len(entries) - 1)
-        return None
+    def collect(
+        self, position: _Position | None, hi: bytes
+    ) -> tuple[list[Entry], _Position | None]:
+        """Entries from ``position`` while key <= hi, and the position after.
 
-    def last(self) -> _Position | None:
-        if not self.run.tables:
-            return None
-        table = len(self.run.tables) - 1
-        meta = self.run.tables[table]
-        block = len(meta.handles) - 1
-        entries = self._block_entries(table, block)
-        return (table, block, len(entries) - 1)
+        A block whose first key is already past ``hi`` is never fetched.
+        """
+        entries: list[Entry] = []
+        while position is not None:
+            table, block, index = position
+            if index == 0 and self.tables[table].handles[block].first_key > hi:
+                break
+            block_entries = self._block_entries(table, block)
+            end = bisect_right(block_entries, hi, lo=index, key=_entry_key)
+            entries.extend(block_entries[index:end])
+            if end < len(block_entries):
+                return entries, (table, block, end)
+            position = self._next_block(table, block)
+        return entries, position
 
-    def first_of_group_ending_at(self, position: _Position) -> _Position:
-        """Newest (first) entry of the group containing ``position``."""
-        key = self.entry(position)[0].key
-        newest = position
-        while True:
-            before = self.prev(newest)
-            if before is None or self.entry(before)[0].key != key:
-                return newest
-            newest = before
+    def newest_before(self, position: _Position | None) -> Entry | None:
+        """Newest entry of the key group just before ``position``.
+
+        ``None`` as ``position`` means past the run's end.  The group's key
+        comes from the resident block or the block index, and since no
+        group spans a file boundary its newest entry is one seek away.
+        """
+        if position is None:
+            if not self.tables:
+                return None
+            table = len(self.tables) - 1
+            key = self.tables[table].max_key
+        else:
+            table, block, index = position
+            if index > 0:
+                key = self._block_entries(table, block)[index - 1][0].key
+            elif block > 0:
+                key = self.tables[table].handles[block - 1].last_key
+            elif table > 0:
+                table -= 1
+                key = self.tables[table].max_key
+            else:
+                return None
+        return self.entry(self._seek_in_table(table, key))

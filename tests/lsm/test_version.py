@@ -1,17 +1,20 @@
 """Level runs: lookup with neighbours, ranges, iteration."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.cache import ReadBuffer
 from repro.lsm.records import Record
-from repro.lsm.sstable import BlockFetcher, SSTableBuilder
+from repro.lsm.sstable import BlockFetcher, ScopedBlockCache, SSTableBuilder
 from repro.lsm.version import LevelRun
 from repro.sgx.env import ExecutionEnv
 from repro.sim.clock import SimClock
 from repro.sim.costs import ZERO_COSTS
 from repro.sim.disk import SimDisk
+from tests.conftest import kv, make_p2_store
 
 
 def build_run(env, groups, files=1, block_bytes=128):
@@ -244,3 +247,92 @@ def test_navigation_matches_brute_force(versions, block_bytes, files, bounds):
         assert entries == ref.between(lo, hi)
         assert left == ref.newest_below(lo)
         assert right == ref.newest_above(hi)
+
+
+# ----------------------------------------------------------------------
+# Block residency: each block is fetched at most once per operation
+# ----------------------------------------------------------------------
+class CountingFetcher:
+    """Counts ``read_block`` calls per (file, offset) over a real fetcher."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls: Counter = Counter()
+
+    def read_block(self, meta, handle):
+        self.calls[(meta.name, handle.offset)] += 1
+        return self.inner.read_block(meta, handle)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _multi_block_run(env):
+    """Three files of small blocks; version groups straddle block edges."""
+    groups = _versioned_groups([1, 3, 2, 1, 4, 1, 2, 3, 1, 1, 2, 5])
+    return build_run(env, groups, files=3, block_bytes=48), groups
+
+
+def test_each_block_fetched_once_per_operation(free_env):
+    run, groups = _multi_block_run(free_env)
+    probes = [_key(i) for i in range(0, 2 * len(groups) + 4)]
+
+    def lookup_with_neighbours(fetcher, key):
+        result = run.lookup(fetcher, key)
+        return result.left, result.right  # resolved inside the operation
+
+    operations = [
+        lookup_with_neighbours,
+        run.get_group,
+        lambda fetcher, key: run.range_entries(fetcher, key, max(key, _key(len(groups)))),
+    ]
+    for operation in operations:
+        for key in probes:
+            counting = CountingFetcher(make_fetcher(free_env))
+            operation(counting, key)
+            assert set(counting.calls.values()) <= {1}
+    # A MULTIGET scope shares residency across every key of the batch.
+    counting = CountingFetcher(make_fetcher(free_env))
+    scope = ScopedBlockCache(counting)
+    for key in probes:
+        lookup_with_neighbours(scope, key)
+    assert set(counting.calls.values()) == {1}
+    assert scope.misses == len(counting.calls)
+
+
+def test_membership_lookup_fetches_only_the_groups_blocks(free_env):
+    run, groups = _multi_block_run(free_env)
+    for key, _ in groups:
+        counting = CountingFetcher(make_fetcher(free_env))
+        assert run.lookup(counting, key).group
+        holding = {
+            (meta.name, handle.offset)
+            for meta in run.tables
+            for handle in meta.handles
+            if handle.first_key <= key <= handle.last_key
+        }
+        assert dict(counting.calls) == {block: 1 for block in holding}
+
+
+def test_verified_get_reads_each_block_once():
+    store = make_p2_store()
+    for i in range(300):
+        store.put(*kv(i))
+    for i in range(0, 300, 4):
+        store.put(*kv(i, version=1))
+    store.flush()
+    assert len(store.db.level_indices()) >= 2
+    counting = CountingFetcher(store.db.fetcher)
+    store.db.fetcher = counting
+    present = [kv(i)[0] for i in range(0, 300, 7)]
+    probes = present + [key + b"+" for key in present]
+    fetches = 0
+    for key in probes:
+        counting.calls.clear()
+        store.get_verified(key)
+        assert sum(counting.calls.values()) == len(counting.calls)
+        fetches += len(counting.calls)
+    assert fetches >= len(present)  # every present key was read from a level
+    counting.calls.clear()
+    store.multi_get_verified(probes)
+    assert set(counting.calls.values()) == {1}
