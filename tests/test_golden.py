@@ -133,7 +133,7 @@ def run_case(case) -> dict:
 
 GOLDEN: dict[str, dict] = {
     "p1-imm0-compact": {
-        "now_us": 18708.198437498944,
+        "now_us": 18653.848437499735,
         "disk_bytes": 10665,
         "stats": {
             "bytes_compacted": 48460,
@@ -150,7 +150,7 @@ GOLDEN: dict[str, dict] = {
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (17.675781249999996, 26),
-            "enclave_touch": (76.09999999999782, 1522),
+            "enclave_touch": (21.750000000000174, 435),
             "epc_page_fault": (700.0, 14),
             "fsync": (7560.0, 63),
             "hash": (453.90957031249883, 164),
@@ -161,7 +161,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p1-imm0-stack": {
-        "now_us": 14808.426904296186,
+        "now_us": 14744.57690429677,
         "disk_bytes": 12110,
         "stats": {
             "bytes_compacted": 4958,
@@ -178,7 +178,7 @@ GOLDEN: dict[str, dict] = {
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (12.552343750000002, 24),
-            "enclave_touch": (86.84999999999721, 1737),
+            "enclave_touch": (23.000000000000192, 460),
             "epc_page_fault": (800.0, 16),
             "fsync": (5040.0, 42),
             "hash": (131.80195312500013, 57),
@@ -189,7 +189,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p1-imm2-compact": {
-        "now_us": 11052.585644530705,
+        "now_us": 11007.685644531199,
         "disk_bytes": 14922,
         "stats": {
             "bytes_compacted": 43602,
@@ -206,7 +206,7 @@ GOLDEN: dict[str, dict] = {
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (15.714062499999999, 22),
-            "enclave_touch": (67.29999999999832, 1346),
+            "enclave_touch": (22.400000000000183, 448),
             "epc_page_fault": (250.0, 5),
             "fsync": (6000.0, 50),
             "hash": (404.0968749999993, 142),
@@ -217,7 +217,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p1-imm2-stack": {
-        "now_us": 10717.609472655842,
+        "now_us": 10674.359472656253,
         "disk_bytes": 16252,
         "stats": {
             "bytes_compacted": 4958,
@@ -234,7 +234,7 @@ GOLDEN: dict[str, dict] = {
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (11.63828125, 20),
-            "enclave_touch": (65.74999999999841, 1315),
+            "enclave_touch": (22.500000000000185, 450),
             "epc_page_fault": (300.0, 6),
             "fsync": (3960.0, 33),
             "hash": (121.74648437500011, 49),
@@ -245,7 +245,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm0-compact": {
-        "now_us": 25242.672275394012,
+        "now_us": 25211.512275393332,
         "disk_bytes": 80052,
         "dataset_hash": (
             "51e66057c6be41d985ff7e2b0e6b007e"
@@ -262,7 +262,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (828.0000000000002, 297),
             "disk_write": (163.713671875, 60),
             "dram_copy": (185.195556640625, 611),
-            "dram_touch": (35.94000000000002, 1797),
+            "dram_touch": (4.779999999999986, 239),
             "ecall": (3024.0, 378),
             "ecall_copy": (21.234375000000124, 453),
             "enclave_touch": (15.200000000000081, 304),
@@ -276,7 +276,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm0-stack": {
-        "now_us": 14964.10806640638,
+        "now_us": 14930.64806640565,
         "disk_bytes": 68200,
         "dataset_hash": (
             "d1655a9d62c90a002205a0608c67d7e4"
@@ -293,7 +293,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (862.8000000000003, 326),
             "disk_write": (40.51953125000001, 31),
             "dram_copy": (34.12548828125, 313),
-            "dram_touch": (38.64000000000044, 1932),
+            "dram_touch": (5.1799999999999775, 259),
             "ecall": (3024.0, 378),
             "ecall_copy": (20.73437500000012, 468),
             "enclave_touch": (15.200000000000081, 304),
@@ -307,7 +307,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm2-compact": {
-        "now_us": 13506.871650390176,
+        "now_us": 13484.311650389684,
         "disk_bytes": 79144,
         "dataset_hash": (
             "7105f506fd92af6bc0c99e1f73c35928"
@@ -324,7 +324,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (808.7999999999998, 281),
             "disk_write": (136.959765625, 52),
             "dram_copy": (149.718017578125, 538),
-            "dram_touch": (25.979999999999535, 1299),
+            "dram_touch": (3.4200000000000026, 171),
             "ecall": (3024.0, 378),
             "ecall_copy": (14.532031250000008, 423),
             "enclave_touch": (16.300000000000097, 326),
@@ -339,7 +339,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm2-stack": {
-        "now_us": 10769.957431640782,
+        "now_us": 10746.737431640277,
         "disk_bytes": 70898,
         "dataset_hash": (
             "b0d9852d6e34741efb2ae535069769df"
@@ -356,7 +356,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (819.5999999999999, 290),
             "disk_write": (41.948046874999996, 31),
             "dram_copy": (33.100341796875, 307),
-            "dram_touch": (26.63999999999952, 1332),
+            "dram_touch": (3.4200000000000026, 171),
             "ecall": (3024.0, 378),
             "ecall_copy": (13.282031250000012, 425),
             "enclave_touch": (16.300000000000097, 326),
@@ -370,7 +370,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-enclave-imm0-compact": {
-        "now_us": 16329.838828125688,
+        "now_us": 16297.138828124975,
         "disk_bytes": 10626,
         "stats": {
             "bytes_compacted": 48460,
@@ -383,7 +383,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1276.8000000000043, 503),
             "disk_write": (26.169531250000006, 47),
             "dram_copy": (30.548828125, 323),
-            "dram_touch": (35.63999999999997, 1782),
+            "dram_touch": (2.940000000000002, 147),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_touch": (15.550000000000086, 311),
@@ -396,7 +396,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-enclave-imm0-stack": {
-        "now_us": 13979.531562500497,
+        "now_us": 13958.251562500032,
         "disk_bytes": 12134,
         "stats": {
             "bytes_compacted": 4958,
@@ -409,7 +409,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1626.0000000000155, 794),
             "disk_write": (9.74765625, 31),
             "dram_copy": (9.3046875, 288),
-            "dram_touch": (23.779999999999582, 1189),
+            "dram_touch": (2.5000000000000018, 125),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_touch": (15.550000000000086, 311),
@@ -422,7 +422,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-enclave-imm2-compact": {
-        "now_us": 9918.152451172475,
+        "now_us": 9891.752451171902,
         "disk_bytes": 14880,
         "stats": {
             "bytes_compacted": 43602,
@@ -435,7 +435,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1209.6000000000022, 447),
             "disk_write": (26.509375000000006, 43),
             "dram_copy": (27.583740234375, 309),
-            "dram_touch": (28.03999999999949, 1402),
+            "dram_touch": (1.640000000000001, 82),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_touch": (18.75000000000013, 375),
@@ -448,7 +448,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-enclave-imm2-stack": {
-        "now_us": 10058.701582031603,
+        "now_us": 10042.261582031248,
         "disk_bytes": 16267,
         "stats": {
             "bytes_compacted": 4958,
@@ -461,7 +461,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1384.8000000000077, 593),
             "disk_write": (11.70625, 31),
             "dram_copy": (8.61083984375, 282),
-            "dram_touch": (17.77999999999971, 889),
+            "dram_touch": (1.3400000000000007, 67),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_touch": (18.75000000000013, 375),
@@ -474,7 +474,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-imm0-compact": {
-        "now_us": 9125.158359375782,
+        "now_us": 9092.458359375069,
         "disk_bytes": 10626,
         "stats": {
             "bytes_compacted": 48460,
@@ -487,14 +487,14 @@ GOLDEN: dict[str, dict] = {
             "compute": (1276.8000000000043, 503),
             "disk_write": (26.169531250000006, 47),
             "dram_copy": (30.548828125, 323),
-            "dram_touch": (35.63999999999997, 1782),
+            "dram_touch": (2.940000000000002, 147),
             "fsync": (6960.0, 58),
             "kernel_read": (46.0, 23),
             "kernel_write": (750.0, 300),
         },
     },
     "plain-imm0-stack": {
-        "now_us": 7426.83234375026,
+        "now_us": 7405.552343749946,
         "disk_bytes": 12134,
         "stats": {
             "bytes_compacted": 4958,
@@ -507,14 +507,14 @@ GOLDEN: dict[str, dict] = {
             "compute": (1626.0000000000155, 794),
             "disk_write": (9.74765625, 31),
             "dram_copy": (9.3046875, 288),
-            "dram_touch": (23.779999999999582, 1189),
+            "dram_touch": (2.5000000000000018, 125),
             "fsync": (5040.0, 42),
             "kernel_read": (8.0, 4),
             "kernel_write": (710.0, 284),
         },
     },
     "plain-imm2-compact": {
-        "now_us": 4571.948789062871,
+        "now_us": 4545.548789062488,
         "disk_bytes": 14880,
         "stats": {
             "bytes_compacted": 43602,
@@ -527,7 +527,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1209.6000000000022, 447),
             "disk_write": (26.509375000000006, 43),
             "dram_copy": (27.583740234375, 309),
-            "dram_touch": (28.03999999999949, 1402),
+            "dram_touch": (1.640000000000001, 82),
             "flush_wait": (237.1854003906251, 2),
             "fsync": (5400.0, 45),
             "kernel_read": (38.0, 19),
@@ -535,7 +535,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-imm2-stack": {
-        "now_us": 4489.86330078146,
+        "now_us": 4473.423300781229,
         "disk_bytes": 16267,
         "stats": {
             "bytes_compacted": 4958,
@@ -548,7 +548,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1384.8000000000077, 593),
             "disk_write": (11.70625, 31),
             "dram_copy": (8.61083984375, 282),
-            "dram_touch": (17.77999999999971, 889),
+            "dram_touch": (1.3400000000000007, 67),
             "fsync": (3960.0, 33),
             "kernel_read": (8.0, 4),
             "kernel_write": (695.0, 278),
