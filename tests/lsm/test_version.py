@@ -222,7 +222,7 @@ def _zero_cost_env() -> ExecutionEnv:
     files=st.integers(1, 14),
     bounds=st.lists(st.tuples(st.integers(0, 90), st.integers(0, 90)), max_size=5),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_navigation_matches_brute_force(versions, block_bytes, files, bounds):
     env = _zero_cost_env()
     groups = _versioned_groups(versions)
