@@ -46,9 +46,9 @@ class LookupResult:
     def __init__(
         self,
         group: list[Entry],
-        cursor: "_RunCursor",
-        start: "_Position | None",
-        after: "_Position | None",
+        cursor: _RunCursor,
+        start: _Position | None,
+        after: _Position | None,
     ) -> None:
         self.group = group
         self._cursor = cursor
