@@ -263,9 +263,6 @@ class CountingFetcher:
         self.calls[(meta.name, handle.offset)] += 1
         return self.inner.read_block(meta, handle)
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
 
 def _multi_block_run(env):
     """Three files of small blocks; version groups straddle block edges."""
