@@ -8,12 +8,15 @@ touching the actual codebase.
 
 from __future__ import annotations
 
+import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import load_zone_config, run_analysis
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 FIXTURE_ZONES = """\
 [zones]
@@ -92,3 +95,27 @@ def project(tmp_path) -> Project:
 
 def rules_of(findings) -> list[str]:
     return [f.rule for f in findings]
+
+
+@pytest.fixture
+def mutated_repo(tmp_path):
+    """Index a copy of the *real* repo after ``mutate(root)`` edits it.
+
+    Copies ``src/repro`` plus the committed ``zones.toml`` and
+    ``costs.toml`` and returns one
+    :class:`~repro.analysis.engine.ProjectIndex` over the copy (one call
+    per test).
+    """
+    from repro.analysis.engine import ProjectIndex
+
+    def build(mutate):
+        root = tmp_path / "repo"
+        shutil.copytree(REPO_ROOT / "src" / "repro", root / "src" / "repro")
+        (root / "analysis").mkdir()
+        for name in ("zones.toml", "costs.toml"):
+            shutil.copy(REPO_ROOT / "analysis" / name, root / "analysis" / name)
+        mutate(root)
+        config = load_zone_config(root / "analysis" / "zones.toml")
+        return ProjectIndex.build(root, config)
+
+    return build

@@ -10,32 +10,12 @@ passes silently, the gate has stopped guarding the paper's cost claims
 
 from __future__ import annotations
 
-import shutil
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from repro.analysis.costmodel import run_costmodel
 
 
-def _run_costmodel_on_mutated_repo(tmp_path, mutate):
-    from repro.analysis import load_zone_config
-    from repro.analysis.costmodel import run_costmodel
-    from repro.analysis.engine import ProjectIndex
-
-    root = tmp_path / "repo"
-    (root / "src").mkdir(parents=True)
-    shutil.copytree(REPO_ROOT / "src" / "repro", root / "src" / "repro")
-    (root / "analysis").mkdir()
-    for name in ("zones.toml", "costs.toml"):
-        shutil.copy(
-            REPO_ROOT / "analysis" / name, root / "analysis" / name
-        )
-    mutate(root)
-    config = load_zone_config(root / "analysis" / "zones.toml")
-    index = ProjectIndex.build(root, config)
-    return run_costmodel(index)
-
-
-def test_mutation_fsync_per_record_fires_el802(tmp_path):
+def test_mutation_fsync_per_record_fires_el802(mutated_repo):
     def reinline_fsync(root: Path) -> None:
         wal = root / "src" / "repro" / "lsm" / "wal.py"
         text = wal.read_text()
@@ -52,7 +32,7 @@ def test_mutation_fsync_per_record_fires_el802(tmp_path):
         assert old in text, "append_group group write not found"
         wal.write_text(text.replace(old, new))
 
-    findings = _run_costmodel_on_mutated_repo(tmp_path, reinline_fsync)
+    findings = run_costmodel(mutated_repo(reinline_fsync))
     el802 = [f for f in findings if f.rule == "EL802"]
     assert el802, "fsync-per-record in append_group must fire EL802"
     assert any(
@@ -67,7 +47,7 @@ def test_mutation_fsync_per_record_fires_el802(tmp_path):
     assert drift, "the committed fsync certificate must report drift"
 
 
-def test_mutation_per_key_ecall_fires_el801_and_drift(tmp_path):
+def test_mutation_per_key_ecall_fires_el801_and_drift(mutated_repo):
     def unroll_multi_get(root: Path) -> None:
         store = root / "src" / "repro" / "core" / "store_p2.py"
         text = store.read_text()
@@ -79,7 +59,7 @@ def test_mutation_per_key_ecall_fires_el801_and_drift(tmp_path):
         assert old in text, "multi_get memtable probe not found"
         store.write_text(text.replace(old, new))
 
-    findings = _run_costmodel_on_mutated_repo(tmp_path, unroll_multi_get)
+    findings = run_costmodel(mutated_repo(unroll_multi_get))
     el801 = [f for f in findings if f.rule == "EL801"]
     assert el801, "per-key op_call in multi_get must fire EL801"
     assert any(
@@ -93,6 +73,6 @@ def test_mutation_per_key_ecall_fires_el801_and_drift(tmp_path):
     assert drift, "the committed ECall certificate must report drift"
 
 
-def test_unmutated_copy_is_clean(tmp_path):
-    findings = _run_costmodel_on_mutated_repo(tmp_path, lambda root: None)
+def test_unmutated_copy_is_clean(mutated_repo):
+    findings = run_costmodel(mutated_repo(lambda root: None))
     assert findings == [], [f.format_text() for f in findings]

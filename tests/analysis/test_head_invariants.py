@@ -129,3 +129,61 @@ def test_background_telemetry_events_documented(head_index):
     assert "lsm.flush.background" in spans
     for name in ("lsm.background.error", "lsm.flush.background"):
         assert name in head_index.telemetry_doc_text
+
+
+def _edit(root: Path, relpath: str, old: str, new: str) -> None:
+    path = root / "src" / "repro" / relpath
+    text = path.read_text()
+    assert text.count(old) == 1, f"mutation site not found in {relpath}"
+    path.write_text(text.replace(old, new))
+
+
+def test_must_walk_rules_fire_on_mutated_tree(mutated_repo):
+    """EL602, EL810 and EL811 each catch one seeded defect in the real code.
+
+    Three edits in one copy: mutate the memtable right after freezing it;
+    drop shadowed records before they reach the Filter() hook; publish
+    the manifest before the authenticated merge runs.  (The early publish
+    also drifts the cost certificate; this lock ignores EL803.)
+    """
+    from repro.analysis.concurrency import run_concurrency
+    from repro.analysis.costmodel import run_costmodel
+
+    def mutate(root: Path) -> None:
+        _edit(
+            root,
+            "lsm/db.py",
+            "        self.memtable.freeze()\n",
+            "        self.memtable.freeze()\n        self.memtable.clear()\n",
+        )
+        hook = (
+            "            for listener in self.listeners:\n"
+            "                listener.on_compaction_input_record("
+            "ctx, level_id, record)\n"
+        )
+        shadowed = (
+            "            if deleted_at is not None and record.ts < deleted_at:\n"
+            "                continue  # shadowed by a newer tombstone in this merge\n"
+        )
+        _edit(root, "lsm/compaction.py", hook, "")
+        _edit(root, "lsm/compaction.py", shadowed, shadowed + hook)
+        _edit(
+            root,
+            "lsm/db.py",
+            "        with span as open_span:\n",
+            "        self._install_run(output, [])\n"
+            "        with span as open_span:\n",
+        )
+
+    index = mutated_repo(mutate)
+    fired = sorted(
+        (f.rule, f.path, f.line)
+        for f in run_concurrency(index) + run_costmodel(index)
+        if f.rule in ("EL602", "EL810", "EL811")
+    )
+    assert fired == [
+        ("EL602", "src/repro/lsm/db.py", 662),
+        ("EL810", "src/repro/lsm/compaction.py", 92),
+        # 941 in the unmutated file; the inserted clear() shifts it.
+        ("EL811", "src/repro/lsm/db.py", 942),
+    ]

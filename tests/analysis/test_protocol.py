@@ -11,9 +11,9 @@ proving the rules actually guard the invariants they claim to.
 
 from __future__ import annotations
 
-import shutil
 from pathlib import Path
 
+from repro.analysis.protocol import run_protocol
 from tests.analysis.conftest import FIXTURE_ZONES, rules_of
 
 PROTO_ZONES = FIXTURE_ZONES + """\
@@ -365,29 +365,7 @@ def pair_bad(record):
 # ----------------------------------------------------------------------
 # Mutation checks against the real repo: the rules guard real invariants
 # ----------------------------------------------------------------------
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-def _run_protocol_on_mutated_repo(tmp_path, mutate):
-    from repro.analysis import load_zone_config
-    from repro.analysis.engine import ProjectIndex
-    from repro.analysis.protocol import run_protocol
-
-    root = tmp_path / "repo"
-    (root / "src").mkdir(parents=True)
-    shutil.copytree(REPO_ROOT / "src" / "repro", root / "src" / "repro")
-    (root / "analysis").mkdir()
-    shutil.copy(
-        REPO_ROOT / "analysis" / "zones.toml",
-        root / "analysis" / "zones.toml",
-    )
-    mutate(root)
-    config = load_zone_config(root / "analysis" / "zones.toml")
-    index = ProjectIndex.build(root, config)
-    return run_protocol(index)
-
-
-def test_mutation_deleting_group_fsync_fires_el701(tmp_path):
+def test_mutation_deleting_group_fsync_fires_el701(mutated_repo):
     def drop_group_sync(root: Path) -> None:
         wal = root / "src" / "repro" / "lsm" / "wal.py"
         lines = wal.read_text().splitlines(keepends=True)
@@ -395,13 +373,13 @@ def test_mutation_deleting_group_fsync_fires_el701(tmp_path):
         assert len(kept) == len(lines) - 1, "append_group sync not found"
         wal.write_text("".join(kept))
 
-    findings = _run_protocol_on_mutated_repo(tmp_path, drop_group_sync)
+    findings = run_protocol(mutated_repo(drop_group_sync))
     el701 = [f for f in findings if f.rule == "EL701"]
     assert el701, "deleting append_group's fsync must violate the order"
     assert any("append_group" in f.message for f in el701)
 
 
-def test_mutation_deleting_flushed_ts_advance_fires_el702(tmp_path):
+def test_mutation_deleting_flushed_ts_advance_fires_el702(mutated_repo):
     def drop_advance(root: Path) -> None:
         db = root / "src" / "repro" / "lsm" / "db.py"
         text = db.read_text()
@@ -409,6 +387,6 @@ def test_mutation_deleting_flushed_ts_advance_fires_el702(tmp_path):
         assert mutated != text, "flushed_ts advance not found"
         db.write_text(mutated)
 
-    findings = _run_protocol_on_mutated_repo(tmp_path, drop_advance)
+    findings = run_protocol(mutated_repo(drop_advance))
     el702 = [f for f in findings if f.rule == "EL702"]
     assert el702, "deleting the flushed_ts advance must violate the order"
