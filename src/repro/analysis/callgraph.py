@@ -1,10 +1,13 @@
 """Project-wide call graph over ``src/repro``.
 
-The taint pass (:mod:`repro.analysis.taint`) needs to know, for every
-``ast.Call`` in the project, *which function body* the call lands in —
-otherwise a tainted value laundered through two helper functions is
-invisible.  This module resolves calls to fully-qualified names
-(``repro.core.digest.DigestRegistry.set``) using only facts the
+Every dataflow pass (taint, concurrency, protocol, cost) needs to
+know, for every ``ast.Call`` in the project, *which function body* the
+call lands in — otherwise a tainted value laundered through two helper
+functions is invisible.  This module resolves each call once, when the
+graph is built, to a :class:`CallSite` (``graph.sites`` per function,
+``graph.site(call)`` per call, plus the ``Thread(target=...)``
+references in ``graph.thread_targets``), naming fully-qualified targets
+(``repro.core.digest.DigestRegistry.set``) from facts the
 :class:`~repro.analysis.engine.ProjectIndex` already holds:
 
 * module-level bindings from imports (including aliased imports and
@@ -28,8 +31,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.engine import ProjectIndex
-
-_FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
+from repro.analysis.flow import _chain_of, _FuncDef
 
 
 @dataclass
@@ -64,6 +66,7 @@ class CallSite:
     target: str | None  # resolved function/class qualname
     display: str  # syntactic name, e.g. "env.file_read"
     bound: bool  # instance call: receiver maps to param 0 ("self")
+    path: str = ""  # repo-relative file of the calling function
 
 
 class CallGraph:
@@ -74,6 +77,12 @@ class CallGraph:
         self.classes: dict[str, ClassNode] = {}
         #: id(ast.Call) -> CallSite, valid for the lifetime of the index.
         self.calls: dict[int, CallSite] = {}
+        #: function qualname -> its (call, site) pairs in ast.walk order.
+        self.sites: dict[str, list[tuple[ast.Call, CallSite]]] = {}
+        #: Functions passed as ``threading.Thread(target=...)``.
+        self.thread_targets: set[str] = set()
+        #: function qualname -> flow-insensitive local variable types.
+        self.local_types: dict[str, dict[str, str]] = {}
         #: callee qualname -> caller qualnames (for the fixpoint worklist).
         self.callers: dict[str, set[str]] = {}
         self.functions_of_module: dict[str, list[str]] = {}
@@ -92,8 +101,12 @@ class CallGraph:
         for cnode in graph.classes.values():
             graph._infer_attr_types(cnode)
         for name in sorted(index.modules):
-            graph._resolve_module_calls(name)
+            graph._resolve_module_calls(name, index.modules[name].relpath)
         return graph
+
+    def site(self, call: ast.Call) -> CallSite:
+        """The resolution of a call inside any project function body."""
+        return self.calls[id(call)]
 
     def _collect_definitions(self, index: ProjectIndex, modname: str) -> None:
         module = index.modules[modname]
@@ -256,8 +269,7 @@ class CallGraph:
             if kind == "module":
                 kind, qual = self._classify(f"{qual}.{part}")
             elif kind == "class":
-                cnode = self.classes.get(qual)
-                method = self._lookup_method(qual, part) if cnode else None
+                method = self._lookup_method(qual, part)
                 if method is None:
                     return None
                 kind, qual = "func", method
@@ -265,49 +277,72 @@ class CallGraph:
                 return None  # attribute of a function: not resolvable
         return (kind, qual)
 
+    def lineage(self, classqual: str) -> list[str]:
+        """The class, then its project bases breadth-first (a linearised
+        base walk, not full MRO); [] for a non-project class."""
+        out: list[str] = []
+        queue = [classqual]
+        while queue:
+            qual = queue.pop(0)
+            if qual in self.classes and qual not in out:
+                out.append(qual)
+                queue.extend(self.classes[qual].bases)
+        return out
+
     def _lookup_method(self, classqual: str, name: str) -> str | None:
         """Method lookup through the class and its project bases."""
-        seen: set[str] = set()
-        stack = [classqual]
-        while stack:
-            qual = stack.pop(0)
-            if qual in seen:
-                continue
-            seen.add(qual)
-            cnode = self.classes.get(qual)
-            if cnode is None:
-                continue
-            if name in cnode.methods:
-                return cnode.methods[name]
-            stack.extend(cnode.bases)
+        for qual in self.lineage(classqual):
+            if name in self.classes[qual].methods:
+                return self.classes[qual].methods[name]
         return None
 
     def _attr_type(self, classqual: str, attr: str) -> str | None:
-        seen: set[str] = set()
-        stack = [classqual]
-        while stack:
-            qual = stack.pop(0)
-            if qual in seen:
-                continue
-            seen.add(qual)
-            cnode = self.classes.get(qual)
-            if cnode is None:
-                continue
-            if attr in cnode.attr_types:
-                return cnode.attr_types[attr]
-            stack.extend(cnode.bases)
+        for qual in self.lineage(classqual):
+            if attr in self.classes[qual].attr_types:
+                return self.classes[qual].attr_types[attr]
         return None
 
-    def _resolve_module_calls(self, modname: str) -> None:
+    def receiver_type(
+        self, local_types: dict[str, str], chain: list[str]
+    ) -> str | None:
+        """Inferred class of the receiver ``a.b`` of ``a.b.c``."""
+        qual = local_types.get(chain[0])
+        for part in chain[1:-1]:
+            qual = self._attr_type(qual, part) if qual else None
+        return qual
+
+    def _resolve_module_calls(self, modname: str, relpath: str) -> None:
         for fqual in self.functions_of_module[modname]:
             fn = self.functions[fqual]
-            local_types = self._local_types(fn)
+            local_types = self.local_types[fqual] = self._local_types(fn)
+            sites = self.sites[fqual] = []
             for node in ast.walk(fn.node):
-                if isinstance(node, ast.Call):
-                    site = self._resolve_call(fn, node, local_types)
-                    self.calls[id(node)] = site
-                    if site.target is not None:
-                        self.callers.setdefault(site.target, set()).add(fqual)
+                if not isinstance(node, ast.Call):
+                    continue
+                site = self._resolve_call(fn, node, local_types)
+                site.path = relpath
+                self.calls[id(node)] = site
+                sites.append((node, site))
+                if site.target is not None:
+                    self.callers.setdefault(site.target, set()).add(fqual)
+                if site.display.rsplit(".", 1)[-1] == "Thread":
+                    self.thread_targets.update(
+                        target
+                        for kw in node.keywords
+                        if kw.arg == "target"
+                        and (target := self._function_ref(fn, kw.value))
+                    )
+
+    def _function_ref(self, fn: FunctionNode, node: ast.expr) -> str | None:
+        """The function a bare reference names: ``self.m`` or ``f``."""
+        chain = _chain_of(node)
+        if len(chain) == 2 and chain[0] in ("self", "cls") and fn.cls:
+            return self._lookup_method(fn.cls, chain[1])
+        if len(chain) == 1:
+            binding = self._bindings.get(fn.module, {}).get(chain[0])
+            if binding and binding[0] == "func":
+                return binding[1]
+        return None
 
     def _local_types(self, fn: FunctionNode) -> dict[str, str]:
         """Flow-insensitive variable -> class-qualname map for one body."""
@@ -349,32 +384,22 @@ class CallGraph:
 
         # Pure module-scope resolution first: imported names, local defs,
         # Class.method, module.func — an unbound (static-style) call.
+        # A constructor reports the class itself (the taint pass maps
+        # arguments onto __init__); a function is a static-style access
+        # whose arguments align with its parameters from position 0.
         resolved = self._resolve_name_chain(fn.module, call.func)
         if resolved is not None:
             kind, qual = resolved
-            if kind == "class":
-                # Constructor: report the class itself; the taint pass maps
-                # arguments onto __init__ when the class defines one.
-                return CallSite(target=qual, display=display, bound=False)
-            if kind == "func":
-                # Module-scope resolution is always a static-style access
-                # (func(), Class.method(), module.func()): arguments align
-                # with the callee's parameters from position 0.
-                return CallSite(target=qual, display=display, bound=False)
-            return CallSite(target=None, display=display, bound=False)
+            target = qual if kind in ("class", "func") else None
+            return CallSite(target=target, display=display, bound=False)
 
         # Instance dispatch: head is a local variable (or self) whose
-        # class we inferred.
-        head_type = local_types.get(chain[0])
-        if head_type is not None:
-            # Walk intermediate attributes through inferred field types.
-            qual: str | None = head_type
-            for part in chain[1:-1]:
-                qual = self._attr_type(qual, part) if qual else None
-            if qual is not None and len(chain) >= 2:
-                method = self._lookup_method(qual, chain[-1])
-                if method is not None:
-                    return CallSite(target=method, display=display, bound=True)
+        # class we inferred, intermediate attributes through field types.
+        receiver = self.receiver_type(local_types, chain)
+        if receiver is not None and len(chain) >= 2:
+            method = self._lookup_method(receiver, chain[-1])
+            if method is not None:
+                return CallSite(target=method, display=display, bound=True)
         return CallSite(target=None, display=display, bound=False)
 
 
@@ -389,19 +414,6 @@ def _is_staticmethod(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return any(
         isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
     )
-
-
-def _chain_of(node: ast.expr) -> list[str]:
-    """``a.b.c`` -> ["a", "b", "c"]; [] for anything not a name chain."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
 
 
 def get_callgraph(index) -> "CallGraph":

@@ -22,13 +22,15 @@ policy in the ``[concurrency]`` section of ``analysis/zones.toml``:
 * **EL604** — a background thread entry whose exceptions can escape the
   bounded error ring instead of being recorded.
 
-Thread entries are discovered from ``threading.Thread(target=...)``
-call sites and the policy's ``background_entries`` patterns; functions
+Thread entries are the call graph's ``threading.Thread(target=...)``
+references plus the policy's ``background_entries`` patterns; functions
 opening a ``parallel_track`` count as background for reachability (the
-work they charge models another core).  Reachability runs over the
-PR 5 interprocedural call graph, widened for virtual dispatch (a call
-resolving to a base-class method also reaches every same-named
-override, so ``_BackgroundWorker._step`` reaches each worker's step).
+work they charge models another core).  Reachability is
+:func:`~repro.analysis.flow.closure` over the call graph's per-function
+call sites, widened for virtual dispatch (a call resolving to a
+base-class method also reaches every same-named override, so
+``_BackgroundWorker._step`` reaches each worker's step).  EL602's
+freeze-then-mutate check is a :class:`~repro.analysis.flow.MustWalk`.
 
 Lock identity is *name-based*: ``lock:_lock`` accepts any ``with
 x._lock:`` block and any function all of whose reachable call chains
@@ -42,14 +44,14 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.callgraph import CallGraph, _chain_of, get_callgraph
+from repro.analysis.callgraph import CallGraph, get_callgraph
 from repro.analysis.engine import ProjectIndex
-from repro.analysis.model import Finding, Severity
+from repro.analysis.flow import MustWalk, _chain_of, closure
+from repro.analysis.model import Finding
+from repro.analysis.rules import findings_from
 from repro.analysis.zones import ConcurrencyConfig
-
-_FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Method names that mutate their receiver in place.  Telemetry verbs
 #: (``inc``/``observe``/``emit``/``set``) are deliberately absent: metric
@@ -86,23 +88,15 @@ class _Access:
     node_id: int  # id() of the ast.Attribute, for lock-scope lookup
 
 
-@dataclass
-class _FnFacts:
-    """Per-function syntactic facts needed by several checks."""
-
-    locked_nodes: dict[str, set[int]] = field(default_factory=dict)
-    #: (call node, resolved target or None) in source order.
-    calls: list[tuple[ast.Call, str | None]] = field(default_factory=list)
-
-
 class ConcurrencyAnalysis:
     def __init__(self, index: ProjectIndex, graph: CallGraph) -> None:
         self.index = index
         self.graph = graph
         self.cfg: ConcurrencyConfig = index.config.concurrency
-        self.findings: list[Finding] = []
+        self.raw: list[tuple[str, str, int, str]] = []
         self._overrides = self._build_overrides()
-        self._fn_facts: dict[str, _FnFacts] = {}
+        self._locked_nodes: dict[str, dict[str, set[int]]] = {}
+        self._callers: dict[str, set[str]] | None = None
         self._lock_names = {
             token.split(":", 1)[1]
             for token in self.cfg.ownership.values()
@@ -116,97 +110,49 @@ class ConcurrencyAnalysis:
         """Base-class method qualname -> same-named subclass overrides."""
         overrides: dict[str, set[str]] = {}
         for cnode in self.graph.classes.values():
-            ancestors = self._ancestors(cnode.qualname)
+            ancestors = self.graph.lineage(cnode.qualname)[1:]
             for name, fqual in cnode.methods.items():
                 for anc in ancestors:
-                    anode = self.graph.classes.get(anc)
-                    if anode and name in anode.methods:
-                        target = anode.methods[name]
-                        if target != fqual:
-                            overrides.setdefault(target, set()).add(fqual)
+                    target = self.graph.classes[anc].methods.get(name)
+                    if target is not None and target != fqual:
+                        overrides.setdefault(target, set()).add(fqual)
         return overrides
-
-    def _ancestors(self, classqual: str) -> list[str]:
-        out: list[str] = []
-        stack = list(self.graph.classes[classqual].bases)
-        while stack:
-            qual = stack.pop(0)
-            if qual in out:
-                continue
-            out.append(qual)
-            cnode = self.graph.classes.get(qual)
-            if cnode:
-                stack.extend(cnode.bases)
-        return out
 
     def _matches(self, qual: str, patterns: list[str]) -> bool:
         return any(fnmatch.fnmatchcase(qual, p) for p in patterns)
 
-    def _facts(self, fqual: str) -> _FnFacts:
-        facts = self._fn_facts.get(fqual)
-        if facts is not None:
-            return facts
-        fn = self.graph.functions[fqual]
-        facts = _FnFacts()
-        for lock in self._lock_names:
-            facts.locked_nodes[lock] = _nodes_under_lock(fn.node, lock)
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                site = self.graph.calls.get(id(node))
-                facts.calls.append((node, site.target if site else None))
-        self._fn_facts[fqual] = facts
-        return facts
+    def _locked(self, fqual: str) -> dict[str, set[int]]:
+        """Lock name -> ids of the nodes inside ``with ...<lock>:``."""
+        locked = self._locked_nodes.get(fqual)
+        if locked is None:
+            node = self.graph.functions[fqual].node
+            locked = self._locked_nodes[fqual] = {
+                lock: _nodes_under_lock(node, lock) for lock in self._lock_names
+            }
+        return locked
 
-    def _thread_targets(self) -> set[str]:
-        """Functions passed as ``threading.Thread(target=...)``."""
-        targets: set[str] = set()
-        for fqual, fn in self.graph.functions.items():
-            for call, _ in self._facts(fqual).calls:
-                chain = _chain_of(call.func)
-                if not chain or chain[-1] != "Thread":
-                    continue
-                for kw in call.keywords:
-                    if kw.arg != "target":
-                        continue
-                    tchain = _chain_of(kw.value)
-                    resolved: str | None = None
-                    if len(tchain) == 2 and tchain[0] in ("self", "cls") and fn.cls:
-                        resolved = self.graph._lookup_method(fn.cls, tchain[1])
-                    elif len(tchain) == 1:
-                        binding = self.graph._bindings.get(fn.module, {}).get(
-                            tchain[0]
-                        )
-                        if binding and binding[0] == "func":
-                            resolved = binding[1]
-                    if resolved:
-                        targets.add(resolved)
-        return targets
-
-    def _opens_track(self, fqual: str) -> bool:
-        fn = self.graph.functions[fqual]
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.With):
-                for item in node.items:
-                    if _is_track_call(item.context_expr):
-                        return True
-        return False
+    def _callees(self, fqual: str):
+        """(call, target) pairs of one body, widened to every override."""
+        for call, site in self.graph.sites[fqual]:
+            if site.target is not None:
+                for target in (site.target, *self._overrides.get(site.target, ())):
+                    yield call, target
 
     def _reach(self, entries: set[str]) -> set[str]:
-        seen = set(entries)
-        queue = list(entries)
-        while queue:
-            fqual = queue.pop()
-            if fqual not in self.graph.functions:
-                seen.discard(fqual)
-                continue
-            for _, target in self._facts(fqual).calls:
-                if target is None:
-                    continue
-                for widened in (target, *self._overrides.get(target, ())):
-                    if widened in self.graph.functions and widened not in seen:
-                        seen.add(widened)
-                        queue.append(widened)
-        return seen
+        functions = self.graph.functions
+        return closure(
+            (q for q in entries if q in functions),
+            lambda q: (t for _, t in self._callees(q) if t in functions),
+        )
+
+    def _reaching(self, targets: set[str]) -> set[str]:
+        """``targets`` plus every function that (transitively) calls one."""
+        if self._callers is None:
+            self._callers = {}
+            for caller in self.graph.functions:
+                for _, target in self._callees(caller):
+                    self._callers.setdefault(target, set()).add(caller)
+        return closure(targets, lambda q: self._callers.get(q, ()))
 
     # ------------------------------------------------------------------
     # Main driver
@@ -214,18 +160,25 @@ class ConcurrencyAnalysis:
     def run(self) -> list[Finding]:
         if not self.cfg.enabled:
             return []
-        thread_targets = {
-            t for t in self._thread_targets() if t in self.graph.functions
-        }
+        thread_targets = self.graph.thread_targets
         policy_bg = {
             q
             for q in self.graph.functions
             if self._matches(q, self.cfg.background_entries)
         }
-        track_openers = {
-            q for q in self.graph.functions if self._opens_track(q)
+        # Last name segment of every call, per function: cheap, exact
+        # prefilters for the syntactic EL602/EL603 checks.
+        called = {
+            q: {site.display.rsplit(".", 1)[-1] for _, site in sites}
+            for q, sites in self.graph.sites.items()
         }
-        bg_entries = thread_targets | policy_bg | track_openers
+        self._track_openers = {
+            q
+            for q, fn in self.graph.functions.items()
+            if "parallel_track" in called[q] and _opens_track(fn.node)
+        }
+        self._waiters = {q for q, names in called.items() if "wait_until" in names}
+        bg_entries = thread_targets | policy_bg | self._track_openers
         fg_entries = {
             q
             for q in self.graph.functions
@@ -244,11 +197,15 @@ class ConcurrencyAnalysis:
         accesses = self._collect_accesses(reachable)
         self._check_ownership(accesses, bg_reach, fg_reach, always_held)
         self._check_published(reachable)
+        freeze_methods = set(self.cfg.freeze_methods)
         for fqual in sorted(self.graph.functions):
-            self._check_freeze_then_mutate(fqual)
-            self._check_tracks(fqual)
+            if called[fqual] & freeze_methods:
+                body = self.graph.functions[fqual].node.body
+                _FreezeWalk(self, fqual).block(body, set())
+            if "parallel_track" in called[fqual]:
+                self._check_tracks(fqual)
         self._check_error_ring(thread_targets | policy_bg)
-        return self.findings
+        return findings_from(self.raw)
 
     # ------------------------------------------------------------------
     # Lock inference
@@ -269,13 +226,9 @@ class ConcurrencyAnalysis:
         }
         edges: dict[str, list[tuple[str, int]]] = {}
         for caller in reachable:
-            facts = self._facts(caller)
-            for call, target in facts.calls:
-                if target is None:
-                    continue
-                for widened in (target, *self._overrides.get(target, ())):
-                    if widened in reachable:
-                        edges.setdefault(widened, []).append((caller, id(call)))
+            for call, target in self._callees(caller):
+                if target in reachable:
+                    edges.setdefault(target, []).append((caller, id(call)))
         for lock in self._lock_names:
             changed = True
             while changed:
@@ -285,7 +238,7 @@ class ConcurrencyAnalysis:
                         continue
                     incoming = edges.get(callee, [])
                     ok = bool(incoming) and all(
-                        call_id in self._facts(caller).locked_nodes[lock]
+                        call_id in self._locked(caller)[lock]
                         or held[lock][caller]
                         for caller, call_id in incoming
                     )
@@ -302,14 +255,8 @@ class ConcurrencyAnalysis:
     # ------------------------------------------------------------------
     def _shared_class_of(self, classqual: str | None) -> list[str]:
         """Candidate owner classes for a receiver type, self-first."""
-        if classqual is None or classqual not in self.graph.classes:
-            return []
         shared = self.cfg.shared_classes()
-        return [
-            qual
-            for qual in (classqual, *self._ancestors(classqual))
-            if qual in shared
-        ]
+        return [q for q in self.graph.lineage(classqual or "") if q in shared]
 
     def _canonical_key(self, candidates: list[str], attr: str) -> str | None:
         """Declared key if any candidate declares the attr, else the
@@ -327,43 +274,30 @@ class ConcurrencyAnalysis:
         accesses: list[_Access] = []
         for fqual in sorted(reachable):
             fn = self.graph.functions[fqual]
-            local_types = self.graph._local_types(fn)
+            local_types = self.graph.local_types[fqual]
             written_through = _written_through(fn.node)
             # A mutator-named call that resolves to a project method
             # (``self.wal.append(...)`` -> WriteAheadLog.append) is a
             # method call on a collaborator, not an in-place container
             # mutation of the attribute binding; the collaborator's own
             # attribute policy covers what that method touches.
-            for call in ast.walk(fn.node):
-                if (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and id(call.func.value) in written_through
-                ):
-                    site = self.graph.calls.get(id(call))
-                    if site is not None and site.target is not None:
-                        written_through.discard(id(call.func.value))
+            for call, site in self.graph.sites[fqual]:
+                if isinstance(call.func, ast.Attribute) and site.target:
+                    written_through.discard(id(call.func.value))
             for node in ast.walk(fn.node):
                 if not isinstance(node, ast.Attribute):
                     continue
                 chain = _chain_of(node)
                 if len(chain) < 2:
                     continue
-                recv_type: str | None = local_types.get(chain[0])
-                for part in chain[1:-1]:
-                    recv_type = (
-                        self.graph._attr_type(recv_type, part)
-                        if recv_type
-                        else None
-                    )
+                recv_type = self.graph.receiver_type(local_types, chain)
                 candidates = self._shared_class_of(recv_type)
                 if not candidates:
                     continue
                 # Construction is single-threaded: skip accesses inside
                 # the receiver class family's own __init__.
                 if fn.name == "__init__" and fn.cls and (
-                    fn.cls == recv_type
-                    or recv_type in (fn.cls, *self._ancestors(fn.cls))
+                    recv_type in self.graph.lineage(fn.cls)
                 ):
                     continue
                 key = self._canonical_key(candidates, chain[-1])
@@ -389,18 +323,8 @@ class ConcurrencyAnalysis:
     # EL601 / EL602 ownership checks
     # ------------------------------------------------------------------
     def _emit(self, rule: str, fqual: str, line: int, message: str) -> None:
-        fn = self.graph.functions[fqual]
-        module = self.index.modules[fn.module]
-        severity = Severity.WARNING if rule == "EL603" else Severity.ERROR
-        self.findings.append(
-            Finding(
-                rule=rule,
-                severity=severity,
-                path=module.relpath,
-                line=line,
-                message=message,
-            )
-        )
+        module = self.index.modules[self.graph.functions[fqual].module]
+        self.raw.append((rule, module.relpath, line, message))
 
     def _check_ownership(
         self,
@@ -426,7 +350,7 @@ class ConcurrencyAnalysis:
                 for access in sites:
                     locked = (
                         access.node_id
-                        in self._facts(access.func).locked_nodes.get(lock, ())
+                        in self._locked(access.func).get(lock, ())
                         or always_held.get(access.func, {}).get(lock, False)
                     )
                     if not locked:
@@ -503,17 +427,16 @@ class ConcurrencyAnalysis:
     # ------------------------------------------------------------------
     # EL602: published containers & freeze-then-mutate
     # ------------------------------------------------------------------
-    def _published_key_of(self, node: ast.expr, fn, local_types) -> str | None:
+    def _published_key_of(self, node: ast.expr, local_types) -> str | None:
         """Resolve an expression to a published-container key, if any."""
         if not isinstance(node, ast.Attribute):
             return None
         chain = _chain_of(node)
         if len(chain) < 2:
             return None
-        recv_type = local_types.get(chain[0])
-        for part in chain[1:-1]:
-            recv_type = self.graph._attr_type(recv_type, part) if recv_type else None
-        candidates = self._shared_class_of(recv_type)
+        candidates = self._shared_class_of(
+            self.graph.receiver_type(local_types, chain)
+        )
         for qual in candidates:
             key = f"{qual}.{chain[-1]}"
             if self.cfg.published_mutators(key) is not None:
@@ -525,7 +448,7 @@ class ConcurrencyAnalysis:
             return
         for fqual in sorted(reachable):
             fn = self.graph.functions[fqual]
-            local_types = self.graph._local_types(fn)
+            local_types = self.graph.local_types[fqual]
             aliases: dict[str, str] = {}
             for node in ast.walk(fn.node):
                 # x = self.immutables[0]  /  x = self.immutables.popleft()
@@ -540,7 +463,7 @@ class ConcurrencyAnalysis:
                         source.func, ast.Attribute
                     ):
                         source = source.func.value
-                    key = self._published_key_of(source, fn, local_types)
+                    key = self._published_key_of(source, local_types)
                     if key:
                         aliases[target.id] = key
                 elif isinstance(node, ast.For) and isinstance(
@@ -549,7 +472,7 @@ class ConcurrencyAnalysis:
                     iter_expr = node.iter
                     if isinstance(iter_expr, ast.Call) and iter_expr.args:
                         iter_expr = iter_expr.args[0]  # list(self.immutables)
-                    key = self._published_key_of(iter_expr, fn, local_types)
+                    key = self._published_key_of(iter_expr, local_types)
                     if key:
                         aliases[node.target.id] = key
             for node in ast.walk(fn.node):
@@ -561,7 +484,7 @@ class ConcurrencyAnalysis:
                 recv = node.func.value
                 key: str | None = None
                 if isinstance(recv, ast.Subscript):
-                    key = self._published_key_of(recv.value, fn, local_types)
+                    key = self._published_key_of(recv.value, local_types)
                 elif isinstance(recv, ast.Name):
                     key = aliases.get(recv.id)
                 if key is None:
@@ -577,101 +500,9 @@ class ConcurrencyAnalysis:
                         f"immutable once published",
                     )
 
-    def _check_freeze_then_mutate(self, fqual: str) -> None:
-        fn = self.graph.functions[fqual]
-        freeze_methods = set(self.cfg.freeze_methods)
-        frozen_mutators = set(self.cfg.frozen_mutators)
-
-        def key_of(expr: ast.expr) -> str | None:
-            chain = _chain_of(expr)
-            return ".".join(chain) if chain else None
-
-        def apply_simple(stmt: ast.stmt, frozen: set[str]) -> None:
-            """Check mutators against ``frozen``, then record freezes
-            and un-freeze reassigned keys, within one simple statement."""
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Attribute
-                ):
-                    key = key_of(node.func.value)
-                    if (
-                        key is not None
-                        and node.func.attr in frozen_mutators
-                        and key in frozen
-                    ):
-                        self._emit(
-                            "EL602",
-                            fqual,
-                            node.lineno,
-                            f"{key} is frozen earlier in {fqual} and then "
-                            f"mutated via .{node.func.attr}()",
-                        )
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in freeze_methods
-                ):
-                    key = key_of(node.func.value)
-                    if key:
-                        frozen.add(key)
-                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        key = key_of(target)
-                        if key:
-                            frozen.discard(key)
-
-        def scan(stmts: list[ast.stmt], frozen: set[str]) -> set[str]:
-            for stmt in stmts:
-                if isinstance(stmt, ast.If):
-                    body_frozen = scan(stmt.body, set(frozen))
-                    else_frozen = scan(stmt.orelse, set(frozen))
-                    frozen = body_frozen & else_frozen
-                elif isinstance(stmt, (ast.For, ast.While)):
-                    frozen = frozen & scan(stmt.body, set(frozen))
-                elif isinstance(stmt, ast.Try):
-                    frozen = scan(stmt.body, set(frozen))
-                    for handler in stmt.handlers:
-                        frozen = frozen & scan(handler.body, set(frozen))
-                    frozen = scan(stmt.orelse, frozen)
-                    frozen = scan(stmt.finalbody, frozen)
-                elif isinstance(stmt, ast.With):
-                    frozen = scan(stmt.body, frozen)
-                elif isinstance(stmt, _FuncDef):
-                    pass  # nested defs get their own top-level scan
-                else:
-                    apply_simple(stmt, frozen)
-            return frozen
-
-        scan(fn.node.body, set())
-
     # ------------------------------------------------------------------
     # EL603: parallel_track discipline
     # ------------------------------------------------------------------
-    def _closure(self, direct: set[str]) -> set[str]:
-        """Functions that (transitively) call into ``direct``."""
-        out = set(direct)
-        changed = True
-        while changed:
-            changed = False
-            for fqual in self.graph.functions:
-                if fqual in out:
-                    continue
-                for _, target in self._facts(fqual).calls:
-                    if target is None:
-                        continue
-                    widened = (target, *self._overrides.get(target, ()))
-                    if any(w in out for w in widened):
-                        out.add(fqual)
-                        changed = True
-                        break
-        return out
-
     def _check_tracks(self, fqual: str) -> None:
         fn = self.graph.functions[fqual]
         track_withs: list[ast.With] = []
@@ -682,7 +513,7 @@ class ConcurrencyAnalysis:
                     with_items.add(id(item.context_expr))
                     if _is_track_call(item.context_expr):
                         track_withs.append(node)
-        for call, _ in self._facts(fqual).calls:
+        for call, _ in self.graph.sites[fqual]:
             if _is_track_call(call) and id(call) not in with_items:
                 self._emit(
                     "EL603",
@@ -694,16 +525,8 @@ class ConcurrencyAnalysis:
                 )
         if not track_withs:
             return
-        openers = {
-            q for q in self.graph.functions if q != fqual and self._opens_track(q)
-        }
-        opens_closure = self._closure(openers) if openers else set()
-        waiters = {
-            q
-            for q in self.graph.functions
-            if q != fqual and _calls_wait_until(self.graph.functions[q].node)
-        }
-        waits_closure = self._closure(waiters) if waiters else set()
+        opens_closure = self._reaching(self._track_openers - {fqual})
+        waits_closure = self._reaching(self._waiters - {fqual})
         for with_node in track_withs:
             body_nodes = {
                 id(n) for stmt in with_node.body for n in ast.walk(stmt)
@@ -740,8 +563,7 @@ class ConcurrencyAnalysis:
                             f"track is incoherent",
                         )
                         continue
-                    site = self.graph.calls.get(id(node))
-                    target = site.target if site else None
+                    target = self.graph.site(node).target
                     if target is None:
                         continue
                     widened = (target, *self._overrides.get(target, ()))
@@ -919,13 +741,13 @@ def _is_track_call(node: ast.expr) -> bool:
     return bool(chain) and chain[-1] == "parallel_track"
 
 
-def _calls_wait_until(fn_node: ast.AST) -> bool:
-    for node in ast.walk(fn_node):
-        if isinstance(node, ast.Call):
-            chain = _chain_of(node.func)
-            if chain and chain[-1] == "wait_until":
-                return True
-    return False
+def _opens_track(fn_node: ast.AST) -> bool:
+    return any(
+        _is_track_call(item.context_expr)
+        for node in ast.walk(fn_node)
+        if isinstance(node, ast.With)
+        for item in node.items
+    )
 
 
 def _is_name(node: ast.AST | None, name: str) -> bool:
@@ -973,16 +795,54 @@ def _is_monotone_fork(start: ast.expr, fn_node: ast.AST) -> bool:
     return False
 
 
+class _FreezeWalk(MustWalk):
+    """EL602 freeze-then-mutate: the state is the set of name chains
+    (``self.memtable``) frozen on every path so far."""
+
+    def __init__(self, analysis: ConcurrencyAnalysis, fqual: str) -> None:
+        self.analysis = analysis
+        self.fqual = fqual
+        self.freeze_methods = set(analysis.cfg.freeze_methods)
+        self.mutators = set(analysis.cfg.frozen_mutators)
+
+    def expr(self, node: ast.AST, frozen: set[str]) -> set[str]:
+        """Check mutators against ``frozen``, then record freezes and
+        un-freeze reassigned chains."""
+        nodes = list(ast.walk(node))
+        for sub in nodes:
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                key = _key_of(sub.func.value)
+                if key in frozen and sub.func.attr in self.mutators:
+                    self.analysis._emit(
+                        "EL602",
+                        self.fqual,
+                        sub.lineno,
+                        f"{key} is frozen earlier in {self.fqual} and then "
+                        f"mutated via .{sub.func.attr}()",
+                    )
+        for sub in nodes:
+            if (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr in self.freeze_methods
+            ):
+                key = _key_of(sub.func.value)
+                if key:
+                    frozen.add(key)
+            elif isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                for target in targets:
+                    frozen.discard(_key_of(target))
+        return frozen
+
+
+def _key_of(expr: ast.expr) -> str | None:
+    chain = _chain_of(expr)
+    return ".".join(chain) if chain else None
+
+
 def run_concurrency(index: ProjectIndex) -> list[Finding]:
     """Entry point: EL601–EL604 over the indexed project."""
     if not index.config.concurrency.enabled:
         return []
-    analysis = ConcurrencyAnalysis(index, get_callgraph(index))
-    findings = analysis.run()
-    # Deduplicate (loops/joins can visit a site twice) and sort.
-    unique = {
-        (f.rule, f.path, f.line, f.message): f for f in findings
-    }
-    return sorted(
-        unique.values(), key=lambda f: (f.path, f.line, f.rule, f.message)
-    )
+    return ConcurrencyAnalysis(index, get_callgraph(index)).run()

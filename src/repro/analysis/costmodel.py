@@ -2,11 +2,9 @@
 
 The paper's performance argument is a *counting* argument: ECall
 boundary crossings, enclave copy bytes, hashes, fsyncs and seals per
-operation.  PRs 3 and 8 earned their speedups by amortising exactly
-those effects (proof pooling, group commit), but until now only the
-dynamic perf gate guarded them — a refactor re-introducing an
-fsync-per-record failed a benchmark hours later with no pointer to the
-offending line.
+operation.  Proof pooling and group commit earn their speedups by
+amortising exactly those effects; this pass makes a refactor that
+re-introduces, say, an fsync per record fail with a pointer to the line.
 
 This pass derives, for each public store entry point named in
 ``[costmodel]`` (``zones.toml``), a symbolic effect certificate: for
@@ -23,13 +21,16 @@ is the happy path and its costs count toward the lower bound);
 ``return``/``raise``/``break``/``continue`` end a path, so statements
 beyond them stay out of the fall-through lower bound and only widen the
 upper bound; ``except`` handlers widen the upper bound only.  Function
-summaries fold interprocedurally over the PR 5 call graph; calls that
-match an effect pattern are *primitives* (counted, never folded), calls
-that resolve nowhere contribute zero (a documented under-approximation:
-the untrusted prover's host-side work is deliberately outside the
-enclave cost certificate), and calls matching ``amortized`` patterns
+summaries fold over the call graph through the shared
+:class:`~repro.analysis.flow.CalleeMemo`; calls that match an effect
+pattern are *primitives* (counted, never folded), calls that resolve
+nowhere contribute zero (a documented under-approximation: the
+untrusted prover's host-side work is deliberately outside the enclave
+cost certificate), and calls matching ``amortized`` patterns
 (``_maybe_flush``) are certified under their own entry point instead of
-every caller's.
+every caller's.  EL810/EL811 are must-checks on the shared
+:class:`~repro.analysis.flow.MustWalk`, where a loop over a declared
+``unit_loops`` registry (``self.listeners``) runs its body once.
 
 Rules:
 
@@ -54,18 +55,25 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.callgraph import CallGraph, _chain_of, get_callgraph
+from repro.analysis.callgraph import CallGraph, get_callgraph
 from repro.analysis.engine import ProjectIndex
-from repro.analysis.model import Finding, Severity
-from repro.analysis.taint import Matcher
-from repro.analysis.zones import CostConfig
+from repro.analysis.flow import (
+    CalleeMemo,
+    Effects,
+    Matcher,
+    MustWalk,
+    _chain_of,
+    _FuncDef,
+    _terminals,
+    is_unit_loop,
+)
+from repro.analysis.model import Finding
+from repro.analysis.rules import findings_from
 
 try:  # Python 3.11+
     import tomllib
 except ModuleNotFoundError:  # pragma: no cover - py3.10 fallback
     tomllib = None
-
-_FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Multiplicities saturate here: beyond this the exact count carries no
 #: review signal, and saturation keeps summary folding loop-free.
@@ -229,40 +237,17 @@ class CostAnalysis:
     def __init__(self, index: ProjectIndex, graph: CallGraph) -> None:
         self.index = index
         self.graph = graph
-        self.cfg: CostConfig = index.config.costmodel
-        self.matchers = {
-            effect: Matcher(patterns)
-            for effect, patterns in self.cfg.effects.items()
-        }
+        self.cfg = index.config.costmodel
+        self.effects = Effects(self.cfg.effects)
         self.amortized = Matcher(self.cfg.amortized)
         self.unit_loops = Matcher(self.cfg.unit_loops)
         self.guard_terms = set(self.cfg.guards)
-        self._summaries: dict[str, _Cost] = {}
-        self._in_progress: set[str] = set()
-        self._relpath = ""
+        # A call cycle is bounded at zero cost.
+        self.summary = CalleeMemo(self._summarize, _Cost)
 
-    # ------------------------------------------------------------------
-    # Interprocedural summaries
-    # ------------------------------------------------------------------
-    def summary(self, qual: str) -> _Cost:
-        cached = self._summaries.get(qual)
-        if cached is not None:
-            return cached
-        if qual in self._in_progress:
-            return _Cost()  # recursion: bound the cycle at zero
-        fn = self.graph.functions.get(qual)
-        if fn is None:
-            return _Cost()
-        self._in_progress.add(qual)
-        saved = self._relpath
-        self._relpath = self.index.modules[fn.module].relpath
-        try:
-            cost = self._block(fn.node.body)
-        finally:
-            self._relpath = saved
-            self._in_progress.discard(qual)
+    def _summarize(self, qual: str) -> _Cost:
+        cost = self._block(self.graph.functions[qual].node.body)
         cost.terminates = False
-        self._summaries[qual] = cost
         return cost
 
     # ------------------------------------------------------------------
@@ -290,7 +275,7 @@ class CostAnalysis:
             cost = self._expr(stmt.iter)
             body = self._block(stmt.body)
             body.terminates = False  # break/continue are loop-local
-            if self._is_unit_loop(stmt.iter):
+            if is_unit_loop(self.unit_loops, stmt.iter):
                 cost.add(body)
             else:
                 cost.add(body.shifted())
@@ -397,7 +382,7 @@ class CostAnalysis:
                 inner.add(self._expr(gen.iter))
             for cond in gen.ifs:
                 inner.add(self._expr(cond))
-        if self._is_unit_loop(gens[0].iter):
+        if is_unit_loop(self.unit_loops, gens[0].iter):
             cost.add(inner)
         else:
             cost.add(inner.shifted())
@@ -411,20 +396,15 @@ class CostAnalysis:
             cost.add(self._expr(kw.value))
         if not _chain_of(call.func):
             cost.add(self._expr(call.func))  # computed callee: walk it
-        site = self.graph.calls.get(id(call))
-        target = site.target if site else None
-        display = ".".join(_chain_of(call.func)) or "<expr>"
-        effects = sorted(
-            effect
-            for effect, matcher in self.matchers.items()
-            if matcher.match(target, display)
-        )
+        site = self.graph.site(call)
+        target = site.target
+        effects = self.effects.of(site)
         if effects:
             # Effect primitive: count it, never fold below it.
             for effect in effects:
-                cost.add_effect(effect, self._relpath, call.lineno, display)
+                cost.add_effect(effect, site.path, call.lineno, site.display)
             return cost
-        if self.amortized.match(target, display):
+        if self.amortized.match(target, site.display):
             # Certified under its own entry point, not every caller's.
             return cost
         if target is not None:
@@ -438,25 +418,6 @@ class CostAnalysis:
         # under-approximation (host-side prover work stays out of the
         # enclave certificate by design).
         return cost
-
-    def _is_unit_loop(self, iter_expr: ast.expr) -> bool:
-        if not self.cfg.unit_loops:
-            return False
-        chain = _chain_of(iter_expr)
-        if not chain:
-            return False
-        return self.unit_loops.match(None, ".".join(chain))
-
-
-def _terminals(test: ast.expr) -> set[str]:
-    """Name ids and attribute names appearing in an ``if`` test."""
-    out: set[str] = set()
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -541,13 +502,6 @@ def load_committed_costs(path: Path) -> dict[str, dict[str, str]] | None:
 # ----------------------------------------------------------------------
 # Rules
 # ----------------------------------------------------------------------
-def _entry_line(graph: CallGraph, qual: str) -> tuple[str, int] | None:
-    fn = graph.functions.get(qual)
-    if fn is None:
-        return None
-    return fn.module, fn.node.lineno
-
-
 def _per_item_sites(cost: _Cost, effect: str) -> list[tuple[str, int, str]]:
     out: set = set()
     for degree in range(1, MAX_DEGREE + 1):
@@ -562,25 +516,16 @@ def run_costmodel(index: ProjectIndex) -> list[Finding]:
         return []
     graph = get_callgraph(index)
     result = analyze_costs(index)
-    findings: list[Finding] = []
+    raw: list[tuple[str, str, int, str]] = []
 
     def emit(rule: str, path: str, line: int, message: str) -> None:
-        findings.append(
-            Finding(
-                rule=rule,
-                severity=Severity.ERROR,
-                path=path,
-                line=line,
-                message=message,
-            )
-        )
+        raw.append((rule, path, line, message))
 
     def entry_anchor(entry: str) -> tuple[str, int]:
-        loc = _entry_line(graph, cfg.entry_points[entry])
-        if loc is None:
+        fn = graph.functions.get(cfg.entry_points[entry])
+        if fn is None:
             return "analysis/costs.toml", 1
-        module, line = loc
-        return index.modules[module].relpath, line
+        return index.modules[fn.module].relpath, fn.node.lineno
 
     # EL801/EL802: guaranteed per-item boundary / durable effects in
     # batch entry points.
@@ -682,143 +627,78 @@ def run_costmodel(index: ProjectIndex) -> list[Finding]:
             f"remove it or declare it under [costmodel] entry_points",
         )
 
-    findings.extend(_compaction_obligations(index, graph, cfg))
-    unique = {(f.rule, f.path, f.line, f.message): f for f in findings}
-    return sorted(
-        unique.values(), key=lambda f: (f.path, f.line, f.rule, f.message)
-    )
-
-
-# ----------------------------------------------------------------------
-# EL810 / EL811 — authenticated-compaction obligations
-# ----------------------------------------------------------------------
-def _compaction_obligations(
-    index: ProjectIndex, graph: CallGraph, cfg: CostConfig
-) -> list[Finding]:
-    findings: list[Finding] = []
-    merge_scope = Matcher(cfg.compaction_merge)
-    driver_scope = Matcher(cfg.compaction_drivers)
-    filter_hooks = Matcher(cfg.compaction_filter_hooks)
-    prepare = Matcher(cfg.compaction_prepare)
-    publish = Matcher(cfg.compaction_publish)
-
-    def calls_matching(node: ast.AST, matcher: Matcher) -> list[ast.Call]:
-        out = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                site = graph.calls.get(id(sub))
-                target = site.target if site else None
-                display = ".".join(_chain_of(sub.func)) or "<expr>"
-                if matcher.match(target, display):
-                    out.append(sub)
-        return out
-
-    def check_merge(fn, relpath: str) -> None:
-        def walk(stmts: list[ast.stmt], in_loop: bool, filtered: bool) -> bool:
-            for stmt in stmts:
-                if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                    walk(stmt.body, True, False)
-                    walk(stmt.orelse, in_loop, filtered)
-                    if calls_matching(stmt, filter_hooks):
-                        filtered = True
-                elif isinstance(stmt, ast.If):
-                    f_body = walk(stmt.body, in_loop, filtered)
-                    f_else = walk(stmt.orelse, in_loop, filtered)
-                    filtered = f_body and f_else
-                elif isinstance(stmt, ast.Try):
-                    filtered = walk(stmt.body, in_loop, filtered)
-                    for handler in stmt.handlers:
-                        walk(handler.body, in_loop, filtered)
-                    filtered = walk(stmt.orelse, in_loop, filtered)
-                    filtered = walk(stmt.finalbody, in_loop, filtered)
-                elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    for item in stmt.items:
-                        if calls_matching(item.context_expr, filter_hooks):
-                            filtered = True
-                    filtered = walk(stmt.body, in_loop, filtered)
-                elif isinstance(stmt, ast.Continue):
-                    if in_loop and not filtered:
-                        findings.append(
-                            Finding(
-                                rule="EL810",
-                                severity=Severity.ERROR,
-                                path=relpath,
-                                line=stmt.lineno,
-                                message=(
-                                    f"merge loop in {fn.name} drops a record "
-                                    f"(continue) before it flowed through the "
-                                    f"Filter() digest hook — every consumed "
-                                    f"input record must be digested, dropped "
-                                    f"or not"
-                                ),
-                            )
-                        )
-                elif isinstance(stmt, (*_FuncDef, ast.ClassDef)):
-                    walk(stmt.body, False, False)
-                else:
-                    if calls_matching(stmt, filter_hooks):
-                        filtered = True
-            return filtered
-
-        walk(fn.node.body, False, False)
-
-    def check_driver(fn, relpath: str) -> None:
-        def walk(stmts: list[ast.stmt], established: bool) -> bool:
-            for stmt in stmts:
-                if isinstance(stmt, ast.If):
-                    e_body = walk(stmt.body, established)
-                    e_else = walk(stmt.orelse, established)
-                    established = e_body and e_else
-                    continue
-                if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                    established = walk(stmt.body, established)
-                    established = walk(stmt.orelse, established)
-                    continue
-                if isinstance(stmt, ast.Try):
-                    established = walk(stmt.body, established)
-                    for handler in stmt.handlers:
-                        walk(handler.body, established)
-                    established = walk(stmt.orelse, established)
-                    established = walk(stmt.finalbody, established)
-                    continue
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    if any(
-                        calls_matching(item.context_expr, prepare)
-                        for item in stmt.items
-                    ):
-                        established = True
-                    established = walk(stmt.body, established)
-                    continue
-                if isinstance(stmt, (*_FuncDef, ast.ClassDef)):
-                    continue
-                if calls_matching(stmt, prepare):
-                    established = True
-                for call in calls_matching(stmt, publish):
-                    if not established:
-                        findings.append(
-                            Finding(
-                                rule="EL811",
-                                severity=Severity.ERROR,
-                                path=relpath,
-                                line=call.lineno,
-                                message=(
-                                    f"{fn.name} publishes the manifest before "
-                                    f"the authenticated merge ran — "
-                                    f"OnTableFileCreated() and the per-level "
-                                    f"root update must precede manifest "
-                                    f"publication"
-                                ),
-                            )
-                        )
-            return established
-
-        walk(fn.node.body, False)
-
+    # EL810 / EL811: the authenticated-compaction obligations.
+    merges = Matcher(cfg.compaction_merge)
+    drivers = Matcher(cfg.compaction_drivers)
     for qual in sorted(graph.functions):
         fn = graph.functions[qual]
-        relpath = index.modules[fn.module].relpath
-        if cfg.compaction_merge and merge_scope.match(qual, qual):
-            check_merge(fn, relpath)
-        if cfg.compaction_drivers and driver_scope.match(qual, qual):
-            check_driver(fn, relpath)
-    return findings
+        if merges.match(qual, qual):
+            walk = _MergeWalk(index, fn, raw, cfg.compaction_filter_hooks)
+            walk.block(fn.node.body, set())
+        if drivers.match(qual, qual):
+            walk = _DriverWalk(
+                index, fn, raw, cfg.compaction_prepare, cfg.compaction_publish
+            )
+            walk.block(fn.node.body, set())
+    return findings_from(raw)
+
+
+class _DriverWalk(MustWalk):
+    """EL811: the state is ``{"done"}`` where a ``done_by`` call (the
+    authenticated merge) already ran on every path; a ``publish`` call
+    (the manifest) anywhere else is a finding."""
+
+    def __init__(self, index, fn, raw, done_by, publish=()) -> None:
+        self.effects = Effects({"done": done_by, "publish": publish})
+        self.unit_loops = Matcher(index.config.costmodel.unit_loops)
+        self.graph = get_callgraph(index)
+        self.name = fn.name
+        self.relpath = index.modules[fn.module].relpath
+        self.raw = raw
+
+    def expr(self, node: ast.AST, state: set) -> set:
+        sites = [
+            (call, self.graph.site(call))
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        ]
+        if any("done" in self.effects.of(site) for _, site in sites):
+            state = {"done"}
+        for call, site in sites:
+            if "publish" in self.effects.of(site) and not state:
+                self.raw.append(
+                    (
+                        "EL811",
+                        self.relpath,
+                        call.lineno,
+                        f"{self.name} publishes the manifest before the "
+                        f"authenticated merge ran — OnTableFileCreated() and "
+                        f"the per-level root update must precede manifest "
+                        f"publication",
+                    )
+                )
+        return state
+
+
+class _MergeWalk(_DriverWalk):
+    """EL810: the same walk with the Filter() hook as ``done_by``; a
+    dropped record (``continue``) before it ran is a finding."""
+
+    def simple(self, stmt: ast.stmt, state: set) -> set:
+        if isinstance(stmt, ast.Continue) and not state:
+            self.raw.append(
+                (
+                    "EL810",
+                    self.relpath,
+                    stmt.lineno,
+                    f"merge loop in {self.name} drops a record (continue) "
+                    f"before it flowed through the Filter() digest hook — "
+                    f"every consumed input record must be digested, dropped "
+                    f"or not",
+                )
+            )
+        return self.expr(stmt, state)
+
+    def nested(self, stmt: ast.stmt, state: set) -> set:
+        self.block(stmt.body, set())  # a nested generator can hold the merge
+        return state

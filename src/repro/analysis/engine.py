@@ -16,12 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.model import (
-    Finding,
-    Severity,
-    Suppressions,
-    parse_suppressions,
-)
+from repro.analysis.flow import closure
+from repro.analysis.model import Finding, Suppressions, parse_suppressions
 from repro.analysis.zones import ZoneConfig
 
 
@@ -322,6 +318,8 @@ def _unused_suppressions(
     scoped_paths: set[str] | None,
     used_pragmas: set[tuple[str, str, int]],
 ) -> list[Finding]:
+    from repro.analysis.rules import rule_severity
+
     out: list[Finding] = []
     for name in sorted(index.modules):
         module = index.modules[name]
@@ -336,7 +334,7 @@ def _unused_suppressions(
             out.append(
                 Finding(
                     rule="EL901",
-                    severity=Severity.INFO,
+                    severity=rule_severity("EL901"),
                     path=module.relpath,
                     line=pragma.line,
                     message=(
@@ -453,12 +451,6 @@ def dependency_cone(index: ProjectIndex, changed: set[str]) -> set[str]:
     # Traversal seeds include names absent from the index (deleted or
     # renamed-away modules): their surviving importers still belong in
     # the cone even though the changed module itself cannot be scanned.
-    cone = set(changed) & set(index.modules)
-    stack = list(set(changed))
-    while stack:
-        name = stack.pop()
-        for importer in importers.get(name, ()):
-            if importer not in cone:
-                cone.add(importer)
-                stack.append(importer)
-    return cone
+    return closure(changed, lambda name: importers.get(name, ())) & set(
+        index.modules
+    )

@@ -23,20 +23,23 @@ intraprocedurally:
   bijection stays honest — if a state transition cannot be crashed
   into, the recovery tests cannot witness it).
 
-Branches join conservatively (established = intersection, pending
-crash-coverage = union); an ``if`` whose test names a declared guard
-terminal (``if self.wal is not None: ... sync()``) establishes the
-guarded effect at the join — the else-branch is vacuously ordered.
+The walk is :class:`~repro.analysis.flow.MustWalk`'s (branches, loops,
+handlers): established effects intersect at joins while pending crash
+coverage and before-return obligations union.  An ``if`` whose test
+names a declared guard terminal (``if self.wal is not None: ... sync()``)
+establishes the guarded effect at the join — the else-branch is
+vacuously ordered.
 
 Calls into other in-scope functions are handled with a *sentinel
-summary*: the callee's own abstract walk runs once (memoized) with a
-sentinel marker as the incoming pending set, recording which of the
-callee's durable effects can meet un-crash-covered caller state, what
-the callee leaves pending at return, and what it establishes.  The
-summary is branch-aware — a helper like ``_commit``, crash-pointed on
-both sides of its hook, is correctly seen to absorb pending durable
-effects — while each function's *internal* violations are still
-reported exactly once, by its own analysis.
+summary* (memoised by :class:`~repro.analysis.flow.CalleeMemo`): the
+callee's own walk runs once with a sentinel marker as the incoming
+pending set, recording which of the callee's durable effects can meet
+un-crash-covered caller state, what the callee leaves pending at
+return, and what it establishes.  The summary is branch-aware — a
+helper like ``_commit``, crash-pointed on both sides of its hook, is
+correctly seen to absorb pending durable effects — while each
+function's *internal* violations are still reported exactly once, by
+its own analysis.
 """
 
 from __future__ import annotations
@@ -45,13 +48,11 @@ import ast
 import fnmatch
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import CallGraph, _chain_of, get_callgraph
+from repro.analysis.callgraph import CallGraph, get_callgraph
 from repro.analysis.engine import ProjectIndex
-from repro.analysis.model import Finding, Severity
-from repro.analysis.taint import Matcher
-from repro.analysis.zones import OrderRule, ProtocolConfig
-
-_FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
+from repro.analysis.flow import CalleeMemo, Effects, MustWalk, _terminals
+from repro.analysis.model import Finding
+from repro.analysis.rules import findings_from
 
 #: Marker for "whatever the caller had pending" in sentinel summaries.
 _SENT = "\x00incoming"
@@ -90,24 +91,13 @@ class _State:
         return _State(set(self.established), set(self.pending), set(self.owed))
 
 
-def _join(a: _State, b: _State) -> _State:
-    return _State(
-        established=a.established & b.established,
-        pending=a.pending | b.pending,
-        owed=a.owed | b.owed,
-    )
-
-
 class ProtocolAnalysis:
     def __init__(self, index: ProjectIndex, graph: CallGraph) -> None:
         self.index = index
         self.graph = graph
-        self.cfg: ProtocolConfig = index.config.protocol
-        self.findings: list[Finding] = []
-        self.matchers = {
-            effect: Matcher(patterns)
-            for effect, patterns in self.cfg.effects.items()
-        }
+        self.cfg = index.config.protocol
+        self.raw: list[tuple[str, str, int, str]] = []
+        self.effects = Effects(self.cfg.effects)
         self.attr_effects = {
             attr: effect
             for effect, attrs in self.cfg.effect_attrs.items()
@@ -116,162 +106,116 @@ class ProtocolAnalysis:
         self.durable = set(self.cfg.durable)
         self.requires_rules = [r for r in self.cfg.order if r.kind == "requires"]
         self.br_rules = [r for r in self.cfg.order if r.kind == "before-return"]
-        self._summaries: dict[str, _Summary] = {}
-        self._in_progress: set[str] = set()
-        # Per-walk context (swapped when computing sentinel summaries).
-        self._qual = ""
-        self._module = None
-        self._context: set[str] = set()
-        self._br_active: list[int] = []
-        self._sentinel_mode = False
-        self._sentinel_paired: set[str] = set()
+        self.summary = CalleeMemo(self._summarize, _Summary)
 
-    # ------------------------------------------------------------------
-    def _in_scope(self, qual: str) -> bool:
+    def in_scope(self, qual: str) -> bool:
         return any(fnmatch.fnmatchcase(qual, p) for p in self.cfg.functions)
 
-    def _effects_of_call(self, call: ast.Call) -> tuple[set[str], str | None]:
-        """(matched effects, resolved in-scope callee qualname)."""
-        site = self.graph.calls.get(id(call))
-        target = site.target if site else None
-        display = site.display if site else ".".join(_chain_of(call.func))
-        effects = {
-            effect
-            for effect, matcher in self.matchers.items()
-            if matcher.match(target, display or None)
-        }
-        callee = (
-            target
-            if target
-            and target in self.graph.functions
-            and self._in_scope(target)
-            else None
-        )
-        return effects, callee
-
-    def _effects_of_stmt_targets(self, stmt: ast.stmt) -> list[tuple[str, int]]:
-        """Effect-attribute assignments in one statement."""
-        out: list[tuple[str, int]] = []
+    def attr_effects_in(self, node: ast.AST) -> list[tuple[str, int]]:
+        """Effect-attribute assignments made by one statement."""
         targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        for target in targets:
-            if isinstance(target, ast.Attribute) and target.attr in self.attr_effects:
-                out.append((self.attr_effects[target.attr], target.lineno))
-        return out
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        return [
+            (self.attr_effects[t.attr], t.lineno)
+            for t in targets
+            if isinstance(t, ast.Attribute) and t.attr in self.attr_effects
+        ]
 
-    # ------------------------------------------------------------------
-    # Sentinel summaries
-    # ------------------------------------------------------------------
-    def _summary(self, qual: str) -> _Summary:
-        cached = self._summaries.get(qual)
-        if cached is not None:
-            return cached
-        if qual in self._in_progress:
-            return _Summary()  # recursion: pending-transparent fallback
-        self._in_progress.add(qual)
-        saved = (
-            self._qual,
-            self._module,
-            self._context,
-            self._br_active,
-            self._sentinel_mode,
-            self._sentinel_paired,
-        )
-        fn = self.graph.functions[qual]
-        self._qual = qual
-        self._module = self.index.modules[fn.module]
-        self._context = self._function_context(fn.node)
-        self._br_active = []
-        self._sentinel_mode = True
-        self._sentinel_paired = set()
-        state = self._walk(fn.node.body, _State(pending={_SENT}))
-        summary = _Summary(
-            paired=set(self._sentinel_paired),
-            end_pending=set(state.pending),
-            end_established=set(state.established),
-        )
-        (
-            self._qual,
-            self._module,
-            self._context,
-            self._br_active,
-            self._sentinel_mode,
-            self._sentinel_paired,
-        ) = saved
-        self._in_progress.discard(qual)
-        self._summaries[qual] = summary
-        return summary
-
-    # ------------------------------------------------------------------
-    # Driver
-    # ------------------------------------------------------------------
     def run(self) -> list[Finding]:
-        if not self.cfg.enabled:
-            return []
         for qual in sorted(self.graph.functions):
-            if self._in_scope(qual):
-                self._check_function(qual)
-        unique = {(f.rule, f.path, f.line, f.message): f for f in self.findings}
-        return sorted(
-            unique.values(), key=lambda f: (f.path, f.line, f.rule, f.message)
-        )
+            if self.in_scope(qual):
+                node = self.graph.functions[qual].node
+                walk = _Walk(self, qual, sentinel=False)
+                state = walk.block(node.body, _State())
+                walk.check_owed(state, node.lineno, at_return=False)
+        return findings_from(self.raw)
 
-    def _check_function(self, qual: str) -> None:
-        fn = self.graph.functions[qual]
-        self._qual = qual
-        self._module = self.index.modules[fn.module]
-        self._context = self._function_context(fn.node)
-        self._br_active = [
+    def _summarize(self, qual: str) -> _Summary:
+        walk = _Walk(self, qual, sentinel=True)
+        body = self.graph.functions[qual].node.body
+        state = walk.block(body, _State(pending={_SENT}))
+        return _Summary(walk.paired, state.pending, state.established)
+
+
+class _Walk(MustWalk):
+    """One function body: checked on its own, or walked as a callee
+    summary (``sentinel``: findings are left to the callee's own walk)."""
+
+    def __init__(self, analysis: ProtocolAnalysis, qual: str, sentinel: bool) -> None:
+        self.analysis = analysis
+        self.qual = qual
+        fn = analysis.graph.functions[qual]
+        self.relpath = analysis.index.modules[fn.module].relpath
+        self.sentinel = sentinel
+        self.paired: set[str] = set()
+        self.br_active = [] if sentinel else [
             i
-            for i, rule in enumerate(self.br_rules)
+            for i, rule in enumerate(analysis.br_rules)
             if fnmatch.fnmatchcase(qual, rule.scope or "*")
         ]
-        self._sentinel_mode = False
-        state = self._walk(fn.node.body, _State())
-        self._check_owed(state, fn.node.lineno, at_return=False)
-
-    def _function_context(self, fn_node: ast.AST) -> set[str]:
-        """Every effect occurring anywhere in the body (``when`` gating)."""
-        context: set[str] = set()
-        for node in ast.walk(fn_node):
+        # Every effect occurring anywhere in the body (``when`` gating).
+        self.context: set[str] = set()
+        for node in ast.walk(fn.node):
             if isinstance(node, ast.Call):
-                effects, _ = self._effects_of_call(node)
-                context |= effects
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                context |= {e for e, _ in self._effects_of_stmt_targets(node)}
-        return context
+                self.context.update(analysis.effects.of(analysis.graph.site(node)))
+            else:
+                self.context.update(e for e, _ in analysis.attr_effects_in(node))
 
     def _emit(self, rule: str, line: int, message: str) -> None:
-        if self._sentinel_mode:
-            return  # callee-internal findings come from its own analysis
-        self.findings.append(
-            Finding(
-                rule=rule,
-                severity=Severity.ERROR,
-                path=self._module.relpath,
-                line=line,
-                message=message,
-            )
-        )
+        if not self.sentinel:
+            self.analysis.raw.append((rule, self.relpath, line, message))
 
     # ------------------------------------------------------------------
-    # Effect application
+    # Transfer functions
     # ------------------------------------------------------------------
+    def expr(self, node: ast.AST, state: _State) -> _State:
+        """Apply call effects in source order."""
+        calls = [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)]
+        calls.sort(key=lambda c: (c.lineno, c.col_offset))
+        for call in calls:
+            self._apply_call(call, state)
+        return state
+
+    def simple(self, stmt: ast.stmt, state: _State) -> _State:
+        """Calls first, then effect-attribute stores."""
+        self.expr(stmt, state)
+        if isinstance(stmt, ast.Return):
+            self.check_owed(state, stmt.lineno, at_return=True)
+        for effect, line in self.analysis.attr_effects_in(stmt):
+            self._apply_effect(effect, line, state)
+        return state
+
+    def join(self, a: _State, b: _State) -> _State:
+        return _State(
+            established=a.established & b.established,
+            pending=a.pending | b.pending,
+            owed=a.owed | b.owed,
+        )
+
+    def join_branches(self, test: ast.expr, body: _State, orelse: _State) -> _State:
+        joined = self.join(body, orelse)
+        terminals = _terminals(test)
+        for effect in body.established - joined.established:
+            if set(self.analysis.cfg.guards.get(effect, ())) & terminals:
+                joined.established.add(effect)
+        return joined
+
     def _apply_effect(self, effect: str, line: int, state: _State) -> None:
-        for rule in self.requires_rules:
+        analysis = self.analysis
+        for rule in analysis.requires_rules:
             if rule.effect != effect:
                 continue
-            if rule.when is not None and rule.when not in self._context:
+            if rule.when is not None and rule.when not in self.context:
                 continue
             if not any(alt in state.established for alt in rule.requires):
                 alts = "|".join(rule.requires)
                 self._emit(
                     rule.rule,
                     line,
-                    f"{effect} in {self._qual} without a preceding {alts}"
+                    f"{effect} in {self.qual} without a preceding {alts}"
                     + (
                         f" (required when {rule.when} occurs)"
                         if rule.when
@@ -279,43 +223,47 @@ class ProtocolAnalysis:
                     )
                     + f"; ordering rule: {rule.raw}",
                 )
-        for rule in self.requires_rules:
+        for rule in analysis.requires_rules:
             if effect in rule.reset_by:
                 state.established.difference_update(rule.requires)
         state.established.add(effect)
-        for i in self._br_active:
-            rule = self.br_rules[i]
+        for i in self.br_active:
+            rule = analysis.br_rules[i]
             if effect == rule.effect:
                 state.owed.add(i)
             if effect == rule.then:
                 state.owed.discard(i)
-        if effect in self.durable:
+        if effect in analysis.durable:
             for prior in sorted(state.pending):
                 if prior == effect:
                     continue
                 if prior == _SENT:
-                    self._sentinel_paired.add(effect)
+                    self.paired.add(effect)
                     continue
                 self._emit(
                     "EL703",
                     line,
-                    f"durable effects {prior} and {effect} in {self._qual} "
+                    f"durable effects {prior} and {effect} in {self.qual} "
                     f"with no crash_point between them; the fault plan "
                     f"cannot witness the intermediate state",
                 )
             state.pending = {effect}
 
     def _apply_call(self, call: ast.Call, state: _State) -> None:
-        effects, callee = self._effects_of_call(call)
+        analysis = self.analysis
+        site = analysis.graph.site(call)
+        effects = analysis.effects.of(site)
         if "crash_point" in effects:
             state.pending.clear()
             state.established.add("crash_point")
             return
-        summary = self._summary(callee) if callee else None
+        callee = site.target
+        in_scope = callee in analysis.graph.functions and analysis.in_scope(callee)
+        summary = analysis.summary(callee) if in_scope else None
         if summary is not None and summary.consumes:
             state.pending.clear()
         if effects:
-            for effect in sorted(effects):
+            for effect in effects:
                 self._apply_effect(effect, call.lineno, state)
             if summary is not None and not summary.end_pending:
                 # The callee ends crash-covered on every path, so nothing
@@ -330,14 +278,14 @@ class ProtocolAnalysis:
                     if prior == durable:
                         continue
                     if prior == _SENT:
-                        self._sentinel_paired.add(durable)
+                        self.paired.add(durable)
                         continue
                     self._emit(
                         "EL703",
                         call.lineno,
                         f"durable effects {prior} and {durable} "
                         f"(inside {callee.rsplit('.', 1)[-1]}) with no "
-                        f"crash_point between them in {self._qual}; the "
+                        f"crash_point between them in {self.qual}; the "
                         f"fault plan cannot witness the intermediate state",
                     )
         new_pending = set(summary.end_pending) - {_SENT}
@@ -346,92 +294,21 @@ class ProtocolAnalysis:
         state.pending = new_pending
         state.established |= summary.end_established - {_SENT}
 
-    # ------------------------------------------------------------------
-    # Abstract walk
-    # ------------------------------------------------------------------
-    def _walk(self, stmts: list[ast.stmt], state: _State) -> _State:
-        for stmt in stmts:
-            state = self._walk_stmt(stmt, state)
-        return state
-
-    def _eval_exprs(self, node: ast.stmt | ast.expr, state: _State) -> None:
-        """Apply call effects in source order within one simple node."""
-        calls = [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)]
-        calls.sort(key=lambda c: (c.lineno, c.col_offset))
-        for call in calls:
-            self._apply_call(call, state)
-
-    def _walk_stmt(self, stmt: ast.stmt, state: _State) -> _State:
-        if isinstance(stmt, ast.If):
-            self._eval_exprs(stmt.test, state)
-            terminals = _terminals(stmt.test)
-            body_state = self._walk(stmt.body, state.copy())
-            else_state = self._walk(stmt.orelse, state.copy())
-            joined = _join(body_state, else_state)
-            for effect in body_state.established - joined.established:
-                if set(self.cfg.guards.get(effect, ())) & terminals:
-                    joined.established.add(effect)
-            return joined
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._eval_exprs(stmt.iter, state)
-            once = self._walk(stmt.body, state.copy())
-            twice = self._walk(stmt.body, once.copy())  # back-edge pairs
-            return self._walk(stmt.orelse, _join(state, twice))
-        if isinstance(stmt, ast.While):
-            self._eval_exprs(stmt.test, state)
-            once = self._walk(stmt.body, state.copy())
-            twice = self._walk(stmt.body, once.copy())  # back-edge pairs
-            return self._walk(stmt.orelse, _join(state, twice))
-        if isinstance(stmt, ast.Try):
-            joined = self._walk(stmt.body, state.copy())
-            for handler in stmt.handlers:
-                joined = _join(joined, self._walk(handler.body, state.copy()))
-            joined = self._walk(stmt.orelse, joined)
-            return self._walk(stmt.finalbody, joined)
-        if isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._eval_exprs(item.context_expr, state)
-            return self._walk(stmt.body, state)
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._eval_exprs(stmt.value, state)
-            self._check_owed(state, stmt.lineno, at_return=True)
-            return state
-        if isinstance(stmt, _FuncDef + (ast.ClassDef,)):
-            return state  # nested scopes are analyzed on their own
-        # Simple statement: calls first, then effect-attribute stores.
-        self._eval_exprs(stmt, state)
-        for effect, line in self._effects_of_stmt_targets(stmt):
-            self._apply_effect(effect, line, state)
-        return state
-
-    def _check_owed(self, state: _State, line: int, at_return: bool) -> None:
+    def check_owed(self, state: _State, line: int, at_return: bool) -> None:
         for i in sorted(state.owed):
-            rule = self.br_rules[i]
+            rule = self.analysis.br_rules[i]
             where = "returns" if at_return else "ends"
             self._emit(
                 rule.rule,
                 line,
-                f"{self._qual} {where} with {rule.effect} not followed by "
+                f"{self.qual} {where} with {rule.effect} not followed by "
                 f"{rule.then}; ordering rule: {rule.raw}",
             )
         state.owed.clear()
-
-
-def _terminals(test: ast.expr) -> set[str]:
-    """Name ids and attribute names appearing in an ``if`` test."""
-    out: set[str] = set()
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
 
 
 def run_protocol(index: ProjectIndex) -> list[Finding]:
     """Entry point: EL701–EL703 over the indexed project."""
     if not index.config.protocol.enabled:
         return []
-    analysis = ProtocolAnalysis(index, get_callgraph(index))
-    return analysis.run()
+    return ProtocolAnalysis(index, get_callgraph(index)).run()

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.analysis.engine import ModuleInfo, ProjectIndex
+from repro.analysis.flow import _chain_of
 from repro.analysis.model import Finding, Severity
 from repro.analysis.zones import Zone
 
@@ -277,6 +278,17 @@ def rule_severity(rule: str) -> Severity:
     return ALL_RULES[rule][0]
 
 
+def findings_from(raw: Iterable[tuple[str, str, int, str]]) -> list[Finding]:
+    """``(rule, path, line, message)`` tuples as sorted, de-duplicated
+    findings; the severity is the rule's own, from :data:`ALL_RULES`."""
+    return [
+        Finding(rule, rule_severity(rule), path, line, message)
+        for rule, path, line, message in sorted(
+            set(raw), key=lambda r: (r[1], r[2], r[0], r[3])
+        )
+    ]
+
+
 def _finding(rule: str, module: ModuleInfo, line: int, message: str) -> Finding:
     return Finding(
         rule=rule,
@@ -288,7 +300,17 @@ def _finding(rule: str, module: ModuleInfo, line: int, message: str) -> Finding:
 
 
 def run_rules(index: ProjectIndex) -> Iterator[Finding]:
-    """Run every rule family over the indexed project."""
+    """Run every rule family over the indexed project.
+
+    EL5xx-EL8xx are the dataflow passes over the shared call graph
+    (:mod:`repro.analysis.taint`, ``.concurrency``, ``.protocol``,
+    ``.costmodel``); they import lazily because each imports this module.
+    """
+    from repro.analysis.concurrency import run_concurrency
+    from repro.analysis.costmodel import run_costmodel
+    from repro.analysis.protocol import run_protocol
+    from repro.analysis.taint import run_taint
+
     yield from _el101_cross_zone_imports(index)
     yield from _el102_untrusted_reads(index)
     yield from _el103_pool_bounds(index)
@@ -298,10 +320,10 @@ def run_rules(index: ProjectIndex) -> Iterator[Finding]:
     yield from _el204_deserializer_shape(index)
     yield from _el30x_crash_sites(index)
     yield from _el4xx_telemetry(index)
-    yield from _el5xx_taint(index)
-    yield from _el6xx_concurrency(index)
-    yield from _el7xx_protocol(index)
-    yield from _el8xx_costmodel(index)
+    yield from run_taint(index)
+    yield from run_concurrency(index)
+    yield from run_protocol(index)
+    yield from run_costmodel(index)
 
 
 # ----------------------------------------------------------------------
@@ -334,19 +356,6 @@ _IO_MODULES = frozenset({"os", "io", "pathlib", "shutil", "socket", "subprocess"
 _UNTRUSTED_HANDLES = frozenset({"disk", "fetcher", "prover"})
 
 
-def _attr_chain(node: ast.expr) -> list[str]:
-    """``a.b.c`` -> ["a", "b", "c"] (empty when not a pure name chain)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
-
-
 def _el102_untrusted_reads(index: ProjectIndex) -> Iterator[Finding]:
     for module in index.modules.values():
         if index.config.zone_of(module.name) is not Zone.ENCLAVE:
@@ -369,7 +378,7 @@ def _el102_untrusted_reads(index: ProjectIndex) -> Iterator[Finding]:
                         f"{func.id}; only host-side code may own one",
                     )
             elif isinstance(func, ast.Attribute):
-                chain = _attr_chain(func)
+                chain = _chain_of(func)
                 if not chain:
                     continue
                 if chain[0] in _IO_MODULES:
@@ -683,44 +692,3 @@ def _el4xx_telemetry(index: ProjectIndex) -> Iterator[Finding]:
                     f"{kind} {reg.name!r} is registered here but not "
                     f"documented in {index.config.telemetry_doc}",
                 )
-
-
-# ----------------------------------------------------------------------
-# EL5xx - interprocedural taint & secret flow
-# ----------------------------------------------------------------------
-def _el5xx_taint(index: ProjectIndex) -> Iterator[Finding]:
-    """Call-graph + fixpoint dataflow; see :mod:`repro.analysis.taint`."""
-    from repro.analysis.callgraph import get_callgraph
-    from repro.analysis.taint import run_taint
-
-    yield from run_taint(index, graph=get_callgraph(index))
-
-
-# ----------------------------------------------------------------------
-# EL6xx - concurrency: shared-state ownership & track discipline
-# ----------------------------------------------------------------------
-def _el6xx_concurrency(index: ProjectIndex) -> Iterator[Finding]:
-    """Reachability + ownership policy; see :mod:`repro.analysis.concurrency`."""
-    from repro.analysis.concurrency import run_concurrency
-
-    yield from run_concurrency(index)
-
-
-# ----------------------------------------------------------------------
-# EL7xx - commit-protocol effect ordering
-# ----------------------------------------------------------------------
-def _el7xx_protocol(index: ProjectIndex) -> Iterator[Finding]:
-    """Effect-order abstract walk; see :mod:`repro.analysis.protocol`."""
-    from repro.analysis.protocol import run_protocol
-
-    yield from run_protocol(index)
-
-
-# ----------------------------------------------------------------------
-# EL8xx - static cost certification
-# ----------------------------------------------------------------------
-def _el8xx_costmodel(index: ProjectIndex) -> Iterator[Finding]:
-    """Effect-multiplicity certificates; see :mod:`repro.analysis.costmodel`."""
-    from repro.analysis.costmodel import run_costmodel
-
-    yield from run_costmodel(index)

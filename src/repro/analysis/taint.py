@@ -37,14 +37,15 @@ terminates — recursion included.
 from __future__ import annotations
 
 import ast
+import functools
 from collections import deque
-from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from repro.analysis.callgraph import CallGraph, FunctionNode
+from repro.analysis.callgraph import CallGraph, FunctionNode, get_callgraph
 from repro.analysis.engine import ProjectIndex
-from repro.analysis.model import Finding, Severity
+from repro.analysis.flow import Matcher, closure
+from repro.analysis.model import Finding
+from repro.analysis.rules import findings_from
 from repro.analysis.zones import TaintConfig, Zone
 
 UNTRUSTED = 1
@@ -106,57 +107,6 @@ def _merge_summary(a: Summary, b: Summary) -> Summary:
     )
 
 
-class Matcher:
-    """fnmatch over qualified and syntactic call names, with suffix forms.
-
-    A pattern matches a candidate name if it fnmatches the whole name or
-    a dotted suffix of it: ``copy_in`` matches ``env.copy_in`` and
-    ``repro.sgx.env.ExecutionEnv.copy_in``; ``DigestRegistry.set``
-    matches the latter's qualified form; full globs like
-    ``repro.core.verifier.Verifier.verify_*`` match outright.
-    """
-
-    def __init__(self, patterns: Iterable[str]) -> None:
-        self.patterns = tuple(patterns)
-        self._cache: dict[tuple[str | None, str | None], bool] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self.patterns)
-
-    def match(self, qual: str | None, display: str | None = None) -> bool:
-        if not self.patterns:
-            return False
-        key = (qual, display)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = any(
-                self._match_one(pattern, name)
-                for pattern in self.patterns
-                for name in (qual, display)
-                if name is not None
-            )
-            self._cache[key] = hit
-        return hit
-
-    @staticmethod
-    def _match_one(pattern: str, name: str) -> bool:
-        return fnmatchcase(name, pattern) or fnmatchcase(name, "*." + pattern)
-
-
-@dataclass
-class TaintFinding:
-    rule: str
-    module: str  # dotted module name
-    line: int
-    message: str
-
-
-@dataclass
-class _FunctionResult:
-    summary: Summary = EMPTY_SUMMARY
-    findings: list[TaintFinding] = field(default_factory=list)
-
-
 class TaintAnalysis:
     """Fixpoint driver + reporting for one indexed project."""
 
@@ -178,22 +128,26 @@ class TaintAnalysis:
         self.m_verifiers = Matcher(config.verifiers)
         self.summaries: dict[str, Summary] = {}
         #: module -> Zone, memoised (zone_of walks every pattern).
-        self._zone_cache: dict[str, Zone] = {}
+        self.zone_of = functools.cache(index.config.zone_of)
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def run(self, scope: set[str] | None = None) -> list[TaintFinding]:
+    def run(self, scope: set[str] | None = None) -> list[Finding]:
         """Fixpoint over (the dependency cone of) the project, then report.
 
         ``scope`` limits *reporting* to those modules; the fixpoint still
         covers everything the scoped modules (transitively) import, so
         summaries of out-of-scope callees stay sound.
         """
+        modules = self.index.modules
         if scope is None:
-            analysed = set(self.index.modules)
+            analysed = set(modules)
         else:
-            analysed = self._import_closure(scope)
+            analysed = closure(
+                (m for m in scope if m in modules),
+                lambda m: (t for t, _ in modules[m].imports if t in modules),
+            )
         order = [
             fqual
             for mod in sorted(analysed)
@@ -209,9 +163,9 @@ class TaintAnalysis:
             rounds[fqual] = rounds.get(fqual, 0) + 1
             if rounds[fqual] > _MAX_ROUNDS_PER_FUNCTION:
                 continue
-            result = self._analyze(fqual, report=False)
+            summary = _Analyzer(self, fqual).run()
             merged = _merge_summary(
-                self.summaries.get(fqual, EMPTY_SUMMARY), result.summary
+                self.summaries.get(fqual, EMPTY_SUMMARY), summary
             )
             if merged != self.summaries.get(fqual, EMPTY_SUMMARY):
                 self.summaries[fqual] = merged
@@ -221,42 +175,11 @@ class TaintAnalysis:
                         queued.add(caller)
 
         report_modules = analysed if scope is None else (scope & analysed)
-        seen: set[tuple[str, str, int, str]] = set()
-        findings: list[TaintFinding] = []
+        raw: list[tuple[str, str, int, str]] = []
         for mod in sorted(report_modules):
             for fqual in self.graph.functions_of_module.get(mod, ()):
-                for finding in self._analyze(fqual, report=True).findings:
-                    key = (finding.rule, finding.module, finding.line, finding.message)
-                    if key not in seen:
-                        seen.add(key)
-                        findings.append(finding)
-        findings.sort(key=lambda f: (f.module, f.line, f.rule, f.message))
-        return findings
-
-    def _import_closure(self, roots: set[str]) -> set[str]:
-        closure: set[str] = set()
-        stack = [m for m in roots if m in self.index.modules]
-        while stack:
-            mod = stack.pop()
-            if mod in closure:
-                continue
-            closure.add(mod)
-            for target, _line in self.index.modules[mod].imports:
-                if target in self.index.modules and target not in closure:
-                    stack.append(target)
-        return closure
-
-    def zone_of(self, module: str) -> Zone:
-        zone = self._zone_cache.get(module)
-        if zone is None:
-            zone = self.index.config.zone_of(module)
-            self._zone_cache[module] = zone
-        return zone
-
-    def _analyze(self, fqual: str, report: bool) -> _FunctionResult:
-        fn = self.graph.functions[fqual]
-        analyzer = _Analyzer(self, fn, report)
-        return analyzer.run()
+                _Analyzer(self, fqual, report=raw).run()
+        return findings_from(raw)
 
 
 # ----------------------------------------------------------------------
@@ -265,16 +188,21 @@ class TaintAnalysis:
 class _Analyzer:
     """One flow-sensitive pass over one function body."""
 
-    def __init__(self, engine: TaintAnalysis, fn: FunctionNode, report: bool) -> None:
+    def __init__(
+        self,
+        engine: TaintAnalysis,
+        fqual: str,
+        report: list[tuple[str, str, int, str]] | None = None,
+    ) -> None:
         self.engine = engine
-        self.fn = fn
+        self.fn = engine.graph.functions[fqual]
+        #: Where findings go; ``None`` while the fixpoint runs.
         self.report = report
         self.ret = CLEAN
         self.param_sinks: set[tuple[int, str, str]] = set()
-        self.findings: list[TaintFinding] = []
-        self._reported: set[tuple[str, int, str]] = set()
+        self.relpath = engine.index.modules[self.fn.module].relpath
 
-    def run(self) -> _FunctionResult:
+    def run(self) -> Summary:
         env: dict[str, Val] = {}
         params_tainted = self.engine.m_untrusted_params.match(
             self.fn.qualname, self.fn.name
@@ -287,13 +215,11 @@ class _Analyzer:
                 origins = frozenset({(UNTRUSTED, f"parameter {name!r}")})
             env[name] = Val(labels, frozenset({i}), origins)
         self.exec_stmts(self.fn.node.body, env)
-        ret_labels = self.ret.labels
-        summary = Summary(
-            ret_labels=ret_labels,
+        return Summary(
+            ret_labels=self.ret.labels,
             ret_params=self.ret.params,
             param_sinks=frozenset(self.param_sinks),
         )
-        return _FunctionResult(summary=summary, findings=self.findings)
 
     # ------------------------------------------------------------------
     # Statements
@@ -551,9 +477,9 @@ class _Analyzer:
     # ------------------------------------------------------------------
     def _eval_call(self, call: ast.Call, env: dict[str, Val]) -> Val:
         engine = self.engine
-        site = engine.graph.calls.get(id(call))
-        target = site.target if site is not None else None
-        display = site.display if site is not None else "<expr>"
+        site = engine.graph.site(call)
+        target = site.target
+        display = site.display
         qual = target
 
         receiver = CLEAN
@@ -595,11 +521,9 @@ class _Analyzer:
         vals_by_param: dict[int, Val] = {}
         if fn_node is not None:
             offset = 0
-            if fn_node.is_method and (
-                (site is not None and site.bound) or class_node is not None
-            ):
+            if fn_node.is_method and (site.bound or class_node is not None):
                 offset = 1
-                if site is not None and site.bound:
+                if site.bound:
                     vals_by_param[0] = receiver
             for i, val in enumerate(pos_vals):
                 vals_by_param[i + offset] = _join(
@@ -667,14 +591,13 @@ class _Analyzer:
         if engine.m_sanitizers.match(qual, display):
             result = CLEAN
 
-        self._check_sinks(call, site, qual, display, fn_node, vals_by_param,
+        self._check_sinks(call, qual, display, fn_node, vals_by_param,
                           pos_vals, kw_vals, extra)
         return result
 
     def _check_sinks(
         self,
         call: ast.Call,
-        site,
         qual: str | None,
         display: str,
         fn_node: FunctionNode | None,
@@ -752,27 +675,18 @@ class _Analyzer:
                     self.param_sinks.add((param, kind, desc))
 
     def _check_discarded_verifier(self, call: ast.Call) -> None:
-        site = self.engine.graph.calls.get(id(call))
-        qual = site.target if site is not None else None
-        display = site.display if site is not None else "<expr>"
-        if self.engine.m_verifiers.match(qual, display):
+        site = self.engine.graph.site(call)
+        if self.engine.m_verifiers.match(site.target, site.display):
             self._report(
                 "EL503",
                 call.lineno,
-                f"verification result of {display}() is discarded; the "
+                f"verification result of {site.display}() is discarded; the "
                 f"verdict must gate control flow (fail closed)",
             )
 
     def _report(self, rule: str, line: int, message: str) -> None:
-        if not self.report:
-            return
-        key = (rule, line, message)
-        if key in self._reported:
-            return
-        self._reported.add(key)
-        self.findings.append(
-            TaintFinding(rule=rule, module=self.fn.module, line=line, message=message)
-        )
+        if self.report is not None:
+            self.report.append((rule, self.relpath, line, message))
 
 
 def _short(qual: str | None) -> str:
@@ -783,26 +697,7 @@ def _short(qual: str | None) -> str:
     return ".".join(parts[-2:]) if len(parts) >= 2 else qual
 
 
-def run_taint(
-    index: ProjectIndex, graph: CallGraph | None = None
-) -> list[Finding]:
-    """Build the call graph, run the fixpoint, map to lint findings."""
-    if graph is None:
-        graph = CallGraph.build(index)
-    analysis = TaintAnalysis(index, graph, index.config.taint)
-    raw = analysis.run(scope=index.scope)
-    findings: list[Finding] = []
-    for item in raw:
-        module = index.modules.get(item.module)
-        if module is None:
-            continue
-        findings.append(
-            Finding(
-                rule=item.rule,
-                severity=Severity.ERROR,
-                path=module.relpath,
-                line=item.line,
-                message=item.message,
-            )
-        )
-    return findings
+def run_taint(index: ProjectIndex) -> list[Finding]:
+    """Run the fixpoint over the index's shared call graph."""
+    analysis = TaintAnalysis(index, get_callgraph(index), index.config.taint)
+    return analysis.run(scope=index.scope)

@@ -42,7 +42,9 @@ amortized = ["Store._maybe_flush"]
 unit_loops = ["self.listeners"]
 compaction_merge = ["*.merged_output", "*.merged_output_bad"]
 compaction_filter_hooks = ["on_input_record"]
-compaction_drivers = ["*.compact_ok", "*.compact_bad", "*.compact_guarded"]
+compaction_drivers = [
+  "*.compact_ok", "*.compact_bad", "*.compact_guarded", "*.compact_each",
+]
 compaction_prepare = ["run_merge"]
 compaction_publish = ["install_run"]
 """
@@ -335,6 +337,12 @@ class Driver:
         if level:
             self.compactor.run_merge(level)
         self.install_run(run)
+
+    def compact_each(self, levels):
+        run = self.build(levels)
+        for level in levels:
+            self.compactor.run_merge(level)
+        self.install_run(run)
 """
 
 
@@ -352,8 +360,9 @@ def test_el811_publish_before_prepare(project):
     project.add_module("comp", COMP_MODULE)
     findings = project.lint(["EL811"])
     # compact_bad publishes before the merge ran; compact_guarded only
-    # establishes the merge on one branch, so the publish is not covered.
-    assert rules_of(findings) == ["EL811", "EL811"]
+    # establishes the merge on one branch, and compact_each only inside
+    # a loop that may run zero times, so neither publish is covered.
+    assert rules_of(findings) == ["EL811", "EL811", "EL811"]
     assert all("publishes the manifest" in f.message for f in findings)
 
 
