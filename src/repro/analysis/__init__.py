@@ -7,9 +7,9 @@ in constant time, verifiers reject rather than fall through on malformed
 proofs, and simulated power cuts are never swallowed by broad exception
 handlers.  ``repro.analysis`` turns that discipline into machine-checked
 invariants: an AST pass over ``src/repro`` with a zone model
-(``analysis/zones.toml``), rule IDs (EL1xx-EL5xx), per-line suppression
-(``# elsm-lint: disable=EL###``), and a committed findings baseline so
-pre-existing debt never blocks CI while *new* violations always do.
+(``analysis/zones.toml``), rule IDs (EL1xx-EL9xx), and per-line
+suppression (``# elsm-lint: disable=EL###``) as the only way to accept
+a finding — EL901 reports any pragma that no longer suppresses one.
 
 The EL5xx family goes beyond syntax: :mod:`repro.analysis.callgraph`
 builds a project-wide call graph and :mod:`repro.analysis.taint` runs a
@@ -20,13 +20,22 @@ reaching trusted state; enclave secrets must be sealed or hashed before
 reaching host-visible sinks; verification verdicts must gate control
 flow).
 
-The EL8xx family (:mod:`repro.analysis.costmodel`) certifies the
-paper's *performance* discipline the same way: a loop-structure-aware
-abstract interpreter derives per-entry-point effect certificates
-(ECalls, OCalls, copies, hashes, fsyncs, seals — per operation vs per
-item), commits them to ``analysis/costs.toml``, and gates boundary/IO
-amplification anti-patterns plus the authenticated-compaction
-obligations any pluggable policy must satisfy.
+EL6xx (:mod:`repro.analysis.concurrency`) and EL7xx
+(:mod:`repro.analysis.protocol`) check the pipelined write path's
+shared-state ownership and commit-effect order.  The EL8xx family
+(:mod:`repro.analysis.costmodel`) certifies the paper's *performance*
+discipline the same way: a loop-structure-aware abstract interpreter
+derives per-entry-point effect certificates (ECalls, OCalls, copies,
+hashes, fsyncs, seals — per operation vs per item), commits them to
+``analysis/costs.toml``, and gates boundary/IO amplification
+anti-patterns plus the authenticated-compaction obligations any
+pluggable policy must satisfy.
+
+These passes share one copy of their machinery
+(:mod:`repro.analysis.flow`): call sites resolved once per function by
+the call graph, the must-walker, the callee memo, graph reachability,
+and :func:`~repro.analysis.rules.findings_from`, the one funnel from a
+pass's ``(rule, path, line, message)`` tuples to sorted findings.
 
 Run it as ``python -m repro lint`` (``--changed-only`` for the
 git-diff dependency cone, ``--explain EL###`` for any rule's doc and
@@ -34,7 +43,6 @@ examples, ``--update-costs`` to re-certify); see
 ``docs/static-analysis.md``.
 """
 
-from repro.analysis.baseline import Baseline, load_baseline, write_baseline
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.catalogue import inject_rule_table, render_rule_table
 from repro.analysis.costmodel import (
@@ -66,7 +74,6 @@ from repro.analysis.zones import (
 __all__ = [
     "ALL_RULES",
     "AnalysisError",
-    "Baseline",
     "CallGraph",
     "CostAnalysisResult",
     "CostConfig",
@@ -84,7 +91,6 @@ __all__ = [
     "dependency_cone",
     "git_changed_modules",
     "inject_rule_table",
-    "load_baseline",
     "load_committed_costs",
     "load_zone_config",
     "render_costs_toml",
@@ -93,5 +99,4 @@ __all__ = [
     "run_analysis",
     "run_costmodel",
     "run_taint",
-    "write_baseline",
 ]

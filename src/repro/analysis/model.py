@@ -1,9 +1,9 @@
 """Finding model and suppression parsing for the invariant checker.
 
 A :class:`Finding` pins one rule violation to a ``file:line``; its
-*fingerprint* deliberately ignores the line number so the committed
-baseline survives unrelated edits above a finding (the message and the
-file, not the offset, identify the debt).
+*fingerprint* deliberately ignores the line number so code-scanning
+viewers (SARIF) keep tracking a finding across unrelated edits above it
+(the message and the file, not the offset, identify it).
 
 Suppression syntax (checked against the physical source line):
 
@@ -29,8 +29,9 @@ _SUPPRESS_RE = re.compile(
 class Severity(str, Enum):
     """How a finding is ranked in the summary.
 
-    New ERROR/WARNING findings gate CI; INFO findings (the EL104 zone
-    coverage self-check) are advisory and never affect the exit code.
+    ERROR/WARNING findings gate CI; INFO findings (the EL104 zone
+    coverage self-check, EL901) are advisory and never affect the exit
+    code.
     """
 
     ERROR = "error"
@@ -50,7 +51,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-independent)."""
+        """Stable, line-independent identity (SARIF partialFingerprints)."""
         blob = f"{self.rule}|{self.path}|{self.message}".encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -7,10 +7,8 @@ is deliberately small and lossless:
 * severity -> ``level`` (ERROR -> error, WARNING -> warning,
   INFO -> note);
 * the stable :attr:`~repro.analysis.model.Finding.fingerprint` becomes
-  ``partialFingerprints["elsmLint/v1"]`` so viewers track findings
-  across commits the same way ``analysis/baseline.json`` does;
-* baselined findings are kept in the report but carry an ``external``
-  suppression, mirroring the CLI's new-vs-baselined split.
+  ``partialFingerprints["elsmLint/v1"]`` so viewers track a finding
+  across commits even when edits above it move its line.
 """
 
 from __future__ import annotations
@@ -30,14 +28,10 @@ _LEVELS = {
 }
 
 
-def sarif_report(
-    findings: Iterable[Finding],
-    baseline_fingerprints: Iterable[str] = (),
-) -> dict:
+def sarif_report(findings: Iterable[Finding]) -> dict:
     """Build a SARIF 2.1.0 log (as a plain dict) for ``findings``."""
     from repro.analysis.rules import ALL_RULES, RULE_DOCS
 
-    baselined = frozenset(baseline_fingerprints)
     rule_ids = sorted(ALL_RULES)
     rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
     rules = [
@@ -51,9 +45,8 @@ def sarif_report(
         }
         for rule_id in rule_ids
     ]
-    results = []
-    for finding in findings:
-        result = {
+    results = [
+        {
             "ruleId": finding.rule,
             "ruleIndex": rule_index.get(finding.rule, -1),
             "level": _LEVELS[finding.severity],
@@ -68,14 +61,8 @@ def sarif_report(
             ],
             "partialFingerprints": {FINGERPRINT_KEY: finding.fingerprint},
         }
-        if finding.fingerprint in baselined:
-            result["suppressions"] = [
-                {
-                    "kind": "external",
-                    "justification": "accepted in analysis/baseline.json",
-                }
-            ]
-        results.append(result)
+        for finding in findings
+    ]
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

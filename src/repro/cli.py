@@ -529,16 +529,15 @@ def _explain_rule(rule: str) -> int:
 def cmd_lint(args) -> int:
     """The `lint` command: run the trust-boundary invariant checker."""
     import time
+    from collections import Counter
     from pathlib import Path
 
     from repro.analysis import (
         ALL_RULES,
         AnalysisError,
         Severity,
-        load_baseline,
         load_zone_config,
         run_analysis,
-        write_baseline,
     )
     from repro.analysis.engine import (
         ProjectIndex,
@@ -550,6 +549,9 @@ def cmd_lint(args) -> int:
     if args.explain:
         return _explain_rule(args.explain)
 
+    # In SARIF mode the machine-readable report owns stdout; every
+    # human-facing line moves to stderr so the output stays parseable.
+    human_out = sys.stderr if args.format == "sarif" else sys.stdout
     root = Path(args.root) if args.root else Path(__file__).resolve().parents[2]
     config_path = root / DEFAULT_CONFIG_RELPATH
     if not config_path.is_file():
@@ -607,7 +609,7 @@ def cmd_lint(args) -> int:
                 print(
                     f"lint: --changed-only: {len(changed)} changed "
                     f"module(s), {len(index.scope)}-module dependency cone",
-                    file=sys.stderr if args.format == "sarif" else sys.stdout,
+                    file=human_out,
                 )
         findings = run_analysis(
             root, config, rule_filter=args.rule or None, index=index
@@ -617,51 +619,21 @@ def cmd_lint(args) -> int:
         return 2
     wall_time_s = round(time.perf_counter() - started, 3)
 
-    baseline_path = Path(args.baseline) if args.baseline else root / "analysis" / "baseline.json"
-    try:
-        baseline = load_baseline(baseline_path)
-    except ValueError as exc:
-        print(f"lint failed to run: {exc}", file=sys.stderr)
-        return 2
-    new, baselined, expired = baseline.split(findings)
-
-    if args.update_baseline:
-        write_baseline(baseline_path, findings)
-        print(
-            f"baseline updated: {len(findings)} finding(s) accepted, "
-            f"{len(expired)} expired entr(y/ies) pruned -> {baseline_path}"
-        )
-        return 0
-
-    # In SARIF mode the machine-readable report owns stdout; every
-    # human-facing line moves to stderr so the output stays parseable.
-    human_out = sys.stderr if args.format == "sarif" else sys.stdout
-    shown = findings if args.all else new
-    for finding in shown:
+    for finding in findings:
         if args.format == "github":
             print(finding.format_github())
         else:
             print(finding.format_text(), file=human_out)
 
     # report()-style summary: rule counts by severity.
-    by_rule: dict[str, int] = {}
-    for finding in new:
-        by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
+    by_rule = Counter(f.rule for f in findings)
+    by_severity = Counter(f.severity for f in findings)
     summary = {
         "files_checked": "src/repro",
         "findings_total": len(findings),
-        "findings_new": len(new),
-        "findings_baselined": len(baselined),
-        "baseline_expired": len(expired),
-        "errors_new": sum(
-            1 for f in new if f.severity is Severity.ERROR
-        ),
-        "warnings_new": sum(
-            1 for f in new if f.severity is Severity.WARNING
-        ),
-        "notes_new": sum(
-            1 for f in new if f.severity is Severity.INFO
-        ),
+        "errors": by_severity[Severity.ERROR],
+        "warnings": by_severity[Severity.WARNING],
+        "notes": by_severity[Severity.INFO],
         "wall_time_s": wall_time_s,
         "by_rule": {
             rule: {
@@ -685,7 +657,6 @@ def cmd_lint(args) -> int:
                         "line": f.line,
                         "message": f.message,
                         "fingerprint": f.fingerprint,
-                        "baselined": f.fingerprint in baseline.entries,
                     }
                     for f in findings
                 ],
@@ -697,31 +668,23 @@ def cmd_lint(args) -> int:
 
         from repro.analysis.sarif import sarif_report
 
-        report = sarif_report(findings, baseline.entries)
+        report = sarif_report(findings)
         if args.sarif_out:
             _write_json(args.sarif_out, report)
             print(f"SARIF written to {args.sarif_out}", file=human_out)
         if args.format == "sarif":
             print(_json.dumps(report, indent=2, sort_keys=True))
-    if new:
+    if findings:
         print(file=human_out)
     print(
-        f"lint: {len(new)} new finding(s) "
-        f"({summary['errors_new']} error(s), {summary['warnings_new']} "
-        f"warning(s)), {len(baselined)} baselined, {len(expired)} expired "
-        f"baseline entr(y/ies) in {wall_time_s}s",
+        f"lint: {len(findings)} finding(s) ({summary['errors']} error(s), "
+        f"{summary['warnings']} warning(s)) in {wall_time_s}s",
         file=human_out,
     )
     for rule, info in summary["by_rule"].items():
         print(
             f"  {rule} [{info['severity']}] x{info['count']}  "
             f"{info['summary']}",
-            file=human_out,
-        )
-    if expired:
-        print(
-            "  note: expired baseline entries remain in "
-            f"{baseline_path.name}; run with --update-baseline to prune",
             file=human_out,
         )
     if args.max_seconds is not None and wall_time_s > args.max_seconds:
@@ -733,7 +696,7 @@ def cmd_lint(args) -> int:
         return 2
     # INFO findings (the EL104 coverage self-check) are advisory: they
     # print, but never fail the run.
-    gating = [f for f in new if f.severity is not Severity.INFO]
+    gating = [f for f in findings if f.severity is not Severity.INFO]
     return 1 if gating else 0
 
 
@@ -945,13 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--rule", action="append", default=None, metavar="EL###",
                       help="run only these rule ids (repeatable; for local "
                            "iteration)")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="baseline file (default analysis/baseline.json)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="accept all current findings into the baseline "
-                           "(prunes expired entries)")
-    lint.add_argument("--all", action="store_true",
-                      help="print baselined findings too, not just new ones")
     lint.add_argument("--changed-only", action="store_true",
                       help="analyse only the dependency cone of modules "
                            "changed since HEAD (git diff + untracked)")

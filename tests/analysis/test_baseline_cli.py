@@ -1,12 +1,10 @@
-"""Baseline add/expire behaviour, suppression parsing, and the CLI."""
+"""Finding fingerprints, suppression parsing, and the lint CLI."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.analysis import Severity, load_baseline, write_baseline
+from repro.analysis import Severity
 from repro.analysis.model import Finding, parse_suppressions
 from repro.cli import main
 
@@ -22,47 +20,13 @@ def make_finding(rule="EL203", path="src/repro/fc.py", line=10, message="digest"
 
 
 # ----------------------------------------------------------------------
-# Fingerprints and the baseline lifecycle
+# Fingerprints
 # ----------------------------------------------------------------------
 def test_fingerprint_ignores_line_number():
     a = make_finding(line=10)
     b = make_finding(line=99)
     assert a.fingerprint == b.fingerprint
     assert a.fingerprint != make_finding(message="other").fingerprint
-
-
-def test_baseline_split_new_baselined_expired(tmp_path):
-    accepted = make_finding(message="old debt")
-    fixed = make_finding(message="since fixed")
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [accepted, fixed])
-
-    baseline = load_baseline(path)
-    fresh = make_finding(message="brand new")
-    new, baselined, expired = baseline.split([accepted, fresh])
-    assert new == [fresh]
-    assert baselined == [accepted]
-    assert [e["message"] for e in expired] == ["since fixed"]
-
-
-def test_update_prunes_expired_entries(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [make_finding(message="old debt")])
-    write_baseline(path, [])  # all debt paid
-    assert load_baseline(path).entries == {}
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    baseline = load_baseline(tmp_path / "absent.json")
-    new, baselined, expired = baseline.split([make_finding()])
-    assert len(new) == 1 and not baselined and not expired
-
-
-def test_baseline_version_mismatch(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(ValueError, match="version"):
-        load_baseline(path)
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +75,7 @@ def test_cli_fails_on_cross_boundary_call(project, capsys):
     assert main(["lint", "--root", str(project.root)]) == 1
     out = capsys.readouterr().out
     assert "EL101" in out and "EL102" in out
-    assert "new finding(s)" in out
+    assert "finding(s)" in out
 
 
 def test_cli_github_format(project, capsys):
@@ -133,19 +97,6 @@ def test_cli_unknown_rule_is_a_run_error(project, capsys):
     assert "unknown rule" in capsys.readouterr().err
 
 
-def test_cli_baseline_accepts_then_expires(project, capsys):
-    seed_violation(project)
-    root = str(project.root)
-    assert main(["lint", "--root", root, "--update-baseline"]) == 0
-    # Accepted debt no longer fails the run.
-    assert main(["lint", "--root", root]) == 0
-    assert "baselined" in capsys.readouterr().out
-    # Pay the debt down: the entries show up as expired, still exit 0.
-    project.add_module("enc.verifier", "def fetch():\n    return None\n")
-    assert main(["lint", "--root", root]) == 0
-    assert "expired" in capsys.readouterr().out
-
-
 def test_cli_json_out(project, capsys, tmp_path):
     seed_violation(project)
     out_path = tmp_path / "lint.json"
@@ -154,8 +105,8 @@ def test_cli_json_out(project, capsys, tmp_path):
         == 1
     )
     payload = json.loads(out_path.read_text())
-    assert payload["findings_new"] >= 2
-    assert payload["errors_new"] >= 2
+    assert payload["findings_total"] >= 2
+    assert payload["errors"] >= 2
     rules = {f["rule"] for f in payload["findings"]}
     assert {"EL101", "EL102"} <= rules
     assert all(f["fingerprint"] for f in payload["findings"])
@@ -165,4 +116,4 @@ def test_cli_json_out(project, capsys, tmp_path):
 def test_cli_lint_is_clean_at_head(capsys):
     """The acceptance gate: `python -m repro lint` reports zero findings."""
     assert main(["lint"]) == 0
-    assert "0 new finding(s)" in capsys.readouterr().out
+    assert "lint: 0 finding(s)" in capsys.readouterr().out
