@@ -156,10 +156,11 @@ class MustWalk:
 
     The state holds the facts established on every path so far.  Each
     branch walks its own ``state.copy()`` and the branches meet in
-    :meth:`join` (set intersection unless overridden).  ``try`` handlers
-    start from the state before the ``try`` and join the body; ``else``
-    and ``finally`` follow the join.  Nested ``def``/``class`` bodies are
-    skipped (:meth:`nested`).
+    :meth:`join` (set intersection unless overridden; an ``if`` joins
+    through :meth:`join_branches`, which sees the test).  ``try``
+    handlers start from the state before the ``try`` and join the body;
+    ``else`` and ``finally`` follow the join.  Nested ``def``/``class``
+    bodies are skipped (:meth:`nested`).
 
     The loop rule: the body of a loop over a declared unit iterable
     (``unit_loops``, e.g. ``self.listeners``) runs once, straight-line.

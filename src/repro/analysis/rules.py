@@ -35,7 +35,7 @@ import re
 from typing import Iterable, Iterator
 
 from repro.analysis.engine import ModuleInfo, ProjectIndex
-from repro.analysis.flow import _chain_of
+from repro.analysis.flow import _chain_of, _FuncDef
 from repro.analysis.model import Finding, Severity
 from repro.analysis.zones import Zone
 
@@ -423,7 +423,7 @@ def _el103_pool_bounds(index: ProjectIndex) -> Iterator[Finding]:
         if index.config.zone_of(module.name) is not Zone.ENCLAVE:
             continue
         for fn in ast.walk(module.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(fn, _FuncDef):
                 continue
             guarded: set[str] = set()
             subscripts: list[tuple[str, int]] = []

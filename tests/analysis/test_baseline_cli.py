@@ -113,6 +113,20 @@ def test_cli_json_out(project, capsys, tmp_path):
     assert "EL101" in payload["by_rule"]
 
 
+def test_cli_sarif_out(project, capsys, tmp_path):
+    seed_violation(project)
+    out_path = tmp_path / "lint.sarif"
+    assert (
+        main(["lint", "--root", str(project.root), "--sarif-out", str(out_path)])
+        == 1
+    )
+    results = json.loads(out_path.read_text())["runs"][0]["results"]
+    assert {"EL101", "EL102"} <= {r["ruleId"] for r in results}
+    for result in results:
+        assert result["partialFingerprints"]["elsmLint/v1"]
+        assert "suppressions" not in result
+
+
 def test_cli_lint_is_clean_at_head(capsys):
     """The acceptance gate: `python -m repro lint` reports zero findings."""
     assert main(["lint"]) == 0
