@@ -66,7 +66,7 @@ class CallSite:
     target: str | None  # resolved function/class qualname
     display: str  # syntactic name, e.g. "env.file_read"
     bound: bool  # instance call: receiver maps to param 0 ("self")
-    path: str = ""  # repo-relative file of the calling function
+    path: str  # repo-relative file of the calling function
 
 
 class CallGraph:
@@ -319,8 +319,10 @@ class CallGraph:
             for node in ast.walk(fn.node):
                 if not isinstance(node, ast.Call):
                     continue
-                site = self._resolve_call(fn, node, local_types)
-                site.path = relpath
+                chain = _chain_of(node.func)
+                target, bound = self._resolve_call(fn, node, chain, local_types)
+                display = ".".join(chain) if chain else "<expr>"
+                site = CallSite(target, display, bound, relpath)
                 self.calls[id(node)] = site
                 sites.append((node, site))
                 if site.target is not None:
@@ -375,12 +377,15 @@ class CallGraph:
         return types
 
     def _resolve_call(
-        self, fn: FunctionNode, call: ast.Call, local_types: dict[str, str]
-    ) -> CallSite:
-        chain = _chain_of(call.func)
-        display = ".".join(chain) if chain else "<expr>"
+        self,
+        fn: FunctionNode,
+        call: ast.Call,
+        chain: list[str],
+        local_types: dict[str, str],
+    ) -> tuple[str | None, bool]:
+        """(target qualname or None, bound instance call) for one call."""
         if not chain:
-            return CallSite(target=None, display=display, bound=False)
+            return None, False
 
         # Pure module-scope resolution first: imported names, local defs,
         # Class.method, module.func — an unbound (static-style) call.
@@ -390,8 +395,7 @@ class CallGraph:
         resolved = self._resolve_name_chain(fn.module, call.func)
         if resolved is not None:
             kind, qual = resolved
-            target = qual if kind in ("class", "func") else None
-            return CallSite(target=target, display=display, bound=False)
+            return (qual if kind in ("class", "func") else None), False
 
         # Instance dispatch: head is a local variable (or self) whose
         # class we inferred, intermediate attributes through field types.
@@ -399,8 +403,8 @@ class CallGraph:
         if receiver is not None and len(chain) >= 2:
             method = self._lookup_method(receiver, chain[-1])
             if method is not None:
-                return CallSite(target=method, display=display, bound=True)
-        return CallSite(target=None, display=display, bound=False)
+                return method, True
+        return None, False
 
 
 def _param_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:

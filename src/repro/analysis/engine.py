@@ -451,6 +451,5 @@ def dependency_cone(index: ProjectIndex, changed: set[str]) -> set[str]:
     # Traversal seeds include names absent from the index (deleted or
     # renamed-away modules): their surviving importers still belong in
     # the cone even though the changed module itself cannot be scanned.
-    return closure(changed, lambda name: importers.get(name, ())) & set(
-        index.modules
-    )
+    cone = closure(changed, lambda name: importers.get(name, ()))
+    return cone & set(index.modules)
