@@ -174,6 +174,6 @@ def test_must_walk_rules_fire_on_mutated_tree(mutated_repo):
     assert fired == [
         ("EL602", "src/repro/lsm/db.py", 662),
         ("EL810", "src/repro/lsm/compaction.py", 92),
-        # 941 in the unmutated file; the inserted clear() shifts it.
+        # 941 with this edit alone; the inserted clear() shifts it by one.
         ("EL811", "src/repro/lsm/db.py", 942),
     ]
