@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cryptoprim.hashing import hash_leaf
-from repro.mht.chain import chain_digest
+from repro.mht.chain import chain_digest, suffix_digests
 from repro.mht.incremental import OrderingError, StreamingLevelDigester
 from repro.mht.merkle import MerkleTree
 
@@ -135,3 +135,24 @@ def test_random_streams_consistent_with_sorted_input(raw):
     tree = build(records)
     assert tree.record_count == len(records)
     assert tree.leaf_count == len({key for key, _, _ in records})
+
+
+@given(
+    st.lists(
+        st.lists(st.binary(min_size=1, max_size=12), min_size=1, max_size=6),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_finalize_matches_chain_definitions(chains):
+    """Each leaf is hash_leaf(chain_digest(...)); suffixes are suffix_digests."""
+    records = [
+        (b"k%02d" % key_index, len(chain) - position, encoded)
+        for key_index, chain in enumerate(chains)
+        for position, encoded in enumerate(chain)
+    ]
+    tree = build(records)
+    assert tree.leaf_count == len(chains)
+    for index, chain in enumerate(chains):
+        assert tree.tree.leaf(index) == hash_leaf(chain_digest(chain))
+        assert tree.groups[index].suffixes == suffix_digests(chain)
