@@ -83,6 +83,10 @@ class AuthCompactionListener(EventListener):
             if level not in ctx.trusted_levels
         }
         ctx.state["output_digester"] = StreamingLevelDigester(on_hash=charge)
+        # (record, bytes) of the last digested input record: the engine
+        # fires the output hook on the same object right after, so a
+        # surviving record is encoded once.
+        ctx.state["last_input"] = (None, b"")
 
     def on_compaction_input_record(
         self, ctx: CompactionContext, level_id: int, record: Record
@@ -90,15 +94,18 @@ class AuthCompactionListener(EventListener):
         """Feed a consumed input record to its level's digester."""
         digester = ctx.state["input_digesters"].get(level_id)
         if digester is not None:
-            digester.add(record.key, record.ts, encode_record(record))
+            encoded = encode_record(record)
+            ctx.state["last_input"] = (record, encoded)
+            digester.add(record.key, record.ts, encoded)
 
     def on_compaction_output_record(
         self, ctx: CompactionContext, record: Record
     ) -> None:
         """The paper's Filter(): digest one surviving output record."""
-        ctx.state["output_digester"].add(
-            record.key, record.ts, encode_record(record)
-        )
+        last, encoded = ctx.state["last_input"]
+        if last is not record:
+            encoded = encode_record(record)
+        ctx.state["output_digester"].add(record.key, record.ts, encoded)
 
     def on_compaction_finish(self, ctx: CompactionContext) -> None:
         # a) authenticate every untrusted input level.
@@ -133,6 +140,8 @@ class AuthCompactionListener(EventListener):
         self.level_trees[ctx.output_level] = output_tree
         ctx.state["embed_cursor"] = [0, 0]  # (group index, chain position)
         ctx.state["output_tree"] = output_tree
+        if self.embed_proofs:
+            ctx.state["output_paths"] = output_tree.tree.auth_paths()
 
     # ------------------------------------------------------------------
     # Proof embedding (step c, event OnTableFileCreated)
@@ -144,6 +153,7 @@ class AuthCompactionListener(EventListener):
         if not self.embed_proofs:
             return entries
         tree: LevelTree = ctx.state["output_tree"]
+        paths = ctx.state["output_paths"]
         cursor = ctx.state["embed_cursor"]
         annotated: list[Entry] = []
         for record, _aux in entries:
@@ -159,7 +169,7 @@ class AuthCompactionListener(EventListener):
                 chain_len=group.chain_len,
                 position=position,
                 older_digest=group.suffixes[position],
-                path=tuple(tree.auth_path(group.leaf_index)),
+                path=paths[group.leaf_index],
             )
             annotated.append((record, proof.serialize()))
             if position + 1 < group.chain_len:

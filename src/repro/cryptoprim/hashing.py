@@ -41,11 +41,18 @@ def constant_time_eq(a: bytes, b: bytes) -> bool:
     return hmac.compare_digest(a, b)
 
 
+#: One SHA-256 state per tag, already fed the length-prefixed tag.
+#: Every tag is a module constant, so this stays a handful of entries.
+_TAG_STATES: dict[bytes, "hashlib._Hash"] = {}
+
+
 def tagged_hash(tag: bytes, *parts: bytes) -> bytes:
     """Hash of length-prefixed ``parts`` under a domain ``tag``."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<I", len(tag)))
-    h.update(tag)
+    prefixed = _TAG_STATES.get(tag)
+    if prefixed is None:
+        prefixed = hashlib.sha256(struct.pack("<I", len(tag)) + tag)
+        _TAG_STATES[tag] = prefixed
+    h = prefixed.copy()
     for part in parts:
         h.update(struct.pack("<I", len(part)))
         h.update(part)

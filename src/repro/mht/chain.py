@@ -41,6 +41,25 @@ def fold_chain(
     return digest
 
 
+def chain_digests(
+    encoded_newest_first: Sequence[bytes],
+) -> tuple[bytes, list[bytes | None]]:
+    """Fold a whole chain once: its digest and every older-suffix digest.
+
+    The first item equals ``chain_digest``; the second equals
+    ``suffix_digests`` — one ``hash_chain_node`` per record for both.
+    """
+    if not encoded_newest_first:
+        raise ValueError("a chain must contain at least one record")
+    suffixes: list[bytes | None] = [None] * len(encoded_newest_first)
+    running: bytes | None = None
+    for j in range(len(encoded_newest_first) - 1, -1, -1):
+        suffixes[j] = running
+        running = hash_chain_node(encoded_newest_first[j], running)
+    assert running is not None
+    return running, suffixes
+
+
 def suffix_digests(encoded_newest_first: Sequence[bytes]) -> list[bytes | None]:
     """Digest of the strictly-older suffix at each chain position.
 
@@ -48,10 +67,4 @@ def suffix_digests(encoded_newest_first: Sequence[bytes]) -> list[bytes | None]:
     oldest position) — exactly what gets embedded in record ``j``'s proof
     so that serving it requires no other disk reads.
     """
-    encoded = list(encoded_newest_first)
-    out: list[bytes | None] = [None] * len(encoded)
-    running: bytes | None = None
-    for j in range(len(encoded) - 1, -1, -1):
-        out[j] = running
-        running = hash_chain_node(encoded[j], running)
-    return out
+    return chain_digests(encoded_newest_first)[1]

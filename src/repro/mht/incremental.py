@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cryptoprim.hashing import HASH_LEN, hash_leaf
-from repro.mht.chain import fold_chain, suffix_digests
+from repro.mht.chain import chain_digests
 from repro.mht.merkle import MerkleTree
 from repro.mht.range_proof import build_range_proof
 
@@ -129,9 +129,8 @@ class StreamingLevelDigester:
             self._flush_group()
             leaves = []
             for group in self._groups:
-                encoded = [e for _, e in group.entries]
-                group.suffixes = suffix_digests(encoded)
-                leaves.append(hash_leaf(fold_chain(encoded, None)))
+                digest, group.suffixes = chain_digests([e for _, e in group.entries])
+                leaves.append(hash_leaf(digest))
                 self._charge(HASH_LEN)
             tree = MerkleTree(leaves)
             self._charge(tree.hash_node_count() * 2 * HASH_LEN)

@@ -77,8 +77,36 @@ class MerkleTree:
             idx //= 2
         return path
 
+    def auth_paths(self) -> list[tuple[bytes, ...]]:
+        """Every leaf's :meth:`auth_path`, as tuples, built in one pass.
+
+        Walks the levels top-down: a node's path is its sibling (if any)
+        in front of its parent's path, so each path shares its upper part
+        with its neighbours' instead of re-walking the tree.
+        """
+        if self.n == 0:
+            return []
+        paths: list[tuple[bytes, ...]] = [()]
+        for level in reversed(self._levels[:-1]):
+            below: list[tuple[bytes, ...]] = []
+            for i in range(0, len(level) - 1, 2):
+                up = paths[i >> 1]
+                below.append((level[i + 1],) + up)
+                below.append((level[i],) + up)
+            if len(level) % 2 == 1:
+                below.append(paths[-1])  # promoted: no sibling at this level
+            paths = below
+        return paths
+
     def hash_node_count(self) -> int:
-        """Total nodes hashed to build the tree (for cost accounting)."""
+        """Nodes above the leaves, as charged for building the tree.
+
+        This counts a promoted node as hashed although it is carried up
+        unchanged, so it overcounts by one per odd-width level: 3 leaves
+        are charged 3 internal hashes for the 2 computed, and 1 001
+        leaves 1 004 for 1 000.  The simulated cost model is pinned to
+        this count.
+        """
         return sum(len(level) for level in self._levels[1:])
 
 

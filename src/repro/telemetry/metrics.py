@@ -96,7 +96,8 @@ class Counter(_Instrument):
         """Add ``amount`` (must be >= 0) to the labelled series."""
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        key = self._key(labels)
+        # The unlabelled series needs no matching; any mismatch still raises.
+        key = self._key(labels) if labels or self.label_names else ()
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 

@@ -143,3 +143,66 @@ def test_trusted_memtable_not_verified(listener):
     ctx = flush_ctx()
     listener.on_compaction_begin(ctx)
     assert ctx.state["input_digesters"] == {}
+
+
+def test_each_piece_of_digest_work_is_done_once(monkeypatch):
+    """One flush plus one compaction with an untrusted input level.
+
+    Every record fed to a digester costs one chain hash, every consumed
+    record one encoding, and every output tree one pass for all of its
+    embedded authentication paths.
+    """
+    import repro.core.auth_compaction as auth_compaction
+    import repro.mht.chain as chain
+    from repro.mht.incremental import StreamingLevelDigester
+    from repro.mht.merkle import MerkleTree
+    from tests.conftest import make_p2_store
+
+    store = make_p2_store(
+        write_buffer_bytes=1 << 20, level1_max_bytes=1 << 20, file_max_bytes=1024
+    )
+    for i in range(40):
+        store.put(b"k%03d" % i, b"v0")
+        if i % 3 == 0:
+            store.put(b"k%03d" % i, b"v1")  # a two-record chain
+    records = 40 + 14
+    calls = dict.fromkeys(
+        ["chain", "encode", "fed", "consumed", "auth_path", "auth_paths"], 0
+    )
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(chain, "hash_chain_node", counting("chain", chain.hash_chain_node))
+    monkeypatch.setattr(
+        auth_compaction, "encode_record", counting("encode", auth_compaction.encode_record)
+    )
+    monkeypatch.setattr(
+        StreamingLevelDigester, "add", counting("fed", StreamingLevelDigester.add)
+    )
+    monkeypatch.setattr(
+        auth_compaction.AuthCompactionListener,
+        "on_compaction_input_record",
+        counting(
+            "consumed",
+            auth_compaction.AuthCompactionListener.on_compaction_input_record,
+        ),
+    )
+    for name in ("auth_path", "auth_paths"):
+        monkeypatch.setattr(MerkleTree, name, counting(name, getattr(MerkleTree, name)))
+
+    store.flush()  # the memtable (trusted) into level 1
+    store.compact_level(1)  # level 1 (untrusted) into level 2
+    assert len(store.db.level_run(2).tables) > 1  # paths embedded across files
+
+    # flush: output digester only; compaction: input and output digesters.
+    assert calls["fed"] == 3 * records
+    assert calls["chain"] == calls["fed"]
+    assert calls["consumed"] == 2 * records
+    assert calls["encode"] == calls["consumed"]
+    assert calls["auth_path"] == 0
+    assert calls["auth_paths"] == 2

@@ -117,3 +117,21 @@ def test_random_tree_paths_verify(n, data):
 def test_hash_node_count():
     # 4 leaves: 2 internal at level 1 + 1 root = 3
     assert MerkleTree(leaves(4)).hash_node_count() == 3
+
+
+@pytest.mark.parametrize("n", range(131))
+def test_auth_paths_equal_each_auth_path(n):
+    """0..130 leaves covers every promotion shape up to height 9."""
+    ls = leaves(n)
+    tree = MerkleTree(ls)
+    paths = tree.auth_paths()
+    assert paths == [tuple(tree.auth_path(i)) for i in range(n)]
+    for index, path in enumerate(paths):
+        assert compute_root(ls[index], index, n, list(path)) == tree.root
+
+
+def test_hash_node_count_charges_promoted_nodes():
+    # The cost model's count, not the hashes computed: 3 leaves make 2
+    # internal hashes, 1 001 leaves make 1 000.
+    assert MerkleTree(leaves(3)).hash_node_count() == 3
+    assert MerkleTree(leaves(1001)).hash_node_count() == 1004

@@ -43,6 +43,14 @@ def test_counter_label_mismatch_raises(registry):
         c.inc()  # missing the label entirely
 
 
+def test_unlabelled_counter_rejects_labels(registry):
+    c = registry.counter("c")
+    with pytest.raises(ValueError):
+        c.inc(op="x")
+    c.inc()
+    assert c.value() == 1
+
+
 def test_get_or_create_returns_same_instrument(registry):
     assert registry.counter("x") is registry.counter("x")
 
