@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import auth_compaction
 from repro.core.auth_compaction import (
     WAL_DIGEST_INIT,
     AuthCompactionListener,
@@ -12,6 +13,10 @@ from repro.core.errors import IntegrityViolation
 from repro.core.proofs import EmbeddedProof
 from repro.lsm.events import CompactionContext
 from repro.lsm.records import Record
+from repro.mht import chain
+from repro.mht.incremental import StreamingLevelDigester
+from repro.mht.merkle import MerkleTree
+from tests.conftest import make_p2_store
 
 
 def rec(key, ts):
@@ -152,12 +157,6 @@ def test_each_piece_of_digest_work_is_done_once(monkeypatch):
     record one encoding, and every output tree one pass for all of its
     embedded authentication paths.
     """
-    import repro.core.auth_compaction as auth_compaction
-    import repro.mht.chain as chain
-    from repro.mht.incremental import StreamingLevelDigester
-    from repro.mht.merkle import MerkleTree
-    from tests.conftest import make_p2_store
-
     store = make_p2_store(
         write_buffer_bytes=1 << 20, level1_max_bytes=1 << 20, file_max_bytes=1024
     )
@@ -165,7 +164,7 @@ def test_each_piece_of_digest_work_is_done_once(monkeypatch):
         store.put(b"k%03d" % i, b"v0")
         if i % 3 == 0:
             store.put(b"k%03d" % i, b"v1")  # a two-record chain
-    records = 40 + 14
+    records = 40 + 14  # one version per key, a second for every third key
     calls = dict.fromkeys(
         ["chain", "encode", "fed", "consumed", "auth_path", "auth_paths"], 0
     )
@@ -185,12 +184,9 @@ def test_each_piece_of_digest_work_is_done_once(monkeypatch):
         StreamingLevelDigester, "add", counting("fed", StreamingLevelDigester.add)
     )
     monkeypatch.setattr(
-        auth_compaction.AuthCompactionListener,
+        AuthCompactionListener,
         "on_compaction_input_record",
-        counting(
-            "consumed",
-            auth_compaction.AuthCompactionListener.on_compaction_input_record,
-        ),
+        counting("consumed", AuthCompactionListener.on_compaction_input_record),
     )
     for name in ("auth_path", "auth_paths"):
         monkeypatch.setattr(MerkleTree, name, counting(name, getattr(MerkleTree, name)))
