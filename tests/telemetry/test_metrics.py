@@ -1,8 +1,11 @@
 """MetricsRegistry: instruments, labels, snapshot/diff, renderers."""
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.telemetry.metrics import (
     Histogram,
@@ -91,6 +94,44 @@ def test_histogram_bucket_boundaries(registry):
     assert series["min"] == 5
     assert series["max"] == 1000
     assert series["sum"] == sum((5, 10, 11, 20, 49, 50, 51, 1000))
+
+
+@st.composite
+def _bounds_and_values(draw):
+    bounds = sorted(
+        draw(
+            st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False),
+                min_size=1,
+                max_size=12,
+                unique=True,
+            )
+        )
+    )
+    value = st.one_of(
+        st.sampled_from(bounds),  # exactly on a bound
+        st.just(bounds[0] - 1.0),  # below the first
+        st.just(bounds[-1] + 1.0),  # above the last
+        st.sampled_from([math.inf, -math.inf]),
+        st.integers(-(10**7), 10**7),
+        st.floats(allow_nan=False),
+    )
+    return bounds, draw(st.lists(value, min_size=1, max_size=8))
+
+
+@given(_bounds_and_values())
+@example(([10.0, 20.0, 50.0], [10, 20.0, 50, 9.5, 51, -math.inf, math.inf]))
+def test_histogram_bucket_is_first_bound_at_or_above(case):
+    """A value lands in the bucket of the first bound >= it; a value
+    above every bound lands in the overflow bucket."""
+    bounds, values = case
+    h = Histogram("h", buckets=bounds)
+    expected = [0] * (len(bounds) + 1)
+    for value in values:
+        h.observe(value)
+        index = next((i for i, b in enumerate(bounds) if value <= b), len(bounds))
+        expected[index] += 1
+    assert h.to_snapshot()["series"][0]["counts"] == expected
 
 
 def test_histogram_needs_sorted_buckets():

@@ -1,0 +1,82 @@
+"""Telemetry pin: one fixed script, exact telemetry output on every store.
+
+``tests/test_golden.py`` pins every simulated outcome of its script; this
+file pins everything the stores' telemetry records while running the same
+script on the same 16 cases: the metrics snapshot, each exported span
+(name, start/end, attributes and both cost ledgers), the tracer's
+``attributed_total()`` and the kinds of the recorded events.  Each case
+hashes the canonical JSON of those four parts with SHA-256, so a change
+that claims to leave telemetry output alone is checked against every
+counter series, histogram bucket, span ledger and event at once.
+
+``python tests/telemetry/test_snapshot_pin.py`` prints the current
+digests in the literal's format.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from tests.test_golden import CASES, _case_id, _drive, _make
+
+
+def telemetry_dump(store) -> dict:
+    """The parts of a store's telemetry this pin covers."""
+    telemetry = store.telemetry
+    spans = [
+        {
+            "name": span["name"],
+            "start_us": span["start_us"],
+            "end_us": span["end_us"],
+            "attributes": span["attributes"],
+            "self_cost": span["self_cost"],
+            "inclusive_cost": span["inclusive_cost"],
+        }
+        for span in telemetry.tracer.export()
+    ]
+    return {
+        "metrics": telemetry.metrics.snapshot(),
+        "spans": spans,
+        "attributed_total": telemetry.tracer.attributed_total().to_dict(),
+        "event_kinds": [event["kind"] for event in telemetry.events.export()],
+    }
+
+
+def telemetry_digest(case) -> str:
+    store = _make(*case)
+    _drive(store)
+    canonical = json.dumps(telemetry_dump(store), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+PINNED: dict[str, str] = {
+    "p2-imm0-compact": "6af3b9a5eab01c0e2dff63cfead87415a7de4ce0e704cb219da01e31cc25e7b1",
+    "p2-imm0-stack": "1550e05115c7a5c2ad2cf756c6a48591b074635919e45d1f01021136fa67ae7b",
+    "p2-imm2-compact": "d4ead0603b67aacde281f7841de059ce1fad784210c63d837f2c16ac3fa7a76d",
+    "p2-imm2-stack": "0dc69d1a9877115020986ae88f1b0d9ba045ea1479a2e344c73ba57730fee60b",
+    "p1-imm0-compact": "51ddf6b5d7caf1df89bfa122d009ab1a917bc60e534500ca2b0498dc65244887",
+    "p1-imm0-stack": "4d207696a176d0b8751ad7360a4a56dd5c585cc75cc452a50c989e366fafbdeb",
+    "p1-imm2-compact": "522a46a49b95c129c72305d33899f5d114cf83bacd8806ba78915ec93900e1f1",
+    "p1-imm2-stack": "1ed7c072e490e8712d658f4a62cf9f50d2c3ebc8badbddc88895e185b84ee93b",
+    "plain-enclave-imm0-compact": "85b4a8ec2743add0280e3a6cb74e0de435a055a9d6bbc7db1d64c461cbc108d3",
+    "plain-enclave-imm0-stack": "f835edfb4effe4141784f43d3bb32b71241c8aea8c01879bfcf24e23c2c14bf5",
+    "plain-enclave-imm2-compact": "b7acea5c5d3fd18e3c618b339190d4201359a38ae918e115dd6397bba7a8b893",
+    "plain-enclave-imm2-stack": "d7fd34a62da25599a05b06227e5ee7978419a77db3d3d3ff8da66b7e21bf74e3",
+    "plain-imm0-compact": "9d779fc485d46cf472378df5b6789d3e4bbc9554379bf19526b3b8ece1ceeeb2",
+    "plain-imm0-stack": "f845965b7c04ccd14baabe275478ba83b2d89331ee8e298229d09052448e41f9",
+    "plain-imm2-compact": "3fccaf00396ad1db04f26ec635f75593e47ac88be4119ccbb0e944e138cf41ba",
+    "plain-imm2-stack": "d57abfba633667e39f3fb334a41676e8ba576890f44c99f5bbf6ede8ef4edb9b",
+}
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_telemetry_output_matches_pin(case):
+    assert telemetry_digest(case) == PINNED[_case_id(case)]
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        print(f'    "{_case_id(case)}": "{telemetry_digest(case)}",')
