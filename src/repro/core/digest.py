@@ -58,6 +58,10 @@ class LevelDigest:
         return hi < self.min_key or lo > self.max_key
 
 
+#: The digest of a level that holds nothing (frozen, so one is shared).
+_EMPTY_DIGEST = LevelDigest.empty()
+
+
 class DigestRegistry:
     """Per-level digests held inside the enclave."""
 
@@ -86,7 +90,7 @@ class DigestRegistry:
 
     def get(self, level: int) -> LevelDigest:
         """The trusted digest of a level (empty default)."""
-        return self._levels.get(level, LevelDigest.empty())
+        return self._levels.get(level, _EMPTY_DIGEST)
 
     def set(self, level: int, digest: LevelDigest) -> None:
         """Install a level's digest (trusted compaction only)."""
@@ -102,7 +106,7 @@ class DigestRegistry:
     def clear(self, level: int) -> None:
         """Mark a consumed level as empty."""
         previous = self._levels.get(level)
-        self._levels[level] = LevelDigest.empty()
+        self._levels[level] = _EMPTY_DIGEST
         self._notify_root_change(
             level, previous.root if previous else EMPTY_ROOT, EMPTY_ROOT
         )
@@ -112,7 +116,7 @@ class DigestRegistry:
         for level in sorted(self._levels, reverse=True):
             if level >= from_level:
                 self._levels[level + 1] = self._levels[level]
-        self._levels[from_level] = LevelDigest.empty()
+        self._levels[from_level] = _EMPTY_DIGEST
 
     def nonempty_levels(self) -> list[int]:
         """Sorted ids of levels holding data, shallow to deep."""

@@ -48,7 +48,7 @@ from repro.sgx.sealing import (
     store_blob,
     unseal,
 )
-from repro.telemetry.metrics import SIZE_BUCKETS_BYTES
+from repro.telemetry.metrics import SIZE_BUCKETS_BYTES, BoundCounter
 
 
 @dataclass
@@ -182,10 +182,14 @@ class ELSMP2Store(PlacedStore):
             "(memtable = served inside the enclave)",
             labels=("level",),
         )
+        #: ``_m_proof_stop_level`` bound per stop level, on its first GET.
+        self._stop_level_counters: dict[int | str, BoundCounter] = {}
         self._m_verify_hashes = self.telemetry.counter(
             "proof.verify.hash_invocations",
             "trusted hashes spent verifying query proofs",
         )
+        # The env's own hash counter: a verify's work is its increase.
+        self._m_hash_calls = self.telemetry.counter("enclave.hash.invocations")
         # Shared with LSMStore (get-or-create by name): the P2 proof
         # path consults filters through _trusted_absence, not through
         # db.get_with_level, so it keeps the same books itself.
@@ -422,7 +426,7 @@ class ELSMP2Store(PlacedStore):
             # awaiting background flush) is inside the enclave: trusted.
             memtable_hit = self.db.mem_lookup(stored_key, tsq)
             if memtable_hit is not None:
-                self._m_proof_stop_level.inc(level="memtable")
+                self._count_stop_level("memtable")
                 self._m_proof_get_bytes.observe(0)
                 span.set(stop_level="memtable", proof_bytes=0)
                 return VerifiedGet(
@@ -435,16 +439,11 @@ class ELSMP2Store(PlacedStore):
             # The proof is assembled in untrusted memory and copied
             # into the enclave before verification.
             self.env.copy_in(proof_bytes)
-            hashes_before = self.env.telemetry.counter(
-                "enclave.hash.invocations"
-            ).total()
+            hashes_before = self._m_hash_calls.total()
             record = self.verifier.verify_get(
                 stored_key, tsq, proof, trusted_absence=self._trusted_absence
             )
-            self._m_verify_hashes.inc(
-                self.env.telemetry.counter("enclave.hash.invocations").total()
-                - hashes_before
-            )
+            self._m_verify_hashes.inc(self._m_hash_calls.total() - hashes_before)
             self.total_proof_bytes += proof_bytes
             self.telemetry.charge_resource("proof.bytes", proof_bytes)
             self._charge_proof_work(proof_bytes)
@@ -454,11 +453,19 @@ class ELSMP2Store(PlacedStore):
             stop_level = max(
                 (entry.level for entry in proof.levels), default="none"
             )
-            self._m_proof_stop_level.inc(level=str(stop_level))
+            self._count_stop_level(stop_level)
             span.set(stop_level=stop_level, proof_bytes=proof_bytes)
             return VerifiedGet(
                 record=record, proof=proof, proof_bytes=proof_bytes
             )
+
+    def _count_stop_level(self, stop_level: int | str) -> None:
+        """Count a verified GET under the deepest level it descended to."""
+        bound = self._stop_level_counters.get(stop_level)
+        if bound is None:
+            bound = self._m_proof_stop_level.bind(level=str(stop_level))
+            self._stop_level_counters[stop_level] = bound
+        bound.inc()
 
     def multi_get(
         self, keys: list[bytes], ts_query: int | None = None
@@ -557,15 +564,12 @@ class ELSMP2Store(PlacedStore):
                 proof_bytes = proof.size_bytes()
                 # One bulk copy of the batch proof into the enclave.
                 self.env.copy_in(proof_bytes)
-                hashes_before = self.env.telemetry.counter(
-                    "enclave.hash.invocations"
-                ).total()
+                hashes_before = self._m_hash_calls.total()
                 verified = self.verifier.verify_multi_get(
                     need, tsq, proof, trusted_absence=self._trusted_absence
                 )
                 self._m_verify_hashes.inc(
-                    self.env.telemetry.counter("enclave.hash.invocations").total()
-                    - hashes_before
+                    self._m_hash_calls.total() - hashes_before
                 )
                 by_key: dict[bytes, Record | None] = dict(zip(need, verified))
                 by_key.update(memtable_hits)

@@ -66,21 +66,30 @@ class BloomFilter:
     def size_bytes(self) -> int:
         return len(self._bits)
 
-    def _positions(self, key: bytes) -> Iterable[int]:
+    def _hashes(self, key: bytes) -> tuple[int, int]:
+        """The double-hashing pair: probe ``i`` tests bit ``(h1 + i * h2) % nbits``."""
         digest = hashlib.sha256(self.salt + key).digest()
         h1 = int.from_bytes(digest[:8], "little")
         h2 = int.from_bytes(digest[8:16], "little") | 1
-        nbits = len(self._bits) * 8
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % nbits
+        return h1, h2
 
     def _insert(self, key: bytes) -> None:
-        for pos in self._positions(key):
+        h1, h2 = self._hashes(key)
+        nbits = len(self._bits) * 8
+        for i in range(self.num_hashes):
+            pos = (h1 + i * h2) % nbits
             self._bits[pos // 8] |= 1 << (pos % 8)
 
     def may_contain(self, key: bytes) -> bool:
         """False means *definitely absent*; True means "probably present"."""
-        return all(self._bits[p // 8] & (1 << (p % 8)) for p in self._positions(key))
+        h1, h2 = self._hashes(key)
+        bits = self._bits
+        nbits = len(bits) * 8
+        for i in range(self.num_hashes):
+            pos = (h1 + i * h2) % nbits
+            if not bits[pos // 8] & (1 << (pos % 8)):
+                return False
+        return True
 
     def serialize(self) -> bytes:
         """num_hashes byte + raw bit array (the salt is *not* serialised)."""

@@ -57,10 +57,10 @@ class ReadBuffer:
         self.misses = 0
         self._m_hits = env.telemetry.counter(
             "cache.hits", "read-buffer block hits", labels=("region",)
-        )
+        ).bind(region=region)
         self._m_misses = env.telemetry.counter(
             "cache.misses", "read-buffer block misses", labels=("region",)
-        )
+        ).bind(region=region)
         if location == LOCATION_ENCLAVE:
             env.meta_region(region)
             env.meta_grow(region, capacity_bytes)
@@ -70,10 +70,10 @@ class ReadBuffer:
         found = self._entries.get(key)
         if found is None:
             self.misses += 1
-            self._m_misses.inc(region=self.region)
+            self._m_misses.inc()
             return None
         self.hits += 1
-        self._m_hits.inc(region=self.region)
+        self._m_hits.inc()
         block, slot = found
         self._entries.move_to_end(key)
         self._charge_access(slot, block)

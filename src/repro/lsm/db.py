@@ -28,6 +28,7 @@ from repro.lsm.version import LevelRun
 from repro.lsm.wal import WriteAheadLog
 from repro.sgx.env import ExecutionEnv
 from repro.sim.disk import StorageFailure
+from repro.telemetry.metrics import BoundCounter
 
 _MEMTABLE_REGION = "memtable"
 _TABLE_META_REGION = "table_meta"
@@ -136,14 +137,21 @@ class LSMStore:
         self.stats = StoreStats()
         self.telemetry = env.telemetry
         self._tracer = self.telemetry.tracer
-        self._m_ops = self.telemetry.counter(
+        ops = self.telemetry.counter(
             "lsm.ops", "engine operations by kind", labels=("op",)
         )
+        self._m_op = {
+            op: ops.bind(op=op)
+            for op in ("put", "delete", "group_commit", "get", "multi_get", "scan")
+        }
         self._m_get_level = self.telemetry.counter(
             "lsm.get.served_level",
             "point lookups by the level that served them (0 = MemTable)",
             labels=("level",),
         )
+        #: ``_m_get_level`` bound per serving level, on the level's first hit
+        #: (not an ``_m_`` attribute: it fills after construction, under _lock).
+        self._served_level_counters: dict[int | None, BoundCounter] = {}
         self._m_flush_bytes = self.telemetry.counter(
             "lsm.flush.bytes", "SSTable bytes written by MemTable flushes"
         )
@@ -268,7 +276,7 @@ class LSMStore:
     ) -> int:
         with self._lock:
             self._guard_write()
-            self._m_ops.inc(op=op)
+            self._m_op[op].inc()
             ts = self._resolve_ts(ts)
             try:
                 self._write(Record(key=key, ts=ts, kind=kind, value=value))
@@ -298,7 +306,7 @@ class LSMStore:
         """
         with self._lock:
             self._guard_write()
-            self._m_ops.inc(op="group_commit")
+            self._m_op["group_commit"].inc()
             records = [
                 Record(
                     key=key,
@@ -399,22 +407,31 @@ class LSMStore:
     def get_with_level(self, key: bytes, ts_query: int | None = None) -> GetResult:
         """Point lookup that also reports the level that served it."""
         with self._lock:
-            self._m_ops.inc(op="get")
+            self._m_op["get"].inc()
             self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
             record = self.mem_lookup(key, ts_query)
             if record is not None:
                 self._touch_memtable(key, record.approximate_bytes())
-                self._m_get_level.inc(level="0")
+                self._count_served(0)
                 return GetResult(record=record, level=0)
             for level in self.level_indices():
                 record = self._level_lookup(
                     self._levels[level], self.fetcher, key, ts_query
                 )
                 if record is not None:
-                    self._m_get_level.inc(level=str(level))
+                    self._count_served(level)
                     return GetResult(record=record, level=level)
-            self._m_get_level.inc(level="miss")
+            self._count_served(None)
             return GetResult(record=None, level=None)
+
+    def _count_served(self, level: int | None) -> None:
+        """Count a point lookup under the level that served it (None: miss)."""
+        bound = self._served_level_counters.get(level)
+        if bound is None:
+            label = "miss" if level is None else str(level)
+            bound = self._m_get_level.bind(level=label)
+            self._served_level_counters[level] = bound
+        bound.inc()
 
     def multi_get(
         self, keys: list[bytes], ts_query: int | None = None
@@ -430,7 +447,7 @@ class LSMStore:
         from repro.lsm.sstable import ScopedBlockCache
 
         with self._lock:
-            self._m_ops.inc(op="multi_get")
+            self._m_op["multi_get"].inc()
             self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
             results: dict[bytes, Record | None] = {}
             pending: list[bytes] = []
@@ -495,7 +512,7 @@ class LSMStore:
     ) -> list[Record]:
         """All live records with lo <= key <= hi at ``ts_query``."""
         with self._lock:
-            self._m_ops.inc(op="scan")
+            self._m_op["scan"].inc()
             best: dict[bytes, Record] = {}
 
             def consider(record: Record) -> None:

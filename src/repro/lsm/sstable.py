@@ -346,10 +346,10 @@ class BlockFetcher:
         self._decoded_by_file: dict[str, set[tuple[str, int]]] = {}
         self._m_hits = env.telemetry.counter(
             "cache.hits", "read-buffer block hits", labels=("region",)
-        )
+        ).bind(region="mmap_decode")
         self._m_misses = env.telemetry.counter(
             "cache.misses", "read-buffer block misses", labels=("region",)
-        )
+        ).bind(region="mmap_decode")
 
     def read_block(self, meta: SSTableMeta, handle: BlockHandle) -> Block:
         """Fetch + decode one block via the configured read path."""
@@ -358,7 +358,7 @@ class BlockFetcher:
             self.env.file_read(meta.name, handle.offset, handle.length, mmap=True)
             block = self._decoded.get(key)
             if block is None:
-                self._m_misses.inc(region="mmap_decode")
+                self._m_misses.inc()
                 raw = self.env.disk.open(meta.name).data
                 body = self._maybe_decompress(
                     meta, bytes(raw[handle.offset : handle.offset + handle.length])
@@ -367,7 +367,7 @@ class BlockFetcher:
                 self._decoded[key] = block
                 self._decoded_by_file.setdefault(meta.name, set()).add(key)
             else:
-                self._m_hits.inc(region="mmap_decode")
+                self._m_hits.inc()
             return block
         assert self.buffer is not None
         block = self.buffer.get(key)

@@ -18,6 +18,7 @@ from repro.sim.costs import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
+    from repro.telemetry.metrics import BoundCounter, Counter
 
 
 class WorldBoundary:
@@ -53,22 +54,36 @@ class WorldBoundary:
         self._m_ocalls = telemetry.counter(
             "enclave.ocalls", "enclave exits (world switches)", labels=("call",)
         )
-        self._m_copy = telemetry.counter(
+        copy = telemetry.counter(
             "enclave.copy.bytes",
             "bytes marshalled across the enclave boundary",
             labels=("dir",),
         )
+        self._m_copy = {d: copy.bind(dir=d) for d in ("in", "out")}
+        # Bound series per call name, bound on the name's first crossing.
+        self._ecall_counters: dict[str, BoundCounter] = {}
+        self._ocall_counters: dict[str, BoundCounter] = {}
+
+    @staticmethod
+    def _count_call(
+        counter: Counter, by_name: dict[str, BoundCounter], name: str
+    ) -> None:
+        bound = by_name.get(name)
+        if bound is None:
+            bound = counter.bind(call=name or "anonymous")
+            by_name[name] = bound
+        bound.inc()
 
     def _count_copy(self, nbytes: int, direction: str) -> None:
         if self._m_copy is not None and nbytes:
-            self._m_copy.inc(nbytes, dir=direction)
+            self._m_copy[direction].inc(nbytes)
 
     @contextmanager
     def ecall(self, name: str = "", in_bytes: int = 0, out_bytes: int = 0) -> Iterator[None]:
         """Enter the enclave to run a trusted function."""
         self.ecall_count += 1
         if self._m_ecalls is not None:
-            self._m_ecalls.inc(call=name or "anonymous")
+            self._count_call(self._m_ecalls, self._ecall_counters, name)
         if self._telemetry is not None:
             self._telemetry.charge_resource("boundary.ecalls", 1)
         self._count_copy(in_bytes, "in")
@@ -87,7 +102,7 @@ class WorldBoundary:
         """Exit the enclave to run an untrusted function (e.g. a syscall)."""
         self.ocall_count += 1
         if self._m_ocalls is not None:
-            self._m_ocalls.inc(call=name or "anonymous")
+            self._count_call(self._m_ocalls, self._ocall_counters, name)
         if self._telemetry is not None:
             self._telemetry.charge_resource("boundary.ocalls", 1)
         self._count_copy(in_bytes, "out")

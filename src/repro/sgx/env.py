@@ -68,12 +68,21 @@ class ExecutionEnv:
         self._m_cipher_bytes = self.telemetry.counter(
             "enclave.cipher.bytes", "bytes encrypted/decrypted by trusted code"
         )
-        self._m_file_ops = self.telemetry.counter(
+        file_ops = self.telemetry.counter(
             "disk.ops", "file-system calls issued by the store", labels=("op",)
         )
-        self._m_file_bytes = self.telemetry.counter(
+        self._m_file_op = {
+            op: file_ops.bind(op=op)
+            for op in (
+                "create", "unlink", "write", "append", "read", "read_mmap",
+                "fsync", "truncate",
+            )
+        }
+        file_bytes = self.telemetry.counter(
             "disk.bytes", "bytes moved through file-system calls", labels=("dir",)
         )
+        self._m_bytes_read = file_bytes.bind(dir="read")
+        self._m_bytes_written = file_bytes.bind(dir="write")
         self._m_io_retries = self.telemetry.counter(
             "disk.retries", "file-system calls retried after transient errors",
             labels=("op",),
@@ -146,7 +155,7 @@ class ExecutionEnv:
     # ------------------------------------------------------------------
     def file_create(self, name: str) -> None:
         """Create a file (an OCall when inside the enclave)."""
-        self._m_file_ops.inc(op="create")
+        self._m_file_op["create"].inc()
 
         def call() -> None:
             with self._syscall("create"):
@@ -156,7 +165,7 @@ class ExecutionEnv:
 
     def file_delete(self, name: str) -> None:
         """Delete a file (an OCall when inside the enclave)."""
-        self._m_file_ops.inc(op="unlink")
+        self._m_file_op["unlink"].inc()
 
         def call() -> None:
             with self._syscall("unlink"):
@@ -166,8 +175,8 @@ class ExecutionEnv:
 
     def file_write(self, name: str, data: bytes) -> None:
         """Create-or-replace a file (SSTable output)."""
-        self._m_file_ops.inc(op="write")
-        self._m_file_bytes.inc(len(data), dir="write")
+        self._m_file_op["write"].inc()
+        self._m_bytes_written.inc(len(data))
 
         def call() -> None:
             with self._syscall("write", in_bytes=len(data)):
@@ -177,8 +186,8 @@ class ExecutionEnv:
 
     def file_append(self, name: str, data: bytes) -> int:
         """Append to a file (an OCall when inside the enclave)."""
-        self._m_file_ops.inc(op="append")
-        self._m_file_bytes.inc(len(data), dir="write")
+        self._m_file_op["append"].inc()
+        self._m_bytes_written.inc(len(data))
 
         def call() -> int:
             with self._syscall("append", in_bytes=len(data)):
@@ -193,13 +202,13 @@ class ExecutionEnv:
         enclave reads the untrusted mapping directly with no OCall.  The
         syscall path pays an OCall per read when inside the enclave.
         """
-        self._m_file_bytes.inc(length, dir="read")
+        self._m_bytes_read.inc(length)
         if mmap:
-            self._m_file_ops.inc(op="read_mmap")
+            self._m_file_op["read_mmap"].inc()
             return self._retrying(
                 "read_mmap", lambda: self.disk.read_mmap(name, offset, length)
             )
-        self._m_file_ops.inc(op="read")
+        self._m_file_op["read"].inc()
 
         def call() -> bytes:
             with self._syscall("read", out_bytes=length):
@@ -209,7 +218,7 @@ class ExecutionEnv:
 
     def file_fsync(self, name: str) -> None:
         """fsync a file (an OCall when inside the enclave)."""
-        self._m_file_ops.inc(op="fsync")
+        self._m_file_op["fsync"].inc()
 
         def call() -> None:
             with self._syscall("fsync"):
@@ -219,7 +228,7 @@ class ExecutionEnv:
 
     def file_truncate(self, name: str, size: int) -> None:
         """Truncate a file (recovery cuts torn/unauthenticated WAL tails)."""
-        self._m_file_ops.inc(op="truncate")
+        self._m_file_op["truncate"].inc()
 
         def call() -> None:
             with self._syscall("truncate"):

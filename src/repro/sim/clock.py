@@ -90,7 +90,7 @@ class SimClock:
         stays exact (total CPU time may legitimately exceed wall time
         under simulated parallelism).
         """
-        if micros < 0:
+        if not micros >= 0:  # also rejects NaN, which would poison the clock
             raise ValueError(f"negative charge: {micros}")
         if self._active_track is not None:
             self._active_track.elapsed_us += micros

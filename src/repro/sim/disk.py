@@ -92,10 +92,10 @@ class SimDisk:
             return
         self._m_hits = telemetry.counter(
             "cache.hits", "read-buffer block hits", labels=("region",)
-        )
+        ).bind(region="kernel_page_cache")
         self._m_misses = telemetry.counter(
             "cache.misses", "read-buffer block misses", labels=("region",)
-        )
+        ).bind(region="kernel_page_cache")
 
     # ------------------------------------------------------------------
     # Fault injection hooks
@@ -316,7 +316,8 @@ class SimDisk:
     ) -> None:
         missed_blocks = 0
         hit_blocks = 0
-        for block in self._blocks(offset, length):
+        blocks = self._blocks(offset, length)
+        for block in blocks:
             key = (name, block)
             if key in self._cache:
                 hit_blocks += 1
@@ -330,11 +331,11 @@ class SimDisk:
         self.cache_miss_blocks += missed_blocks
         if self._m_hits is not None:
             if hit_blocks:
-                self._m_hits.inc(hit_blocks, region="kernel_page_cache")
+                self._m_hits.inc(hit_blocks)
             if missed_blocks:
-                self._m_misses.inc(missed_blocks, region="kernel_page_cache")
-        sequential = self._blocks(offset, length)[0] == self._last_block.get(name, -2) + 1
-        self._last_block[name] = self._blocks(offset, length)[-1]
+                self._m_misses.inc(missed_blocks)
+        sequential = blocks[0] == self._last_block.get(name, -2) + 1
+        self._last_block[name] = blocks[-1]
         if missed_blocks:
             if not sequential:
                 self.clock.charge("disk_seek", self.costs.disk_seek_us)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 #: Default bucket upper bounds for simulated-microsecond durations.
@@ -93,13 +94,23 @@ class Counter(_Instrument):
         self._values: dict[tuple[str, ...], float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
+        """Add ``amount`` (must be >= 0, not NaN) to the labelled series."""
+        if not amount >= 0:
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
         # The unlabelled series needs no matching; any mismatch still raises.
         key = self._key(labels) if labels or self.label_names else ()
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
+
+    def bind(self, **labels: str) -> "BoundCounter":
+        """A handle on one labelled series, its labels matched once here.
+
+        Per-operation call sites bind at construction and then call
+        ``inc(amount)`` on the handle.  Binding creates no series: it
+        shows in a snapshot from its first increment on, exactly as with
+        ``inc(**labels)``.
+        """
+        return BoundCounter(self, self._key(labels))
 
     def value(self, **labels: str) -> float:
         """Current value of one labelled series (0 if never incremented)."""
@@ -114,6 +125,29 @@ class Counter(_Instrument):
             {"labels": dict(zip(self.label_names, key)), "value": value}
             for key, value in sorted(self._values.items())
         ]
+
+
+class BoundCounter:
+    """One series of a :class:`Counter`, from :meth:`Counter.bind`.
+
+    ``inc`` adds to the series under the counter's lock, with the same
+    float addition as :meth:`Counter.inc` and no label matching.
+    """
+
+    __slots__ = ("counter", "key")
+
+    def __init__(self, counter: Counter, key: tuple[str, ...]) -> None:
+        self.counter = counter
+        self.key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (must be >= 0, not NaN) to the bound series."""
+        counter = self.counter
+        if not amount >= 0:
+            raise ValueError(f"counter {counter.name} cannot decrease ({amount})")
+        key = self.key
+        with counter._lock:
+            counter._values[key] = counter._values.get(key, 0.0) + amount
 
 
 class Gauge(_Instrument):
@@ -202,20 +236,22 @@ class Histogram(_Instrument):
         return series
 
     def observe(self, value: float, **labels: str) -> None:
-        """Record one observation into the labelled series."""
-        key = self._key(labels)
+        """Record one observation (not NaN) into the labelled series."""
+        if math.isnan(value):
+            raise ValueError(f"histogram {self.name} cannot observe NaN")
+        # The unlabelled series needs no matching; any mismatch still raises.
+        key = self._key(labels) if labels or self.label_names else ()
+        # The first bound >= value; past the last bound is overflow.
+        index = bisect_left(self.bounds, value)
         with self._lock:
             series = self._get_series(key)
-            index = len(self.bounds)  # overflow unless a bound fits
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    index = i
-                    break
             series.counts[index] += 1
             series.sum += value
             series.count += 1
-            series.min = min(series.min, value)
-            series.max = max(series.max, value)
+            if value < series.min:
+                series.min = value
+            if value > series.max:
+                series.max = value
             if series.samples is not None:
                 series.samples.append(value)
 

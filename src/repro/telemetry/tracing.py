@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.telemetry.ledger import CostLedger
-from repro.telemetry.metrics import DURATION_BUCKETS_US, MetricsRegistry
+from repro.telemetry.metrics import DURATION_BUCKETS_US, Histogram, MetricsRegistry
 
 
 @dataclass
@@ -117,6 +117,9 @@ class Tracer:
         #: Inclusive ledger sum over finished *root* spans (survives the
         #: ring buffer, so the exactness invariant never decays).
         self.root_total = CostLedger()
+        #: ``<name>.duration_us`` histograms by span name, registered on
+        #: the first close of each name.
+        self._durations: dict[str, Histogram] = {}
         self._m_dropped = None
         if registry is not None:
             self._m_dropped = registry.counter(
@@ -147,9 +150,12 @@ class Tracer:
     # ------------------------------------------------------------------
     def on_charge(self, category: str, micros: float) -> None:
         """SimClock listener: attribute one charge to the active span."""
-        stack = self._stack()
+        # Runs on every clock charge: ``_stack`` and ``CostLedger.add_us``
+        # inlined, the same float addition.
+        stack = getattr(self._local, "stack", None)
         if stack:
-            stack[-1].self_cost.add_us(category, micros)
+            us = stack[-1].self_cost.us
+            us[category] = us.get(category, 0.0) + micros
         else:
             with self._unattributed_lock:
                 self.unattributed.add_us(category, micros)
@@ -206,11 +212,15 @@ class Tracer:
                     self._m_dropped.inc()
             self._finished.append(span)
             if self._registry is not None:
-                self._registry.histogram(
-                    f"{name}.duration_us",
-                    description=f"simulated duration of {name} spans",
-                    buckets=DURATION_BUCKETS_US,
-                ).observe(span.duration_us)
+                durations = self._durations.get(name)
+                if durations is None:
+                    durations = self._registry.histogram(
+                        f"{name}.duration_us",
+                        description=f"simulated duration of {name} spans",
+                        buckets=DURATION_BUCKETS_US,
+                    )
+                    self._durations[name] = durations
+                durations.observe(span.duration_us)
 
     def current(self) -> Span | None:
         """The innermost open span on this thread, if any."""

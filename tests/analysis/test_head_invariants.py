@@ -172,8 +172,8 @@ def test_must_walk_rules_fire_on_mutated_tree(mutated_repo):
         if f.rule in ("EL602", "EL810", "EL811")
     )
     assert fired == [
-        ("EL602", "src/repro/lsm/db.py", 662),
+        ("EL602", "src/repro/lsm/db.py", 679),
         ("EL810", "src/repro/lsm/compaction.py", 92),
-        # 941 with this edit alone; the inserted clear() shifts it by one.
-        ("EL811", "src/repro/lsm/db.py", 942),
+        # 958 with this edit alone; the inserted clear() shifts it by one.
+        ("EL811", "src/repro/lsm/db.py", 959),
     ]

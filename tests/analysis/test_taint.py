@@ -8,6 +8,7 @@ rule fires, then assert the sanctioned fix (or a pragma) silences it.
 
 from __future__ import annotations
 
+import json
 import shutil
 import subprocess
 
@@ -18,7 +19,7 @@ from repro.analysis.callgraph import CallGraph
 from repro.analysis.engine import ProjectIndex, dependency_cone
 from repro.cli import main
 
-from .conftest import rules_of
+from .conftest import FIXTURE_ZONES, REPO_ROOT, rules_of
 
 REGISTRY_AND_SOURCES = """
     class Registry:
@@ -205,6 +206,28 @@ def test_el502_secret_into_telemetry_label(project):
 
     def count(enclave: Enclave, meter):
         meter.inc(1.0, key=str(enclave.sealing_key))
+    """,
+    )
+    assert rules_of(project.lint(["EL502"])) == ["EL502"]
+
+
+def test_el502_secret_into_bound_label(project):
+    """A label bound once with ``Counter.bind`` leaks like one passed to
+    ``inc``: the committed zones must list ``bind`` as an untrusted sink."""
+    committed = load_zone_config(REPO_ROOT / "analysis" / "zones.toml")
+    sinks = committed.taint.untrusted_sinks
+    fixture_sinks = 'untrusted_sinks = ["meter.inc", "Meter.inc", "file_write"]'
+    assert fixture_sinks in FIXTURE_ZONES
+    project.write_zones(
+        FIXTURE_ZONES.replace(fixture_sinks, f"untrusted_sinks = {json.dumps(sinks)}")
+    )
+    project.add_module(
+        "enc.sealing",
+        SECRET_PRELUDE
+        + """
+
+    def count(enclave: Enclave, meter):
+        meter.bind(key=str(enclave.sealing_key)).inc()
     """,
     )
     assert rules_of(project.lint(["EL502"])) == ["EL502"]

@@ -22,6 +22,16 @@ def test_charge_rejects_negative():
         clock.charge("disk", -1.0)
 
 
+def test_charge_rejects_nan_and_leaves_the_clock_alone():
+    clock = SimClock()
+    clock.charge("disk", 1.0)
+    with pytest.raises(ValueError):
+        clock.charge("disk", float("nan"))
+    assert clock.now_us == 1.0
+    assert clock.breakdown() == {"disk": 1.0}
+    assert clock.event_count("disk") == 1
+
+
 def test_lap_measures_interval():
     clock = SimClock()
     clock.charge("a", 5.0)

@@ -54,6 +54,58 @@ def test_unlabelled_counter_rejects_labels(registry):
     assert c.value() == 1
 
 
+def test_counter_rejects_nan(registry):
+    c = registry.counter("c", labels=("op",))
+    with pytest.raises(ValueError):
+        c.inc(math.nan, op="get")
+    assert c.to_snapshot()["series"] == []
+
+
+def test_bind_checks_labels_once(registry):
+    c = registry.counter("ops", labels=("op",))
+    with pytest.raises(ValueError):
+        c.bind(kind="get")  # wrong label
+    with pytest.raises(ValueError):
+        c.bind()  # missing label
+    with pytest.raises(ValueError):
+        registry.counter("plain").bind(op="get")  # unlabelled counter
+
+
+def test_bound_counter_rejects_negative_and_nan(registry):
+    bound = registry.counter("ops", labels=("op",)).bind(op="get")
+    with pytest.raises(ValueError):
+        bound.inc(-1)
+    with pytest.raises(ValueError):
+        bound.inc(math.nan)
+    assert registry.counter("ops").value(op="get") == 0
+
+
+def test_bound_series_appears_only_after_first_inc(registry):
+    c = registry.counter("ops", labels=("op",))
+    bound = c.bind(op="get")
+    assert c.to_snapshot()["series"] == []
+    bound.inc(0)
+    assert c.to_snapshot()["series"] == [{"labels": {"op": "get"}, "value": 0.0}]
+
+
+def test_bound_and_labelled_increments_share_a_series(registry):
+    c = registry.counter("ops", labels=("op",))
+    bound = c.bind(op="get")
+    bound.inc()
+    c.inc(2, op="get")
+    bound.inc(0.5)
+    c.inc(op="put")
+    assert c.value(op="get") == 3.5
+    assert c.to_snapshot()["series"] == [
+        {"labels": {"op": "get"}, "value": 3.5},
+        {"labels": {"op": "put"}, "value": 1.0},
+    ]
+    unlabelled = registry.counter("plain")
+    unlabelled.bind().inc(2)
+    unlabelled.inc()
+    assert unlabelled.value() == 3
+
+
 def test_get_or_create_returns_same_instrument(registry):
     assert registry.counter("x") is registry.counter("x")
 
@@ -132,6 +184,13 @@ def test_histogram_bucket_is_first_bound_at_or_above(case):
         index = next((i for i, b in enumerate(bounds) if value <= b), len(bounds))
         expected[index] += 1
     assert h.to_snapshot()["series"][0]["counts"] == expected
+
+
+def test_histogram_rejects_nan(registry):
+    h = registry.histogram("lat", buckets=(10, 20))
+    with pytest.raises(ValueError):
+        h.observe(math.nan)
+    assert h.count() == 0
 
 
 def test_histogram_needs_sorted_buckets():
