@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.engine import ProjectIndex
+from repro.analysis.engine import NodeIndex, ProjectIndex
 from repro.analysis.flow import _chain_of, _FuncDef
 
 
@@ -45,6 +45,7 @@ class FunctionNode:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     params: tuple[str, ...]  # positional-or-kw + kw-only names, in order
     is_method: bool
+    nodes: NodeIndex  # the body's nodes, nested defs included
 
 
 @dataclass
@@ -122,6 +123,7 @@ class CallGraph:
                     node=node,
                     params=_param_names(node),
                     is_method=False,
+                    nodes=module.scopes[node],
                 )
                 funcs.append(qual)
             elif isinstance(node, ast.ClassDef):
@@ -140,6 +142,7 @@ class CallGraph:
                         node=item,
                         params=_param_names(item),
                         is_method=not _is_staticmethod(item),
+                        nodes=module.scopes[item],
                     )
                     cnode.methods[item.name] = fqual
                     funcs.append(fqual)
@@ -148,21 +151,10 @@ class CallGraph:
     def _collect_bindings(self, index: ProjectIndex, modname: str) -> None:
         """Name -> ("module"|"func"|"class", qualname) for one module."""
         module = index.modules[modname]
-        bindings: dict[str, tuple[str, str]] = {}
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    bindings[local] = ("module", target)
-            elif isinstance(node, ast.ImportFrom):
-                base = ProjectIndex._resolve_from_import(node, modname)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    dotted = f"{base}.{alias.name}"
-                    bindings[local] = self._classify(dotted)
+        bindings = {
+            local: self._classify(dotted) if from_import else ("module", dotted)
+            for local, dotted, from_import in module.imported_names
+        }
         for name in module.tree.body:
             if isinstance(name, _FuncDef):
                 bindings[name.name] = ("func", f"{modname}.{name.name}")
@@ -221,34 +213,39 @@ class CallGraph:
         order = sorted(
             cnode.methods.values(), key=lambda q: not q.endswith(".__init__")
         )
-        for fn in (self.functions[q].node for q in order):
+        for fn in (self.functions[q] for q in order):
             ann = {
                 a.arg: self._annotation_class(modname, a.annotation)
-                for a in fn.args.args + fn.args.kwonlyargs
+                for a in fn.node.args.args + fn.node.args.kwonlyargs
             }
-            for stmt in ast.walk(fn):
-                target: ast.expr | None = None
-                value: ast.expr | None = None
-                annotation: ast.expr | None = None
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target, value = stmt.targets[0], stmt.value
-                elif isinstance(stmt, ast.AnnAssign):
-                    target, value, annotation = stmt.target, stmt.value, stmt.annotation
+            for target, value, annotation in _assignments(fn.nodes):
                 if (
                     not isinstance(target, ast.Attribute)
                     or not isinstance(target.value, ast.Name)
                     or target.value.id != "self"
                 ):
                     continue
-                inferred = self._annotation_class(modname, annotation)
-                if inferred is None and isinstance(value, ast.Name):
-                    inferred = ann.get(value.id)
-                if inferred is None and isinstance(value, ast.Call):
-                    resolved = self._resolve_name_chain(modname, value.func)
-                    if resolved and resolved[0] == "class":
-                        inferred = resolved[1]
+                inferred = self._bound_class(modname, value, annotation, ann)
                 if inferred is not None:
                     cnode.attr_types.setdefault(target.attr, inferred)
+
+    def _bound_class(
+        self,
+        modname: str,
+        value: ast.expr | None,
+        annotation: ast.expr | None,
+        params: dict[str, str | None],
+    ) -> str | None:
+        """The class an assignment binds: its annotation, an annotated
+        parameter it copies, or the class it constructs."""
+        inferred = self._annotation_class(modname, annotation)
+        if inferred is None and isinstance(value, ast.Name):
+            inferred = params.get(value.id)
+        if inferred is None and isinstance(value, ast.Call):
+            resolved = self._resolve_name_chain(modname, value.func)
+            if resolved and resolved[0] == "class":
+                inferred = resolved[1]
+        return inferred
 
     # ------------------------------------------------------------------
     # Call resolution
@@ -316,9 +313,7 @@ class CallGraph:
             fn = self.functions[fqual]
             local_types = self.local_types[fqual] = self._local_types(fn)
             sites = self.sites[fqual] = []
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in fn.nodes.of(ast.Call):
                 chain = _chain_of(node.func)
                 target, bound = self._resolve_call(fn, node, chain, local_types)
                 display = ".".join(chain) if chain else "<expr>"
@@ -357,21 +352,10 @@ class CallGraph:
         if fn.is_method and fn.cls and (args.posonlyargs or args.args):
             first = (args.posonlyargs + args.args)[0].arg
             types.setdefault(first, fn.cls)
-        for stmt in ast.walk(fn.node):
-            target: ast.expr | None = None
-            value: ast.expr | None = None
-            annotation: ast.expr | None = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target, value = stmt.targets[0], stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                target, value, annotation = stmt.target, stmt.value, stmt.annotation
+        for target, value, annotation in _assignments(fn.nodes):
             if not isinstance(target, ast.Name):
                 continue
-            inferred = self._annotation_class(fn.module, annotation)
-            if inferred is None and isinstance(value, ast.Call):
-                resolved = self._resolve_name_chain(fn.module, value.func)
-                if resolved and resolved[0] == "class":
-                    inferred = resolved[1]
+            inferred = self._bound_class(fn.module, value, annotation, {})
             if inferred is not None:
                 types.setdefault(target.id, inferred)
         return types
@@ -405,6 +389,16 @@ class CallGraph:
             if method is not None:
                 return method, True
         return None, False
+
+
+def _assignments(nodes: NodeIndex):
+    """``(target, value, annotation)`` of each single-target assignment,
+    in walk order; ``annotation`` is None for a plain ``=``."""
+    for stmt in nodes.of(ast.Assign, ast.AnnAssign):
+        if isinstance(stmt, ast.AnnAssign):
+            yield stmt.target, stmt.value, stmt.annotation
+        elif len(stmt.targets) == 1:
+            yield stmt.targets[0], stmt.value, None
 
 
 def _param_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:

@@ -47,10 +47,10 @@ import fnmatch
 from dataclasses import dataclass
 
 from repro.analysis.callgraph import CallGraph, get_callgraph
-from repro.analysis.engine import ProjectIndex
+from repro.analysis.engine import NodeIndex, ProjectIndex
 from repro.analysis.flow import MustWalk, _chain_of, closure
 from repro.analysis.model import Finding
-from repro.analysis.rules import findings_from
+from repro.analysis.rules import _handler_names, findings_from
 from repro.analysis.zones import ConcurrencyConfig
 
 #: Method names that mutate their receiver in place.  Telemetry verbs
@@ -125,9 +125,9 @@ class ConcurrencyAnalysis:
         """Lock name -> ids of the nodes inside ``with ...<lock>:``."""
         locked = self._locked_nodes.get(fqual)
         if locked is None:
-            node = self.graph.functions[fqual].node
+            nodes = self.graph.functions[fqual].nodes
             locked = self._locked_nodes[fqual] = {
-                lock: _nodes_under_lock(node, lock) for lock in self._lock_names
+                lock: _nodes_under_lock(nodes, lock) for lock in self._lock_names
             }
         return locked
 
@@ -175,7 +175,7 @@ class ConcurrencyAnalysis:
         self._track_openers = {
             q
             for q, fn in self.graph.functions.items()
-            if "parallel_track" in called[q] and _opens_track(fn.node)
+            if "parallel_track" in called[q] and _track_withs(fn.nodes)
         }
         self._waiters = {q for q, names in called.items() if "wait_until" in names}
         bg_entries = thread_targets | policy_bg | self._track_openers
@@ -275,7 +275,7 @@ class ConcurrencyAnalysis:
         for fqual in sorted(reachable):
             fn = self.graph.functions[fqual]
             local_types = self.graph.local_types[fqual]
-            written_through = _written_through(fn.node)
+            written_through = _written_through(fn.nodes)
             # A mutator-named call that resolves to a project method
             # (``self.wal.append(...)`` -> WriteAheadLog.append) is a
             # method call on a collaborator, not an in-place container
@@ -284,9 +284,7 @@ class ConcurrencyAnalysis:
             for call, site in self.graph.sites[fqual]:
                 if isinstance(call.func, ast.Attribute) and site.target:
                     written_through.discard(id(call.func.value))
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Attribute):
-                    continue
+            for node in fn.nodes.of(ast.Attribute):
                 chain = _chain_of(node)
                 if len(chain) < 2:
                     continue
@@ -450,7 +448,7 @@ class ConcurrencyAnalysis:
             fn = self.graph.functions[fqual]
             local_types = self.graph.local_types[fqual]
             aliases: dict[str, str] = {}
-            for node in ast.walk(fn.node):
+            for node in fn.nodes.of(ast.Assign, ast.For):
                 # x = self.immutables[0]  /  x = self.immutables.popleft()
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     target, value = node.targets[0], node.value
@@ -475,10 +473,8 @@ class ConcurrencyAnalysis:
                     key = self._published_key_of(iter_expr, local_types)
                     if key:
                         aliases[node.target.id] = key
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Call) or not isinstance(
-                    node.func, ast.Attribute
-                ):
+            for node in fn.nodes.of(ast.Call):
+                if not isinstance(node.func, ast.Attribute):
                     continue
                 mutator = node.func.attr
                 recv = node.func.value
@@ -505,14 +501,10 @@ class ConcurrencyAnalysis:
     # ------------------------------------------------------------------
     def _check_tracks(self, fqual: str) -> None:
         fn = self.graph.functions[fqual]
-        track_withs: list[ast.With] = []
-        with_items: set[int] = set()
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.With):
-                for item in node.items:
-                    with_items.add(id(item.context_expr))
-                    if _is_track_call(item.context_expr):
-                        track_withs.append(node)
+        track_withs = _track_withs(fn.nodes)
+        with_items = {
+            id(item.context_expr) for node in fn.nodes.of(ast.With) for item in node.items
+        }
         for call, _ in self.graph.sites[fqual]:
             if _is_track_call(call) and id(call) not in with_items:
                 self._emit(
@@ -528,19 +520,14 @@ class ConcurrencyAnalysis:
         opens_closure = self._reaching(self._track_openers - {fqual})
         waits_closure = self._reaching(self._waiters - {fqual})
         for with_node in track_withs:
-            body_nodes = {
-                id(n) for stmt in with_node.body for n in ast.walk(stmt)
-            }
             track_name: str | None = None
             for item in with_node.items:
                 if _is_track_call(item.context_expr) and isinstance(
                     item.optional_vars, ast.Name
                 ):
                     track_name = item.optional_vars.id
-            for node in ast.walk(with_node):
-                if id(node) not in body_nodes:
-                    continue
-                if isinstance(node, ast.With) and node is not with_node:
+            for node in (n for stmt in with_node.body for n in ast.walk(stmt)):
+                if isinstance(node, ast.With):
                     for item in node.items:
                         if _is_track_call(item.context_expr):
                             self._emit(
@@ -568,23 +555,18 @@ class ConcurrencyAnalysis:
                         continue
                     widened = (target, *self._overrides.get(target, ()))
                     if any(w in opens_closure for w in widened):
-                        self._emit(
-                            "EL603",
-                            fqual,
-                            node.lineno,
-                            f"{fqual} calls {target.rsplit('.', 1)[-1]} "
-                            f"inside a parallel_track body and that call "
-                            f"opens another track; tracks do not nest",
-                        )
+                        effect = "opens another track; tracks do not nest"
                     elif any(w in waits_closure for w in widened):
-                        self._emit(
-                            "EL603",
-                            fqual,
-                            node.lineno,
-                            f"{fqual} calls {target.rsplit('.', 1)[-1]} "
-                            f"inside a parallel_track body and that call "
-                            f"joins the foreground clock via wait_until",
-                        )
+                        effect = "joins the foreground clock via wait_until"
+                    else:
+                        continue
+                    self._emit(
+                        "EL603",
+                        fqual,
+                        node.lineno,
+                        f"{fqual} calls {target.rsplit('.', 1)[-1]} "
+                        f"inside a parallel_track body and that call {effect}",
+                    )
             for item in with_node.items:
                 if _is_track_call(item.context_expr):
                     self._check_fork_point(fqual, item.context_expr, fn)
@@ -600,7 +582,7 @@ class ConcurrencyAnalysis:
             start = call.args[0]
         if start is None:
             return  # fork at now: always monotone
-        if _is_monotone_fork(start, fn.node):
+        if _is_monotone_fork(start, fn.nodes):
             return
         self._emit(
             "EL603",
@@ -612,38 +594,28 @@ class ConcurrencyAnalysis:
         )
 
     def _check_track_escape(self, fqual: str, fn, track_name: str) -> None:
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Return) and _is_name(node.value, track_name):
-                self._emit(
-                    "EL603",
-                    fqual,
-                    node.lineno,
-                    f"track object escapes {fqual} via return; a closed "
-                    f"track must not outlive its with-scope as a live "
-                    f"handle",
-                )
-            elif isinstance(node, (ast.Yield, ast.YieldFrom)) and _is_name(
-                getattr(node, "value", None), track_name
+        escapes = fn.nodes.of(ast.Return, ast.Yield, ast.YieldFrom, ast.Assign)
+        for node in escapes:
+            if not _is_name(node.value, track_name):
+                continue
+            if isinstance(node, ast.Return):
+                how = "via return"
+            elif not isinstance(node, ast.Assign):
+                how = "via yield"
+            elif any(
+                isinstance(target, (ast.Attribute, ast.Subscript))
+                for target in node.targets
             ):
-                self._emit(
-                    "EL603",
-                    fqual,
-                    node.lineno,
-                    f"track object escapes {fqual} via yield; a closed "
-                    f"track must not outlive its with-scope as a live "
-                    f"handle",
-                )
-            elif isinstance(node, ast.Assign) and _is_name(node.value, track_name):
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        self._emit(
-                            "EL603",
-                            fqual,
-                            node.lineno,
-                            f"track object escapes {fqual} into shared "
-                            f"state; a closed track must not outlive its "
-                            f"with-scope as a live handle",
-                        )
+                how = "into shared state"
+            else:
+                continue
+            self._emit(
+                "EL603",
+                fqual,
+                node.lineno,
+                f"track object escapes {fqual} {how}; a closed track must "
+                f"not outlive its with-scope as a live handle",
+            )
 
     # ------------------------------------------------------------------
     # EL604: bounded error ring
@@ -655,10 +627,9 @@ class ConcurrencyAnalysis:
         for fqual in sorted(entries):
             fn = self.graph.functions[fqual]
             recording_handlers = 0
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.ExceptHandler):
-                    continue
-                if not _catches_exception(node):
+            for node in fn.nodes.of(ast.ExceptHandler):
+                caught = _handler_names(node)
+                if node.type and not {"Exception", "BaseException"} & set(caught):
                     continue
                 calls_recorder = any(
                     isinstance(sub, ast.Call)
@@ -693,12 +664,10 @@ class ConcurrencyAnalysis:
 # ----------------------------------------------------------------------
 # Syntactic helpers
 # ----------------------------------------------------------------------
-def _nodes_under_lock(fn_node: ast.AST, lockname: str) -> set[int]:
+def _nodes_under_lock(nodes: NodeIndex, lockname: str) -> set[int]:
     """ids of every node lexically inside ``with ...<lockname>:``."""
     out: set[int] = set()
-    for node in ast.walk(fn_node):
-        if not isinstance(node, ast.With):
-            continue
+    for node in nodes.of(ast.With):
         for item in node.items:
             chain = _chain_of(item.context_expr)
             if not chain and isinstance(item.context_expr, ast.Call):
@@ -709,28 +678,24 @@ def _nodes_under_lock(fn_node: ast.AST, lockname: str) -> set[int]:
     return out
 
 
-def _written_through(fn_node: ast.AST) -> set[int]:
+def _written_through(nodes: NodeIndex) -> set[int]:
     """ids of Attribute nodes mutated *through*: interior stores
     (``self.stats.x = 1`` writes ``stats``), subscript stores
     (``self._levels[i] = run``), and in-place mutator calls
     (``self.immutables.append(m)``)."""
-    out: set[int] = set()
-    for node in ast.walk(fn_node):
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            if isinstance(node.value, ast.Attribute):
-                out.add(id(node.value))
-        elif isinstance(node, ast.Subscript) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            if isinstance(node.value, ast.Attribute):
-                out.add(id(node.value))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATORS and isinstance(
-                node.func.value, ast.Attribute
-            ):
-                out.add(id(node.func.value))
+    out = {
+        id(node.value)
+        for node in nodes.of(ast.Attribute, ast.Subscript)
+        if isinstance(node.ctx, (ast.Store, ast.Del))
+        and isinstance(node.value, ast.Attribute)
+    }
+    out.update(
+        id(node.func.value)
+        for node in nodes.of(ast.Call)
+        if isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATORS
+        and isinstance(node.func.value, ast.Attribute)
+    )
     return out
 
 
@@ -741,37 +706,21 @@ def _is_track_call(node: ast.expr) -> bool:
     return bool(chain) and chain[-1] == "parallel_track"
 
 
-def _opens_track(fn_node: ast.AST) -> bool:
-    return any(
-        _is_track_call(item.context_expr)
-        for node in ast.walk(fn_node)
-        if isinstance(node, ast.With)
+def _track_withs(nodes: NodeIndex) -> list[ast.With]:
+    """The ``with`` statements opening a ``parallel_track``, once per item."""
+    return [
+        node
+        for node in nodes.of(ast.With)
         for item in node.items
-    )
+        if _is_track_call(item.context_expr)
+    ]
 
 
 def _is_name(node: ast.AST | None, name: str) -> bool:
     return isinstance(node, ast.Name) and node.id == name
 
 
-def _catches_exception(handler: ast.ExceptHandler) -> bool:
-    """True for ``except:``, ``except Exception``, ``except BaseException``
-    and tuple forms naming either."""
-    if handler.type is None:
-        return True
-    types = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    for node in types:
-        chain = _chain_of(node)
-        if chain and chain[-1] in ("Exception", "BaseException"):
-            return True
-    return False
-
-
-def _is_monotone_fork(start: ast.expr, fn_node: ast.AST) -> bool:
+def _is_monotone_fork(start: ast.expr, nodes: NodeIndex) -> bool:
     """A fork point is visibly monotone when it is ``max(...)``, a name
     bound to ``max(...)``, or a ``now_us`` read."""
     if isinstance(start, ast.Call) and _is_name(start.func, "max"):
@@ -780,7 +729,7 @@ def _is_monotone_fork(start: ast.expr, fn_node: ast.AST) -> bool:
     if chain and chain[-1] == "now_us":
         return True
     if isinstance(start, ast.Name):
-        for node in ast.walk(fn_node):
+        for node in nodes.of(ast.Assign, ast.AugAssign):
             if isinstance(node, ast.Assign) and any(
                 _is_name(t, start.id) for t in node.targets
             ):

@@ -1,9 +1,11 @@
 """The analysis engine: project indexing and rule dispatch.
 
-One pass parses every module under ``src/repro`` into an AST, resolves
-its imports to dotted module names, and pre-extracts the cross-file
-facts the rules need (registered crash sites and their call sites,
-metric registrations, suppression pragmas).  Rules then run over this
+One pass parses every module under ``src/repro`` into an AST and walks
+it once (:func:`index_nodes`), keeping its nodes by type for the module
+and for every ``def``.  From those lists it resolves the module's
+imports to dotted module names and pre-extracts the cross-file facts the
+rules need (registered crash sites and their call sites, metric
+registrations, suppression pragmas).  Rules then run over this
 :class:`ProjectIndex` — each is a pure function from index to findings,
 so a rule can reason about the whole project (the EL1xx import graph,
 EL3xx crash-site cross-references) and not just one file at a time.
@@ -12,17 +14,56 @@ EL3xx crash-site cross-references) and not just one file at a time.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.flow import closure
+from repro.analysis.flow import _FuncDef, closure
 from repro.analysis.model import Finding, Suppressions, parse_suppressions
 from repro.analysis.zones import ZoneConfig
 
 
 class AnalysisError(RuntimeError):
     """The checker itself could not run (bad config, unparseable file)."""
+
+
+class NodeIndex:
+    """The nodes under one module or ``def``, by exact type, in
+    ``ast.walk`` order."""
+
+    def __init__(self, order: dict[ast.AST, int]) -> None:
+        self._order = order  # node -> position in the module's walk
+        self._by_type: dict[type, list] = {}
+
+    def of(self, *types: type) -> list:
+        """The nodes of ``types``; several types merge in walk order."""
+        if len(types) == 1:
+            return self._by_type.get(types[0], [])
+        return sorted(
+            (node for t in types for node in self._by_type.get(t, ())),
+            key=self._order.__getitem__,
+        )
+
+
+def index_nodes(tree: ast.Module) -> dict[ast.AST, NodeIndex]:
+    """Walk ``tree`` once: a :class:`NodeIndex` for the module and for
+    every ``def`` in it, keyed by the module or def node.  A def's index
+    includes the nodes of the defs nested in it, exactly as
+    ``ast.walk(def)`` yields them."""
+    order: dict[ast.AST, int] = {}
+    scopes = {tree: NodeIndex(order)}
+    todo = deque([(tree, (scopes[tree],))])
+    while todo:
+        node, owners = todo.popleft()
+        if isinstance(node, _FuncDef):
+            scopes[node] = NodeIndex(order)
+            owners = (*owners, scopes[node])
+        order[node] = len(order)
+        for owner in owners:
+            owner._by_type.setdefault(type(node), []).append(node)
+        todo.extend((child, owners) for child in ast.iter_child_nodes(node))
+    return scopes
 
 
 @dataclass
@@ -46,8 +87,16 @@ class ModuleInfo:
     tree: ast.Module
     source: str
     suppressions: Suppressions
+    #: The module's and each def's nodes, keyed by the module or def node.
+    scopes: dict[ast.AST, NodeIndex]
     #: (imported dotted module, line) pairs, absolute names only.
     imports: list[tuple[str, int]] = field(default_factory=list)
+    #: (local name, dotted target, from-import) per imported name.
+    imported_names: list[tuple[str, str, bool]] = field(default_factory=list)
+
+    @property
+    def nodes(self) -> NodeIndex:
+        return self.scopes[self.tree]
 
 
 @dataclass
@@ -97,9 +146,6 @@ class ProjectIndex:
         for path in sorted(package_dir.rglob("*.py")):
             index._add_module(path, package_dir)
         index._extract_crash_sites()
-        for module in index.modules.values():
-            index._collect_crash_refs(module.tree, module.name)
-            index._collect_metric_registrations(module)
         ref_dirs = list(reference_dirs) or [root / "tests"]
         for ref_dir in ref_dirs:
             if not ref_dir.is_dir():
@@ -129,16 +175,26 @@ class ProjectIndex:
             tree=tree,
             source=source,
             suppressions=parse_suppressions(source),
+            scopes=index_nodes(tree),
         )
-        for node in ast.walk(tree):
+        for node in info.nodes.of(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     info.imports.append((alias.name, node.lineno))
-            elif isinstance(node, ast.ImportFrom):
-                target = self._resolve_from_import(node, name)
-                if target:
-                    info.imports.append((target, node.lineno))
+                    bound = alias.name if alias.asname else alias.name.split(".")[0]
+                    info.imported_names.append((alias.asname or bound, bound, False))
+                continue
+            target = self._resolve_from_import(node, name)
+            if target:
+                info.imports.append((target, node.lineno))
+                info.imported_names.extend(
+                    (alias.asname or alias.name, f"{target}.{alias.name}", True)
+                    for alias in node.names
+                )
         self.modules[name] = info
+        calls = info.nodes.of(ast.Call)
+        self._collect_crash_refs(calls, name)
+        self._collect_metric_registrations(calls, name)
 
     @staticmethod
     def _resolve_from_import(node: ast.ImportFrom, module: str) -> str | None:
@@ -169,9 +225,8 @@ class ProjectIndex:
             names = {t.id for t in targets if isinstance(t, ast.Name)}
             if "CRASH_SITES" not in names:
                 continue
-            value = node.value if isinstance(node, ast.Assign) else node.value
             try:
-                sites = ast.literal_eval(value)
+                sites = ast.literal_eval(node.value)
             except ValueError:
                 continue
             if isinstance(sites, (tuple, list)):
@@ -179,50 +234,29 @@ class ProjectIndex:
                 self.crash_sites_line = node.lineno
                 return
 
-    def _collect_crash_refs(self, tree: ast.AST, where: str) -> None:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr not in ("crash_point", "crash_at"):
-                continue
-            if node.args and isinstance(node.args[0], ast.Constant):
-                value = node.args[0].value
-                if isinstance(value, str):
-                    self.crash_refs.setdefault(value, []).append(
-                        (where, node.lineno)
-                    )
+    def _collect_crash_refs(self, nodes: Iterable[ast.AST], where: str) -> None:
+        for attr, site, node in _named_calls(nodes):
+            if attr in ("crash_point", "crash_at"):
+                self.crash_refs.setdefault(site, []).append((where, node.lineno))
 
     def _collect_reference_file(self, path: Path) -> None:
         try:
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         except (SyntaxError, UnicodeDecodeError):
             return  # reference-only scan: never fail the run on test files
-        self._collect_crash_refs(tree, path.relative_to(self.root).as_posix())
+        self._collect_crash_refs(
+            ast.walk(tree), path.relative_to(self.root).as_posix()
+        )
 
-    def _collect_metric_registrations(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+    def _collect_metric_registrations(self, calls: list[ast.Call], module: str) -> None:
+        for attr, name, node in _named_calls(calls):
+            if attr not in ("counter", "gauge", "histogram", "span", "emit"):
                 continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr not in ("counter", "gauge", "histogram", "span", "emit"):
-                continue
-            if not node.args or not isinstance(node.args[0], ast.Constant):
-                continue
-            name = node.args[0].value
-            if not isinstance(name, str):
-                continue
-            site = MetricRegistration(
-                name=name, module=module.name, line=node.lineno
-            )
-            if func.attr == "span":
+            site = MetricRegistration(name=name, module=module, line=node.lineno)
+            if attr == "span":
                 self.span_registrations.append(site)
                 continue
-            if func.attr == "emit":
+            if attr == "emit":
                 self.event_emissions.append(site)
                 continue
             # A *registration* carries a description; bare lookups
@@ -235,6 +269,19 @@ class ProjectIndex:
             if not has_description:
                 continue
             self.metric_registrations.append(site)
+
+
+def _named_calls(nodes: Iterable[ast.AST]) -> Iterator[tuple[str, str, ast.Call]]:
+    """``(attr, name, call)`` for every ``<expr>.attr("name", ...)`` call."""
+    for node in nodes:
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            yield node.func.attr, node.args[0].value, node
 
 
 def run_analysis(
@@ -280,12 +327,13 @@ def run_analysis(
         return []
     findings = []
     used_pragmas: set[tuple[str, str, int]] = set()
+    modules_by_path = {module.relpath: module for module in index.modules.values()}
     for finding in run_rules(index):
         if wanted is not None and finding.rule not in wanted:
             continue
         if scoped_paths is not None and finding.path not in scoped_paths:
             continue
-        module = _module_for_path(index, finding.path)
+        module = modules_by_path.get(finding.path)
         if module is not None:
             matched = module.suppressions.matching_lines(
                 finding.rule, finding.line
@@ -345,13 +393,6 @@ def _unused_suppressions(
                 )
             )
     return out
-
-
-def _module_for_path(index: ProjectIndex, relpath: str):
-    for module in index.modules.values():
-        if module.relpath == relpath:
-            return module
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -158,11 +158,10 @@ class _Walk(MustWalk):
         ]
         # Every effect occurring anywhere in the body (``when`` gating).
         self.context: set[str] = set()
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                self.context.update(analysis.effects.of(analysis.graph.site(node)))
-            else:
-                self.context.update(e for e, _ in analysis.attr_effects_in(node))
+        for node in fn.nodes.of(ast.Call):
+            self.context.update(analysis.effects.of(analysis.graph.site(node)))
+        for node in fn.nodes.of(ast.Assign, ast.AugAssign, ast.AnnAssign):
+            self.context.update(e for e, _ in analysis.attr_effects_in(node))
 
     def _emit(self, rule: str, line: int, message: str) -> None:
         if not self.sentinel:

@@ -34,7 +34,7 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from repro.analysis.engine import ModuleInfo, ProjectIndex
+from repro.analysis.engine import ModuleInfo, NodeIndex, ProjectIndex
 from repro.analysis.flow import _chain_of, _FuncDef
 from repro.analysis.model import Finding, Severity
 from repro.analysis.zones import Zone
@@ -360,9 +360,7 @@ def _el102_untrusted_reads(index: ProjectIndex) -> Iterator[Finding]:
     for module in index.modules.values():
         if index.config.zone_of(module.name) is not Zone.ENCLAVE:
             continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes.of(ast.Call):
             func = node.func
             if isinstance(func, ast.Name):
                 if func.id in _IO_BUILTINS:
@@ -422,35 +420,29 @@ def _el103_pool_bounds(index: ProjectIndex) -> Iterator[Finding]:
     for module in index.modules.values():
         if index.config.zone_of(module.name) is not Zone.ENCLAVE:
             continue
-        for fn in ast.walk(module.tree):
-            if not isinstance(fn, _FuncDef):
-                continue
-            guarded: set[str] = set()
-            subscripts: list[tuple[str, int]] = []
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Compare):
-                    for call in ast.walk(node):
-                        if (
-                            isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Name)
-                            and call.func.id == "len"
-                            and call.args
-                            and isinstance(call.args[0], ast.Attribute)
-                            and call.args[0].attr in _POOL_ATTRS
-                        ):
-                            guarded.add(call.args[0].attr)
+        for fn in module.nodes.of(*_FuncDef):
+            nodes = module.scopes[fn]
+            guarded = {
+                call.args[0].attr
+                for compare in nodes.of(ast.Compare)
+                for call in ast.walk(compare)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "len"
+                and call.args
+                and isinstance(call.args[0], ast.Attribute)
+                and call.args[0].attr in _POOL_ATTRS
+            }
+            for node in nodes.of(ast.Subscript):
                 if (
-                    isinstance(node, ast.Subscript)
-                    and isinstance(node.value, ast.Attribute)
+                    isinstance(node.value, ast.Attribute)
                     and node.value.attr in _POOL_ATTRS
+                    and node.value.attr not in guarded
                     and not isinstance(node.slice, ast.Constant)
                 ):
-                    subscripts.append((node.value.attr, node.lineno))
-            for attr, line in subscripts:
-                if attr not in guarded:
                     yield _finding(
-                        "EL103", module, line,
-                        f"{attr}[...] indexed with a host-controlled "
+                        "EL103", module, node.lineno,
+                        f"{node.value.attr}[...] indexed with a host-controlled "
                         f"reference but no len() bounds check in "
                         f"{fn.name}(); malformed proofs must raise "
                         f"ProofFormatError, not IndexError",
@@ -485,9 +477,7 @@ def _el2xx_exception_hygiene(index: ProjectIndex) -> Iterator[Finding]:
         is_catcher = index.config.matches_any(
             module.name, index.config.crash_catchers
         )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in module.nodes.of(ast.ExceptHandler):
             names = _handler_names(node)
             if node.type is None:
                 yield _finding(
@@ -496,28 +486,21 @@ def _el2xx_exception_hygiene(index: ProjectIndex) -> Iterator[Finding]:
                     "KeyboardInterrupt; name the exception type",
                 )
                 continue
-            if "BaseException" in names and not _body_reraises(node):
+            reraises = _body_reraises(node)
+            if "BaseException" in names and not reraises:
                 yield _finding(
                     "EL301", module, node.lineno,
                     "`except BaseException` without re-raise swallows "
                     "SimulatedCrash (a simulated power cut)",
                 )
-            if (
-                "SimulatedCrash" in names
-                and not is_catcher
-                and not _body_reraises(node)
-            ):
+            if "SimulatedCrash" in names and not is_catcher and not reraises:
                 yield _finding(
                     "EL301", module, node.lineno,
                     "SimulatedCrash may only be caught by the crash-"
                     "consistency harness (roles.crash_catchers); re-raise "
                     "it here",
                 )
-            if (
-                fail_closed
-                and "Exception" in names
-                and not _body_reraises(node)
-            ):
+            if fail_closed and "Exception" in names and not reraises:
                 yield _finding(
                     "EL202", module, node.lineno,
                     "broad `except Exception` in a fail-closed path; "
@@ -547,9 +530,7 @@ def _el203_digest_equality(index: ProjectIndex) -> Iterator[Finding]:
     for module in index.modules.values():
         if not index.config.is_fail_closed(module.name):
             continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
+        for node in module.nodes.of(ast.Compare):
             if not all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
                 continue
             operands = [node.left, *node.comparators]
@@ -590,7 +571,7 @@ def _el204_deserializer_shape(index: ProjectIndex) -> Iterator[Finding]:
                     f"{fn.name}() must validate a *_MAGIC tag (and raise) "
                     f"before parsing any payload bytes",
                 )
-            if not _calls_done(fn):
+            if not _calls_done(module.scopes[fn]):
                 yield _finding(
                     "EL204", module, fn.lineno,
                     f"{fn.name}() never calls .done(); trailing bytes "
@@ -613,12 +594,10 @@ def _has_early_magic_check(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def _calls_done(fn: ast.FunctionDef) -> bool:
+def _calls_done(nodes: NodeIndex) -> bool:
     return any(
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "done"
-        for node in ast.walk(fn)
+        isinstance(node.func, ast.Attribute) and node.func.attr == "done"
+        for node in nodes.of(ast.Call)
     )
 
 
