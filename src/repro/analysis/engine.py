@@ -17,7 +17,7 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.analysis.flow import _FuncDef, closure
 from repro.analysis.model import Finding, Suppressions, parse_suppressions
@@ -64,6 +64,24 @@ def index_nodes(tree: ast.Module) -> dict[ast.AST, NodeIndex]:
             owner._by_type.setdefault(type(node), []).append(node)
         todo.extend((child, owners) for child in ast.iter_child_nodes(node))
     return scopes
+
+
+#: A def, lambda or class nested in a body is a scope of its own, not
+#: part of that body.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def walk_local(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk(node)`` without entering the scopes nested in it."""
+    todo = deque([node])
+    while todo:
+        node = todo.popleft()
+        yield node
+        todo.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, _SCOPES)
+        )
 
 
 @dataclass

@@ -34,7 +34,7 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from repro.analysis.engine import ModuleInfo, NodeIndex, ProjectIndex
+from repro.analysis.engine import _SCOPES, ModuleInfo, ProjectIndex, walk_local
 from repro.analysis.flow import _chain_of, _FuncDef
 from repro.analysis.model import Finding, Severity
 from repro.analysis.zones import Zone
@@ -468,7 +468,7 @@ def _handler_names(handler: ast.ExceptHandler) -> list[str]:
 
 
 def _body_reraises(handler: ast.ExceptHandler) -> bool:
-    return any(isinstance(node, ast.Raise) for node in ast.walk(handler))
+    return any(isinstance(node, ast.Raise) for node in walk_local(handler))
 
 
 def _el2xx_exception_hygiene(index: ProjectIndex) -> Iterator[Finding]:
@@ -571,7 +571,7 @@ def _el204_deserializer_shape(index: ProjectIndex) -> Iterator[Finding]:
                     f"{fn.name}() must validate a *_MAGIC tag (and raise) "
                     f"before parsing any payload bytes",
                 )
-            if not _calls_done(module.scopes[fn]):
+            if not _calls_done(module, fn):
                 yield _finding(
                     "EL204", module, fn.lineno,
                     f"{fn.name}() never calls .done(); trailing bytes "
@@ -594,10 +594,20 @@ def _has_early_magic_check(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def _calls_done(nodes: NodeIndex) -> bool:
+def _calls_done(module: ModuleInfo, fn: ast.FunctionDef) -> bool:
+    """A ``.done()`` call in ``fn``'s own body, not in a scope nested in it."""
+    nodes = module.scopes[fn]
+    nested = {
+        id(node)
+        for scope in nodes.of(*_SCOPES)
+        if scope is not fn
+        for node in ast.walk(scope)
+    }
     return any(
-        isinstance(node.func, ast.Attribute) and node.func.attr == "done"
-        for node in nodes.of(ast.Call)
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "done"
+        and id(call) not in nested
+        for call in nodes.of(ast.Call)
     )
 
 

@@ -222,6 +222,22 @@ def test_el202_reraise_and_neutral_module_are_clean(project):
     assert project.lint(["EL202"]) == []
 
 
+def test_el202_raise_in_nested_def_does_not_reraise(project):
+    project.add_module(
+        "fc",
+        """
+        def verify(proof):
+            try:
+                check(proof)
+            except Exception:
+                def fail():
+                    raise
+                return fail
+        """,
+    )
+    assert rules_of(project.lint(["EL202"])) == ["EL202"]
+
+
 def test_el202_enclave_zone_is_fail_closed(project):
     project.add_module(
         "enc.verifier",
@@ -331,6 +347,29 @@ def test_el204_compliant_deserializer_is_clean(project):
     assert project.lint(["EL204"]) == []
 
 
+def test_el204_done_in_nested_def_does_not_count(project):
+    project.add_module(
+        "wireish",
+        """
+        NODE_MAGIC = 0x4E
+
+        def deserialize_node(reader):
+            tag = reader.u8()
+            if tag != NODE_MAGIC:
+                raise ProofFormatError("bad magic")
+            payload = reader.bytes()
+
+            def finish():
+                reader.done()
+
+            return payload
+        """,
+    )
+    findings = project.lint(["EL204"])
+    assert rules_of(findings) == ["EL204"]
+    assert "done" in findings[0].message
+
+
 def test_el204_only_wire_modules_are_checked(project):
     project.add_module(
         "util",
@@ -354,6 +393,22 @@ def test_el301_base_exception_without_reraise(project):
                 risky()
             except BaseException:
                 pass
+        """,
+    )
+    assert rules_of(project.lint(["EL301"])) == ["EL301"]
+
+
+def test_el301_raise_in_nested_def_does_not_reraise(project):
+    project.add_module(
+        "util",
+        """
+        def swallow():
+            try:
+                risky()
+            except BaseException:
+                def later():
+                    raise
+                return later
         """,
     )
     assert rules_of(project.lint(["EL301"])) == ["EL301"]
