@@ -721,27 +721,28 @@ def _is_name(node: ast.AST | None, name: str) -> bool:
 
 
 def _is_monotone_fork(start: ast.expr, nodes: NodeIndex) -> bool:
-    """A fork point is visibly monotone when it is ``max(...)``, a name
-    bound to ``max(...)``, or a ``now_us`` read."""
+    """A fork point is visibly monotone when it is ``max(...)``, a
+    ``now_us`` read, or a name every binding of which in the function is
+    ``name = max(...)`` (an augmented or any other rebinding is not)."""
     if isinstance(start, ast.Call) and _is_name(start.func, "max"):
         return True
     chain = _chain_of(start)
     if chain and chain[-1] == "now_us":
         return True
-    if isinstance(start, ast.Name):
-        for node in nodes.of(ast.Assign, ast.AugAssign):
-            if isinstance(node, ast.Assign) and any(
-                _is_name(t, start.id) for t in node.targets
-            ):
-                if isinstance(node.value, ast.Call) and _is_name(
-                    node.value.func, "max"
-                ):
-                    return True
-            elif isinstance(node, ast.AugAssign) and _is_name(
-                node.target, start.id
-            ):
-                return False
-    return False
+    if not isinstance(start, ast.Name):
+        return False
+    bindings = [
+        node
+        for node in nodes.of(ast.Name)
+        if node.id == start.id and isinstance(node.ctx, ast.Store)
+    ]
+    max_bound = {
+        id(target)
+        for node in nodes.of(ast.Assign, ast.AnnAssign)
+        if isinstance(node.value, ast.Call) and _is_name(node.value.func, "max")
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    }
+    return bool(bindings) and all(id(node) in max_bound for node in bindings)
 
 
 class _FreezeWalk(MustWalk):

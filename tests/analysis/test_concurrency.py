@@ -397,6 +397,33 @@ def backdate_raw(clock, enqueue_us):
     assert findings[0].severity.value == "warning"
 
 
+def test_el603_fork_rebound_after_max_warns(project):
+    """A name is a monotone fork only if every binding of it is a plain
+    ``max(...)``: a later augmented or plain rebinding backdates it."""
+    project.write_zones(CONC_ZONES)
+    project.add_module(
+        "store",
+        """
+def backdate_after_max(clock, enqueue_us, free_us):
+    fork_us = max(enqueue_us, free_us)
+    fork_us -= 500
+    with clock.parallel_track(start_us=fork_us):
+        pass
+
+
+def rebind_after_max(clock, enqueue_us, free_us):
+    fork_us = max(enqueue_us, free_us)
+    fork_us = enqueue_us - 500
+    with clock.parallel_track(start_us=fork_us):
+        pass
+""",
+    )
+    findings = project.lint(["EL603"])
+    assert rules_of(findings) == ["EL603", "EL603"]
+    assert [f.line for f in findings] == [5, 12]
+    assert all("not visibly monotone" in f.message for f in findings)
+
+
 def test_el603_monotone_forks_are_clean(project):
     project.write_zones(CONC_ZONES)
     project.add_module(
