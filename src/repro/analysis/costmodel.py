@@ -52,6 +52,7 @@ Rules:
 from __future__ import annotations
 
 import ast
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,11 +70,6 @@ from repro.analysis.flow import (
 )
 from repro.analysis.model import Finding
 from repro.analysis.rules import findings_from
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - py3.10 fallback
-    tomllib = None
 
 #: Multiplicities saturate here: beyond this the exact count carries no
 #: review signal, and saturation keeps summary folding loop-free.
@@ -479,23 +475,14 @@ def load_committed_costs(path: Path) -> dict[str, dict[str, str]] | None:
     """Parse ``analysis/costs.toml``; ``None`` when the file is absent."""
     if not path.exists():
         return None
-    if tomllib is not None:
-        with open(path, "rb") as fh:
-            raw = tomllib.load(fh)
-    else:
-        from repro.analysis.zones import _parse_toml_subset
-
-        raw = _parse_toml_subset(path.read_text(encoding="utf-8"))
+    with open(path, "rb") as fh:
+        raw = tomllib.load(fh)
     out: dict[str, dict[str, str]] = {}
     operations = raw.get("operation", {})
     if isinstance(operations, dict):
         for entry, table in operations.items():
             if isinstance(table, dict):
                 out[entry] = {k: str(v) for k, v in table.items()}
-    # py3.10 subset parser keeps dotted table names flat.
-    for key, table in raw.items():
-        if key.startswith("operation.") and isinstance(table, dict):
-            out[key[len("operation."):]] = {k: str(v) for k, v in table.items()}
     return out
 
 

@@ -22,14 +22,12 @@ beats a glob, and among globs the longest pattern wins.
 
 from __future__ import annotations
 
+import dataclasses
 import fnmatch
 import re
+import tomllib
+import typing
 from dataclasses import dataclass, field
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # Python < 3.11: fall back to the mini-parser
-    tomllib = None
 from enum import Enum
 from pathlib import Path
 
@@ -42,6 +40,11 @@ class Zone(str, Enum):
 
 
 DEFAULT_CONFIG_RELPATH = Path("analysis") / "zones.toml"
+
+
+def _keyed(key: str, **kwargs: typing.Any) -> typing.Any:
+    """A config field read from the TOML ``key`` instead of its own name."""
+    return field(metadata={"toml": key}, **kwargs)
 
 
 @dataclass
@@ -100,33 +103,15 @@ _ORDER_BEFORE_RETURN = re.compile(
 )
 
 
-def _parse_assignments(entries: list[str], where: str) -> dict[str, str]:
-    """``["a.b = rhs", ...]`` -> {"a.b": "rhs"}; malformed lines raise."""
-    out: dict[str, str] = {}
-    for entry in entries:
-        key, sep, value = entry.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"{where}: expected '<key> = <value>', got {entry!r}")
-        if key in out:
-            raise ValueError(f"{where}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def _split_list(value: str) -> list[str]:
-    return [part.strip() for part in value.split(",") if part.strip()]
-
-
 @dataclass
 class ConcurrencyConfig:
     """The ``[concurrency]`` section: the EL6xx shared-state policy.
 
-    ``shared`` entries are ``"<Class-qualname>.<attr> = <ownership>"``
-    strings (the attribute part may be an ``fnmatch`` glob) with
-    ownership one of ``lock:<attr>`` (every access holds the named
-    lock), ``single-writer:<side>`` (only that side writes; reads are
-    free), ``event-handoff`` (a thread-safe signalling object), or
+    ``shared`` maps ``"<Class-qualname>.<attr>"`` keys (the attribute
+    part may be an ``fnmatch`` glob) to an ownership token, one of
+    ``lock:<attr>`` (every access holds the named lock),
+    ``single-writer:<side>`` (only that side writes; reads are free),
+    ``event-handoff`` (a thread-safe signalling object), or
     ``frozen-after-publish`` (written only during construction).
     """
 
@@ -137,7 +122,7 @@ class ConcurrencyConfig:
     #: Function-qualname patterns for foreground operations.
     foreground_entries: list[str] = field(default_factory=list)
     #: ``"<class>.<attr>" -> ownership token`` (attr part may glob).
-    ownership: dict[str, str] = field(default_factory=dict)
+    ownership: dict[str, str] = _keyed("shared", default_factory=dict)
     #: Published containers whose *elements* are frozen: attr pattern ->
     #: forbidden element mutators (EL602).
     published: dict[str, list[str]] = field(default_factory=dict)
@@ -315,21 +300,27 @@ class ZoneConfig:
 
     zones: dict[Zone, list[str]] = field(default_factory=dict)
     #: Modules whose error handling must fail closed (EL2xx scope).
-    fail_closed: list[str] = field(default_factory=list)
+    fail_closed: list[str] = _keyed("roles.fail_closed", default_factory=list)
     #: Proof (de)serialisation modules (EL204 scope).
-    wire: list[str] = field(default_factory=list)
+    wire: list[str] = _keyed("roles.wire", default_factory=list)
     #: The module defining CRASH_SITES (EL302/EL303 anchor).
-    crash_plan: str = "repro.faults.plan"
+    crash_plan: str = _keyed("roles.crash_plan", default="repro.faults.plan")
     #: Modules allowed to catch SimulatedCrash (the harness, by design).
-    crash_catchers: list[str] = field(default_factory=list)
+    crash_catchers: list[str] = _keyed("roles.crash_catchers", default_factory=list)
     #: Where every registered metric name must be documented (EL402).
-    telemetry_doc: str = "docs/observability.md"
+    telemetry_doc: str = _keyed("telemetry.doc", default="docs/observability.md")
     #: ``component.noun[.verb]`` metric-name convention (EL401).
-    metric_name_pattern: str = r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+){1,3}$"
+    metric_name_pattern: str = _keyed(
+        "telemetry.name_pattern", default=r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+){1,3}$"
+    )
     #: Span-name convention (EL401 over ``.span("name")`` openings).
-    span_name_pattern: str = r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+){1,2}$"
+    span_name_pattern: str = _keyed(
+        "telemetry.span_name_pattern", default=r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+){1,2}$"
+    )
     #: Event-kind convention (EL401 over ``.emit("kind")`` sites).
-    event_name_pattern: str = r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+){1,3}$"
+    event_name_pattern: str = _keyed(
+        "telemetry.event_name_pattern", default=r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+){1,3}$"
+    )
     #: Taint sources/sanitizers/sinks for the EL5xx dataflow rules.
     taint: TaintConfig = field(default_factory=TaintConfig)
     #: Shared-state ownership policy for the EL6xx concurrency rules.
@@ -375,172 +366,81 @@ class ZoneConfig:
         )
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    quote = None
-    for ch in line:
-        if quote:
-            out.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            out.append(ch)
-    return "".join(out)
+_KINDS = {str: "a string", list: "an array", dict: "a table"}
 
 
-def _bracket_balance(text: str) -> int:
-    depth = 0
-    quote = None
-    for ch in text:
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-    return depth
+def _expect(value: typing.Any, kind: type, where: str) -> typing.Any:
+    if not isinstance(value, kind):
+        got = _KINDS.get(type(value), type(value).__name__)
+        raise ValueError(f"{where}: expected {_KINDS[kind]}, got {got}")
+    return value
 
 
-_QUOTED = re.compile(r"'([^']*)'|\"([^\"]*)\"")
+def _convert(value: typing.Any, hint: typing.Any, where: str) -> typing.Any:
+    """``value`` as the declared field type ``hint``; a mismatch raises a
+    ``ValueError`` naming ``where`` (``section.key``)."""
+    if hint is OrderRule:
+        return _parse_order_rule(_expect(value, str, where))
+    if dataclasses.is_dataclass(hint):
+        return _fill(hint(), _expect(value, dict, where), f"{where}.")
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        items = enumerate(_expect(value, list, where))
+        return [_convert(item, args[0], f"{where}[{i}]") for i, item in items]
+    if origin is dict:
+        return {
+            _convert(key, args[0], f"{where}.{key}"): _convert(
+                item, args[1], f"{where}.{key}"
+            )
+            for key, item in _expect(value, dict, where).items()
+        }
+    if hint is Zone:
+        try:
+            return Zone(value)
+        except ValueError:
+            raise ValueError(f"{where}: unknown zone {value!r}") from None
+    return _expect(value, hint, where)
 
 
-def _parse_toml_subset(text: str) -> dict:
-    """Parse the TOML subset ``zones.toml`` uses: tables, quoted strings,
-    and (possibly multiline) arrays of quoted strings.  Used only when
-    :mod:`tomllib` is unavailable (Python 3.10)."""
-    root: dict = {}
-    table = root
-    pending = ""
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if pending:
-            pending += " " + line
-        elif line.startswith("[") and line.endswith("]") and "=" not in line:
-            table = root.setdefault(line[1:-1].strip(), {})
-            continue
-        else:
-            pending = line
-        key, _, value = pending.partition("=")
-        if value.lstrip().startswith("[") and _bracket_balance(value) > 0:
-            continue  # multiline array: keep accumulating
-        pending = ""
-        key, value = key.strip(), value.strip()
-        if value.startswith("["):
-            table[key] = [a or b for a, b in _QUOTED.findall(value)]
-        else:
-            match = _QUOTED.fullmatch(value)
-            if match is None:
-                raise ValueError(f"unsupported TOML value for {key!r}: {value}")
-            table[key] = match.group(1) or match.group(2) or ""
-    return root
+def _fill(target: typing.Any, table: dict, prefix: str) -> typing.Any:
+    """Set each field of the dataclass ``target`` from ``table``.
+
+    A field is read from the key its ``toml`` metadata names, else from
+    the key of its own name; an absent key keeps the field's default.
+    Each value is checked against the field's declared type, and a key
+    no field reads is an error.  ``prefix`` (``"taint."``) locates
+    ``table`` in the file for error messages.
+    """
+    hints = typing.get_type_hints(type(target))
+    for spec in dataclasses.fields(target):
+        key = spec.metadata.get("toml", spec.name)
+        if key in table:
+            value = _convert(table.pop(key), hints[spec.name], prefix + key)
+            setattr(target, spec.name, value)
+    if table:
+        unknown = ", ".join(prefix + key for key in table)
+        raise ValueError(f"unknown key(s): {unknown}")
+    return target
 
 
 def load_zone_config(path: Path) -> ZoneConfig:
-    """Load ``zones.toml``; unknown keys are rejected to keep the file honest."""
-    if tomllib is not None:
-        with open(path, "rb") as fh:
-            raw = tomllib.load(fh)
-    else:
-        raw = _parse_toml_subset(path.read_text(encoding="utf-8"))
-    config = ZoneConfig()
-    zones_raw = raw.pop("zones", {})
-    for name, patterns in zones_raw.items():
-        config.zones[Zone(name)] = list(patterns)
-    roles = raw.pop("roles", {})
-    config.fail_closed = list(roles.pop("fail_closed", []))
-    config.wire = list(roles.pop("wire", []))
-    config.crash_plan = roles.pop("crash_plan", config.crash_plan)
-    config.crash_catchers = list(roles.pop("crash_catchers", []))
-    telemetry = raw.pop("telemetry", {})
-    config.telemetry_doc = telemetry.pop("doc", config.telemetry_doc)
-    config.metric_name_pattern = telemetry.pop(
-        "name_pattern", config.metric_name_pattern
-    )
-    config.span_name_pattern = telemetry.pop(
-        "span_name_pattern", config.span_name_pattern
-    )
-    config.event_name_pattern = telemetry.pop(
-        "event_name_pattern", config.event_name_pattern
-    )
-    taint = raw.pop("taint", {})
-    for key in (
-        "untrusted_calls",
-        "untrusted_attrs",
-        "untrusted_params",
-        "secret_calls",
-        "secret_attrs",
-        "sanitizers",
-        "declassifiers",
-        "trusted_sinks",
-        "untrusted_sinks",
-        "verifiers",
-    ):
-        setattr(config.taint, key, list(taint.pop(key, [])))
-    concurrency = raw.pop("concurrency", {})
-    config.concurrency.background_entries = list(
-        concurrency.pop("background_entries", [])
-    )
-    config.concurrency.foreground_entries = list(
-        concurrency.pop("foreground_entries", [])
-    )
-    ownership = _parse_assignments(
-        list(concurrency.pop("shared", [])), "concurrency.shared"
-    )
-    for qualattr, token in ownership.items():
+    """Load ``zones.toml``; unknown keys and values of the wrong type are
+    rejected to keep the file honest."""
+    with open(path, "rb") as fh:
+        raw = tomllib.load(fh)
+    # [roles] and [telemetry] keys are fields of ZoneConfig itself,
+    # which read them by their "section.key" names.
+    for section in ("roles", "telemetry"):
+        for key, value in _expect(raw.pop(section, {}), dict, section).items():
+            raw[f"{section}.{key}"] = value
+    config = _fill(ZoneConfig(), raw, "")
+    for qualattr, token in config.concurrency.ownership.items():
         if not _OWNERSHIP.fullmatch(token):
             raise ValueError(
                 f"concurrency.shared: bad ownership {token!r} for {qualattr!r} "
                 f"(want lock:<name>, single-writer:<side>, event-handoff "
                 f"or frozen-after-publish)"
             )
-    config.concurrency.ownership = ownership
-    config.concurrency.published = {
-        attr: _split_list(mutators)
-        for attr, mutators in _parse_assignments(
-            list(concurrency.pop("published", [])), "concurrency.published"
-        ).items()
-    }
-    if "freeze_methods" in concurrency:
-        config.concurrency.freeze_methods = list(concurrency.pop("freeze_methods"))
-    if "frozen_mutators" in concurrency:
-        config.concurrency.frozen_mutators = list(concurrency.pop("frozen_mutators"))
-    config.concurrency.error_recorders = list(
-        concurrency.pop("error_recorders", [])
-    )
-    protocol = raw.pop("protocol", {})
-    config.protocol.functions = list(protocol.pop("functions", []))
-    config.protocol.effects = {
-        effect: _split_list(patterns)
-        for effect, patterns in _parse_assignments(
-            list(protocol.pop("effects", [])), "protocol.effects"
-        ).items()
-    }
-    config.protocol.effect_attrs = {
-        effect: _split_list(attrs)
-        for effect, attrs in _parse_assignments(
-            list(protocol.pop("effect_attrs", [])), "protocol.effect_attrs"
-        ).items()
-    }
-    config.protocol.durable = list(protocol.pop("durable", []))
-    config.protocol.guards = {
-        effect: _split_list(terminals)
-        for effect, terminals in _parse_assignments(
-            list(protocol.pop("guards", [])), "protocol.guards"
-        ).items()
-    }
-    config.protocol.order = [
-        _parse_order_rule(raw_rule) for raw_rule in protocol.pop("order", [])
-    ]
     known = config.protocol.effect_names()
     for rule in config.protocol.order:
         names = {rule.effect, rule.then, rule.when, *rule.requires, *rule.reset_by}
@@ -555,32 +455,6 @@ def load_zone_config(path: Path) -> ZoneConfig:
             raise ValueError(
                 f"protocol: undeclared effect {effect!r} in durable/guards"
             )
-    costmodel = raw.pop("costmodel", {})
-    config.costmodel.entry_points = _parse_assignments(
-        list(costmodel.pop("entry_points", [])), "costmodel.entry_points"
-    )
-    config.costmodel.effects = {
-        effect: _split_list(patterns)
-        for effect, patterns in _parse_assignments(
-            list(costmodel.pop("effects", [])), "costmodel.effects"
-        ).items()
-    }
-    for key in (
-        "batch_entries",
-        "proof_entries",
-        "boundary_effects",
-        "durable_effects",
-        "bypass_effects",
-        "guards",
-        "amortized",
-        "unit_loops",
-        "compaction_merge",
-        "compaction_filter_hooks",
-        "compaction_drivers",
-        "compaction_prepare",
-        "compaction_publish",
-    ):
-        setattr(config.costmodel, key, list(costmodel.pop(key, [])))
     for entry in (
         config.costmodel.batch_entries + config.costmodel.proof_entries
     ):
@@ -599,15 +473,4 @@ def load_zone_config(path: Path) -> ZoneConfig:
                 f"costmodel: undeclared effect {effect!r} in "
                 f"boundary/durable/bypass_effects"
             )
-    leftovers = (
-        [f"top-level [{key}]" for key in raw]
-        + [f"roles.{key}" for key in roles]
-        + [f"telemetry.{key}" for key in telemetry]
-        + [f"taint.{key}" for key in taint]
-        + [f"concurrency.{key}" for key in concurrency]
-        + [f"protocol.{key}" for key in protocol]
-        + [f"costmodel.{key}" for key in costmodel]
-    )
-    if leftovers:
-        raise ValueError(f"unknown keys in {path}: {', '.join(leftovers)}")
     return config

@@ -22,12 +22,10 @@ foreground_entries = [
     "repro.store.Store.requeue",
     "repro.store.Store.flush",
 ]
-shared = [
-    "repro.store.Store.items = lock:_lock",
-    "repro.store.Store.config = frozen-after-publish",
-    "repro.store.Store.flushes = single-writer:background",
-]
-published = ["repro.store.Store.queue = append, clear"]
+shared."repro.store.Store.items" = "lock:_lock"
+shared."repro.store.Store.config" = "frozen-after-publish"
+shared."repro.store.Store.flushes" = "single-writer:background"
+published."repro.store.Store.queue" = ["append", "clear"]
 error_recorders = ["_record_error"]
 """
 

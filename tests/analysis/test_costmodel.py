@@ -16,24 +16,20 @@ from tests.analysis.conftest import FIXTURE_ZONES, rules_of
 COST_ZONES = FIXTURE_ZONES + """
 
 [costmodel]
-entry_points = [
-  "batch_ok = repro.kv.Store.batch_ok",
-  "batch_bad = repro.kv.Store.batch_bad",
-  "group_ok = repro.kv.Store.group_ok",
-  "group_bad = repro.kv.Store.group_bad",
-  "get_ok = repro.kv.Store.get_ok",
-  "get_bad = repro.kv.Store.get_bad",
-  "notify = repro.kv.Store.notify",
-]
+entry_points.batch_ok = "repro.kv.Store.batch_ok"
+entry_points.batch_bad = "repro.kv.Store.batch_bad"
+entry_points.group_ok = "repro.kv.Store.group_ok"
+entry_points.group_bad = "repro.kv.Store.group_bad"
+entry_points.get_ok = "repro.kv.Store.get_ok"
+entry_points.get_bad = "repro.kv.Store.get_bad"
+entry_points.notify = "repro.kv.Store.notify"
 batch_entries = ["batch_ok", "batch_bad", "group_ok", "group_bad"]
 proof_entries = ["get_ok", "get_bad"]
-effects = [
-  "ecall = op_call",
-  "fsync = file_fsync",
-  "seal = do_seal",
-  "hash = trusted_hash",
-  "block_bypass = read_block_sequential",
-]
+effects.ecall = ["op_call"]
+effects.fsync = ["file_fsync"]
+effects.seal = ["do_seal"]
+effects.hash = ["trusted_hash"]
+effects.block_bypass = ["read_block_sequential"]
 boundary_effects = ["ecall"]
 durable_effects = ["fsync", "seal"]
 bypass_effects = ["block_bypass"]

@@ -20,16 +20,14 @@ PROTO_ZONES = FIXTURE_ZONES + """\
 
 [protocol]
 functions = ["repro.proto.*"]
-effects = [
-    "write = wal_append",
-    "fsync = wal_fsync",
-    "install = do_install",
-    "seal = do_seal",
-    "crash_point = crash_point",
-]
-effect_attrs = ["advance = _flushed_ts"]
+effects.write = ["wal_append"]
+effects.fsync = ["wal_fsync"]
+effects.install = ["do_install"]
+effects.seal = ["do_seal"]
+effects.crash_point = ["crash_point"]
+effect_attrs.advance = ["_flushed_ts"]
 durable = ["write", "fsync", "install", "seal"]
-guards = ["fsync = wal"]
+guards.fsync = ["wal"]
 order = [
     "EL701: seal requires fsync|install reset-by write",
     "EL701: write then fsync before-return in *.append_group",

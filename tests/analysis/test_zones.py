@@ -84,19 +84,36 @@ def test_load_roundtrip(tmp_path):
     assert config.metric_name_pattern == "^[a-z.]+$"
 
 
-def test_toml_subset_fallback_matches_tomllib():
-    """The 3.10 fallback parser agrees with tomllib on the real config."""
-    from pathlib import Path
+def test_load_rejects_a_string_where_a_list_is_expected(tmp_path):
+    # A bare string must not be read as its list of characters: that
+    # would quietly stop EL503 checking verify_get.
+    path = tmp_path / "zones.toml"
+    path.write_text('[taint]\nverifiers = "verify_get"\n')
+    with pytest.raises(ValueError, match=r"taint\.verifiers: expected an array"):
+        load_zone_config(path)
 
-    import repro.analysis.zones as zones_mod
 
-    text = (Path(__file__).resolve().parents[2] / "analysis" / "zones.toml").read_text()
-    parsed = zones_mod._parse_toml_subset(text)
-    if zones_mod.tomllib is not None:
-        import tomllib
+def test_load_rejects_a_list_where_a_string_is_expected(tmp_path):
+    path = tmp_path / "zones.toml"
+    path.write_text('[roles]\ncrash_plan = ["x"]\n')
+    with pytest.raises(ValueError, match=r"roles\.crash_plan: expected a string"):
+        load_zone_config(path)
 
-        assert parsed == tomllib.loads(text)
-    assert "zones" in parsed and "roles" in parsed and "telemetry" in parsed
+
+def test_load_rejects_a_non_string_list_element(tmp_path):
+    path = tmp_path / "zones.toml"
+    path.write_text('[concurrency]\nbackground_entries = ["repro.w._run", 3]\n')
+    with pytest.raises(
+        ValueError, match=r"concurrency\.background_entries\[1\]: expected a string"
+    ):
+        load_zone_config(path)
+
+
+def test_load_rejects_a_mapping_value_of_the_wrong_type(tmp_path):
+    path = tmp_path / "zones.toml"
+    path.write_text('[protocol]\neffects."wal.fsync" = "file_fsync"\n')
+    with pytest.raises(ValueError, match=r"protocol\.effects\.wal\.fsync: expected an array"):
+        load_zone_config(path)
 
 
 def test_repo_zone_config_classifies_core_modules():
