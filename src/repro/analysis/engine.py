@@ -446,8 +446,10 @@ def git_changed_modules(index: ProjectIndex) -> set[str] | None:
     dotted name, and a deletion contributes the old name (resolved from
     the path even though the module is gone from the index).
 
-    Returns ``None`` when git is unavailable or the root is not a work
-    tree — callers should fall back to a full run rather than guess.
+    Returns ``None`` when git is unavailable, the root is not a work
+    tree, or a checker input changed — ``analysis/zones.toml``,
+    ``analysis/costs.toml`` or the telemetry doc, which scope findings
+    anywhere in the project.  Callers then run the full analysis.
     """
     import subprocess
 
@@ -475,22 +477,16 @@ def git_changed_modules(index: ProjectIndex) -> set[str] | None:
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    changed: set[str] = set()
+    relpaths = [line.strip() for line in untracked.stdout.splitlines()]
     for line in diff.stdout.splitlines():
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) < 2:
-            continue
         # STATUS\told-path[\tnew-path]; rename/copy statuses carry a
         # similarity score suffix (R100, C75) and two paths.
-        for relpath in fields[1:]:
-            name = resolve(relpath.strip())
-            if name is not None:
-                changed.add(name)
-    for line in untracked.stdout.splitlines():
-        name = resolve(line.strip())
-        if name is not None:
-            changed.add(name)
-    return changed
+        relpaths += [relpath.strip() for relpath in line.split("\t")[1:]]
+    inputs = {"analysis/zones.toml", "analysis/costs.toml", index.config.telemetry_doc}
+    if inputs.intersection(relpaths):
+        return None
+    names = (resolve(relpath) for relpath in relpaths)
+    return {name for name in names if name is not None}
 
 
 def dependency_cone(index: ProjectIndex, changed: set[str]) -> set[str]:

@@ -600,8 +600,9 @@ def cmd_lint(args) -> int:
             changed = git_changed_modules(index)
             if changed is None:
                 print(
-                    "lint: --changed-only needs git; running the full "
-                    "analysis instead",
+                    "lint: --changed-only needs git and unchanged checker "
+                    "inputs (zones.toml, costs.toml, the telemetry doc); "
+                    "running the full analysis instead",
                     file=sys.stderr,
                 )
             else:

@@ -111,3 +111,44 @@ def test_unchanged_tree_yields_empty_scope_and_fast_exit(project):
     index.scope = dependency_cone(index, changed)
     config = load_zone_config(project.root / "analysis" / "zones.toml")
     assert run_analysis(project.root, config, index=index) == []
+
+
+@needs_git
+def test_changed_checker_input_widens_to_the_whole_project(project, capsys):
+    """Dropping an ownership line from zones.toml changes no module, but
+    every access to that attribute becomes a finding: the scope must
+    widen to the whole project, not shrink to an empty cone."""
+    from repro.cli import main
+    from tests.analysis.test_concurrency import CONC_ZONES, STORE_HEADER
+
+    project.write_zones(CONC_ZONES)
+    project.add_module(
+        "store",
+        STORE_HEADER
+        + """
+    def put(self, key, value):
+        with self._lock:
+            self.items[key] = value
+
+
+class Worker:
+    def __init__(self, store: Store):
+        self.store = store
+
+    def _run(self):
+        with self.store._lock:
+            self.store.items.clear()
+""",
+    )
+    _git(project, "init", "-q")
+    _git(project, "add", "-A")
+    _git(project, "commit", "-q", "-m", "seed")
+    project.write_zones(
+        CONC_ZONES.replace('shared."repro.store.Store.items" = "lock:_lock"\n', "")
+    )
+
+    assert git_changed_modules(_build(project)) is None
+    code = main(["lint", "--root", str(project.root), "--changed-only"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "EL601" in out and "store.py" in out
