@@ -663,9 +663,11 @@ class ELSMP2Store(PlacedStore):
                     self.prover.level_range_proof(level, enc_lo, enc_hi, tsq)
                 )
             memtable_records = list(self.db.mem_range(enc_lo, enc_hi))
+            hashes_before = self._m_hash_calls.total()
             records = self.verifier.verify_scan(
                 enc_lo, enc_hi, tsq, proof, extra_trusted=memtable_records
             )
+            self._m_verify_hashes.inc(self._m_hash_calls.total() - hashes_before)
             scan_proof_bytes = proof.size_bytes()
             self._m_proof_scan_bytes.observe(scan_proof_bytes)
             self.total_proof_bytes += scan_proof_bytes

@@ -67,6 +67,23 @@ def test_report_consistent_with_registry(worked_store):
     assert report["level_bytes_total"] > 0
 
 
+def test_scan_counts_its_verification_hashes():
+    """``proof.verify.hash_invocations`` covers SCAN like GET: every
+    enclave hash a SCAN spends goes to verifying its proof."""
+    store = make_p2_store()
+    for i in range(60):
+        store.put(b"k%04d" % i, b"v%d" % i)
+    store.flush()
+    m = store.telemetry.metrics
+    hashes = m.counter("enclave.hash.invocations")
+    verify = m.counter("proof.verify.hash_invocations")
+    hashes_before, verify_before = hashes.value(), verify.value()
+    assert len(store.scan(b"k0003", b"k0010")) == 8
+    spent = hashes.value() - hashes_before
+    assert spent > 0
+    assert verify.value() - verify_before == spent
+
+
 def test_stores_are_isolated():
     a = make_p2_store()
     b = make_p2_store()
