@@ -53,10 +53,10 @@ def telemetry_digest(case) -> str:
 
 
 PINNED: dict[str, str] = {
-    "p2-imm0-compact": "6af3b9a5eab01c0e2dff63cfead87415a7de4ce0e704cb219da01e31cc25e7b1",
-    "p2-imm0-stack": "1550e05115c7a5c2ad2cf756c6a48591b074635919e45d1f01021136fa67ae7b",
-    "p2-imm2-compact": "d4ead0603b67aacde281f7841de059ce1fad784210c63d837f2c16ac3fa7a76d",
-    "p2-imm2-stack": "0dc69d1a9877115020986ae88f1b0d9ba045ea1479a2e344c73ba57730fee60b",
+    "p2-imm0-compact": "345722b9e99b0151ad3b04b0ea97ed96501efd9df977b255539e71abde379bf5",
+    "p2-imm0-stack": "69e1afcf559e0bb43610deb3cd8659977194bafb9a42f7c8c3b8f2ec6d1c50f0",
+    "p2-imm2-compact": "9325d8ef126bbffb7d4e414427f2a14d4c11afef388c8b290d7f31ba8506ca6a",
+    "p2-imm2-stack": "a471de84f4eca76be257047fc57aedb14dfa12037f8580f353cc854e26dc79a8",
     "p1-imm0-compact": "51ddf6b5d7caf1df89bfa122d009ab1a917bc60e534500ca2b0498dc65244887",
     "p1-imm0-stack": "4d207696a176d0b8751ad7360a4a56dd5c585cc75cc452a50c989e366fafbdeb",
     "p1-imm2-compact": "522a46a49b95c129c72305d33899f5d114cf83bacd8806ba78915ec93900e1f1",
