@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "b214770bc44b2c4fca4848990e43d37d3e88047646588419fe9d19412e6f802f"
+INDEX_DIGEST = "52b4c3810cbafed7bd8a6a050ea170a21c43395b90c561fdd2e53629998d3db5"
 
 
 def _pinned(name: str) -> bool:
