@@ -22,12 +22,11 @@ beats a glob, and among globs the longest pattern wins.
 
 from __future__ import annotations
 
-import dataclasses
 import fnmatch
 import re
 import tomllib
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -381,7 +380,7 @@ def _convert(value: typing.Any, hint: typing.Any, where: str) -> typing.Any:
     ``ValueError`` naming ``where`` (``section.key``)."""
     if hint is OrderRule:
         return _parse_order_rule(_expect(value, str, where))
-    if dataclasses.is_dataclass(hint):
+    if is_dataclass(hint):
         return _fill(hint(), _expect(value, dict, where), f"{where}.")
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is list:
@@ -412,7 +411,7 @@ def _fill(target: typing.Any, table: dict, prefix: str) -> typing.Any:
     ``table`` in the file for error messages.
     """
     hints = typing.get_type_hints(type(target))
-    for spec in dataclasses.fields(target):
+    for spec in fields(target):
         key = spec.metadata.get("toml", spec.name)
         if key in table:
             value = _convert(table.pop(key), hints[spec.name], prefix + key)
