@@ -2,9 +2,10 @@
 
 ``tests/test_golden.py`` pins every simulated outcome of its script; this
 file pins everything the stores' telemetry records while running the same
-script on the same 16 cases: the metrics snapshot, each exported span
-(name, start/end, attributes and both cost ledgers), the tracer's
-``attributed_total()`` and the kinds of the recorded events.  Each case
+scripts on the same 16 cases and four P2 read cases: the metrics
+snapshot, each exported span (name, start/end, attributes and both cost
+ledgers), the tracer's ``attributed_total()`` and the kinds of the
+recorded events.  Each case
 hashes the canonical JSON of those four parts with SHA-256, so a change
 that claims to leave telemetry output alone is checked against every
 counter series, histogram bucket, span ledger and event at once.
@@ -20,7 +21,15 @@ import json
 
 import pytest
 
-from tests.test_golden import CASES, _case_id, _drive, _make
+from tests.test_golden import (
+    CASES,
+    READ_CASES,
+    _case_id,
+    _drive,
+    _drive_reads,
+    _make,
+    _make_reads,
+)
 
 
 def telemetry_dump(store) -> dict:
@@ -45,11 +54,21 @@ def telemetry_dump(store) -> dict:
     }
 
 
+def _digest(store) -> str:
+    canonical = json.dumps(telemetry_dump(store), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def telemetry_digest(case) -> str:
     store = _make(*case)
     _drive(store)
-    canonical = json.dumps(telemetry_dump(store), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _digest(store)
+
+
+def read_telemetry_digest(name: str) -> str:
+    store = _make_reads(name)
+    _drive_reads(store)
+    return _digest(store)
 
 
 PINNED: dict[str, str] = {
@@ -72,11 +91,26 @@ PINNED: dict[str, str] = {
 }
 
 
+PINNED_READS: dict[str, str] = {
+    "p2-reads-default": "6080bde5bc29b413b4f617eedc930bf5fba9abe5f33dde4d90eca1346ce70abb",
+    "p2-reads-no-early-stop": "01028258f9638c1fb42df7bc1cc739597dcd845b319a8da7f1905014aa7f1ed9",
+    "p2-reads-on-demand": "9adb37f7c80af517755e77b0507a2e4adc677ad4b72472099fc0393b70ae8b89",
+    "p2-reads-no-bloom": "4a620d2db64f5ebfba391d38dd076a96f09b454e1f414d6980ac0e43838d0682",
+}
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_telemetry_output_matches_pin(case):
     assert telemetry_digest(case) == PINNED[_case_id(case)]
 
 
+@pytest.mark.parametrize("name", READ_CASES)
+def test_read_telemetry_matches_pin(name):
+    assert read_telemetry_digest(name) == PINNED_READS[name]
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f'    "{_case_id(case)}": "{telemetry_digest(case)}",')
+    for name in READ_CASES:
+        print(f'    "{name}": "{read_telemetry_digest(name)}",')

@@ -11,6 +11,10 @@ engine stats and P2's dataset hash — must equal the literals below to
 the last bit, so any refactor of the engine that claims to be pure code
 motion is checked against the whole cost model at once.
 
+Four more P2-only cases (``READ_CASES``) run the script and then P2's
+verified reads — MULTIGET batches and reads at older ``ts_query`` — once
+under the default flags and once per descent flag turned away from it.
+
 ``python tests/test_golden.py`` prints the current values in the
 literal's format, for diffing against ``GOLDEN`` when this test fails.
 """
@@ -128,6 +132,49 @@ def _case_id(case) -> str:
 def run_case(case) -> dict:
     store = _make(*case)
     _drive(store)
+    return _observe(store)
+
+
+#: P2-only cases for the verified read paths: the script's batches go
+#: through the engine's unverified ``db.multi_get``, so these add P2's
+#: verified MULTIGET and every descent flag the read path branches on.
+READ_CASES: dict[str, dict] = {
+    "p2-reads-default": {},
+    "p2-reads-no-early-stop": {"early_stop": False},
+    "p2-reads-on-demand": {"proof_mode": "on_demand"},
+    "p2-reads-no-bloom": {"use_bloom": False},
+}
+
+
+def _make_reads(name: str):
+    return make_p2_store(
+        max_immutable_memtables=0,
+        compaction=False,
+        **_GEOMETRY,
+        **READ_CASES[name],
+    )
+
+
+def _drive_reads(store) -> None:
+    """The script, then verified batches with duplicates, absent keys and
+    MemTable hits, then GETs and MULTIGETs at two older ``ts_query``."""
+    _drive(store)
+    newest = store.current_ts
+    for i in range(3):
+        store.put(*kv(600 + i))
+    absent = [b"absent", b"key", b"kez"]
+    store.multi_get([kv(i)[0] for i in (0, 5, 5, 44, 600, 601, 600)] + absent)
+    store.multi_get([kv(i)[0] for i in range(1, 120, 6)] + [kv(602)[0]])
+    store.multi_get([kv(500 + i)[0] for i in range(0, 40, 5)] + absent[:1])
+    for ts_query in (newest // 3, 2 * newest // 3):
+        for i in range(0, 120, 7):
+            store.get(kv(i)[0], ts_query)
+        store.multi_get([kv(i)[0] for i in range(0, 120, 11)] + absent, ts_query)
+
+
+def run_read_case(name: str) -> dict:
+    store = _make_reads(name)
+    _drive_reads(store)
     return _observe(store)
 
 
@@ -557,10 +604,144 @@ GOLDEN: dict[str, dict] = {
 }
 
 
+GOLDEN_READS: dict[str, dict] = {
+    "p2-reads-default": {
+        "now_us": 15516.154794921214,
+        "disk_bytes": 68329,
+        "dataset_hash": (
+            "47024ebf7dfce0628cca754a64f15936"
+            "34d847a1eadeb17e9b1c3c8d5825f821"
+        ),
+        "stats": {
+            "bytes_compacted": 31688,
+            "bytes_flushed": 63473,
+            "compactions": 2,
+            "flushes": 10,
+            "user_bytes_written": 10551,
+        },
+        "charges": {
+            "compute": (871.8000000000003, 329),
+            "disk_write": (40.51953125000001, 31),
+            "dram_copy": (34.156982421875, 316),
+            "dram_touch": (7.939999999999919, 397),
+            "ecall": (3376.0, 422),
+            "ecall_copy": (41.38828125000006, 549),
+            "enclave_touch": (15.350000000000083, 307),
+            "epc_page_fault": (550.0, 11),
+            "fsync": (5040.0, 42),
+            "hash": (1502.1976562500347, 2209),
+            "kernel_read": (58.0, 29),
+            "kernel_write": (717.5, 287),
+            "ocall": (3152.0, 394),
+            "ocall_copy": (109.30234374999972, 316),
+        },
+    },
+    "p2-reads-no-early-stop": {
+        "now_us": 15635.2585058587,
+        "disk_bytes": 68329,
+        "dataset_hash": (
+            "47024ebf7dfce0628cca754a64f15936"
+            "34d847a1eadeb17e9b1c3c8d5825f821"
+        ),
+        "stats": {
+            "bytes_compacted": 31688,
+            "bytes_flushed": 63473,
+            "compactions": 2,
+            "flushes": 10,
+            "user_bytes_written": 10551,
+        },
+        "charges": {
+            "compute": (871.8000000000003, 329),
+            "disk_write": (40.51953125000001, 31),
+            "dram_copy": (34.156982421875, 316),
+            "dram_touch": (9.639999999999883, 482),
+            "ecall": (3376.0, 422),
+            "ecall_copy": (53.645312499999996, 549),
+            "enclave_touch": (15.350000000000083, 307),
+            "epc_page_fault": (550.0, 11),
+            "fsync": (5040.0, 42),
+            "hash": (1607.3443359375503, 2361),
+            "kernel_read": (58.0, 29),
+            "kernel_write": (717.5, 287),
+            "ocall": (3152.0, 394),
+            "ocall_copy": (109.30234374999972, 316),
+        },
+    },
+    "p2-reads-on-demand": {
+        "now_us": 28240.656992199747,
+        "disk_bytes": 12239,
+        "dataset_hash": (
+            "47024ebf7dfce0628cca754a64f15936"
+            "34d847a1eadeb17e9b1c3c8d5825f821"
+        ),
+        "stats": {
+            "bytes_compacted": 4958,
+            "bytes_flushed": 11223,
+            "compactions": 2,
+            "flushes": 10,
+            "user_bytes_written": 10551,
+        },
+        "charges": {
+            "compute": (871.8000000000003, 329),
+            "disk_write": (9.66796875, 31),
+            "dram_copy": (74.056640625, 695),
+            "dram_touch": (0.14, 7),
+            "ecall": (3376.0, 422),
+            "ecall_copy": (41.38828125000006, 549),
+            "enclave_touch": (15.350000000000083, 307),
+            "epc_page_fault": (550.0, 11),
+            "fsync": (5040.0, 42),
+            "hash": (10307.772851559379, 16124),
+            "kernel_read": (816.0, 408),
+            "kernel_write": (717.5, 287),
+            "ocall": (6184.0, 773),
+            "ocall_copy": (236.9812500000005, 695),
+        },
+    },
+    "p2-reads-no-bloom": {
+        "now_us": 16264.521201170915,
+        "disk_bytes": 68329,
+        "dataset_hash": (
+            "47024ebf7dfce0628cca754a64f15936"
+            "34d847a1eadeb17e9b1c3c8d5825f821"
+        ),
+        "stats": {
+            "bytes_compacted": 31688,
+            "bytes_flushed": 63473,
+            "compactions": 2,
+            "flushes": 10,
+            "user_bytes_written": 10551,
+        },
+        "charges": {
+            "compute": (871.8000000000003, 329),
+            "disk_write": (40.51953125000001, 31),
+            "dram_copy": (34.156982421875, 316),
+            "dram_touch": (12.739999999999817, 637),
+            "ecall": (3376.0, 422),
+            "ecall_copy": (109.90624999999959, 567),
+            "enclave_touch": (15.350000000000083, 307),
+            "epc_page_fault": (550.0, 11),
+            "fsync": (5040.0, 42),
+            "hash": (2177.246093750136, 3365),
+            "kernel_read": (58.0, 29),
+            "kernel_write": (717.5, 287),
+            "ocall": (3152.0, 394),
+            "ocall_copy": (109.30234374999972, 316),
+        },
+    },
+}
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_golden(case):
     assert run_case(case) == GOLDEN[_case_id(case)]
 
 
+@pytest.mark.parametrize("name", READ_CASES)
+def test_golden_reads(name):
+    assert run_read_case(name) == GOLDEN_READS[name]
+
+
 if __name__ == "__main__":
     pprint.pprint({_case_id(case): run_case(case) for case in CASES}, width=88)
+    pprint.pprint({name: run_read_case(name) for name in READ_CASES}, width=88)
