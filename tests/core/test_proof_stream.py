@@ -11,7 +11,11 @@ Changes to how the untrusted prover *finds* entries (block residency,
 lazy neighbour resolution) must leave this digest unchanged: only the
 simulated cost of reading may move, never what is served or proven.
 
-``python tests/core/test_proof_stream.py`` prints the current digest.
+A second digest covers the remote server's GET proofs
+(:meth:`~repro.core.client.RemoteQueryServer.serve_get`), which skip
+levels on key range only, for the same probes and timestamps.
+
+``python tests/core/test_proof_stream.py`` prints the current digests.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from tests.conftest import kv, make_p2_store
 
 PROOF_STREAM_SHA256 = (
     "3b8f1bd282046a6ffe7d0c4f652e7beb728769b98a2dac9eef4ecbe863114b3d"
+)
+#: Every GET proof the remote server serves for the same probes.
+REMOTE_GET_SHA256 = (
+    "487b65b270f1494ae684acb7b0f1751d4ef4263a8da06845675e724ee6d7fc82"
 )
 
 _KEYS = 120
@@ -71,6 +79,13 @@ def _boundary_keys(store) -> tuple[set[bytes], set[bytes]]:
     return block_edges, file_edges
 
 
+def _probes() -> list[bytes]:
+    """Present keys, absent keys inside a level, and keys past both ends."""
+    present = [kv(i)[0] for i in range(_KEYS)]
+    absent_inside = [key + b"+" for key in present[::5]]
+    return [_BELOW_MIN, *present, *absent_inside, _ABOVE_MAX]
+
+
 def _record_bytes(record) -> bytes:
     return b"-" if record is None else encode_record(record)
 
@@ -86,9 +101,7 @@ def proof_stream_digest() -> str:
             h.update(len(part).to_bytes(4, "big"))
             h.update(part)
 
-    present = [kv(i)[0] for i in range(_KEYS)]
-    absent_inside = [key + b"+" for key in present[::5]]
-    probes = [_BELOW_MIN, *present, *absent_inside, _ABOVE_MAX]
+    probes = _probes()
     for ts_query in query_timestamps:
         for key in probes:
             result = store.get_verified(key, ts_query)
@@ -132,6 +145,19 @@ def proof_stream_digest() -> str:
     return h.hexdigest()
 
 
+def remote_get_digest() -> str:
+    """Every ``serve_get`` blob for the probes, at each query timestamp."""
+    store, query_timestamps = _build()
+    server = RemoteQueryServer(store)
+    h = hashlib.sha256()
+    for ts_query in query_timestamps:
+        for key in _probes():
+            blob = server.serve_get(key, ts_query)
+            h.update(len(blob).to_bytes(4, "big"))
+            h.update(blob)
+    return h.hexdigest()
+
+
 def test_proof_stream_is_pinned():
     assert proof_stream_digest() == PROOF_STREAM_SHA256
 
@@ -149,5 +175,10 @@ def test_proof_stream_with_eager_neighbours(monkeypatch):
     assert proof_stream_digest() == PROOF_STREAM_SHA256
 
 
+def test_remote_get_stream_is_pinned():
+    assert remote_get_digest() == REMOTE_GET_SHA256
+
+
 if __name__ == "__main__":
     print(proof_stream_digest())
+    print(remote_get_digest())
