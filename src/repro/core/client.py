@@ -25,8 +25,8 @@ import json
 
 from repro.core.digest import DigestRegistry
 from repro.core.errors import AuthenticationError
-from repro.core.proofs import GetProof, LevelSkipped, ScanProof
-from repro.core.store_p2 import ELSMP2Store
+from repro.core.proofs import GetProof, LevelSkipped
+from repro.core.store_p2 import ELSMP2Store, stops_descent
 from repro.core.verifier import Verifier
 from repro.core.wire import (
     deserialize_get_proof,
@@ -70,39 +70,26 @@ class RemoteQueryServer:
 
     # -- fully untrusted: assemble proofs from the stored annotations ---
     def serve_get(self, key: bytes, ts_query: int) -> bytes:
-        """Assemble and serialize a GET proof (fully untrusted)."""
+        """Assemble and serialize a GET proof (fully untrusted).
+
+        Levels are skipped on key range only, a skip the client can
+        re-check from its snapshot; the descent stops as the store's does.
+        """
         proof = GetProof(key=key, ts_query=ts_query)
         registry = self.store.registry
         for level in registry.nonempty_levels():
-            digest = registry.get(level)
-            if digest.excludes_key(key):
-                # The client can re-check this skip from its snapshot.
+            if registry.get(level).excludes_key(key):
                 proof.levels.append(LevelSkipped(level, "key-range"))
                 continue
             entry = self.store.prover.level_get_proof(level, key, ts_query)
             proof.levels.append(entry)
-            from repro.core.proofs import LevelMembership
-
-            if (
-                isinstance(entry, LevelMembership)
-                and entry.reveal.records[-1].ts <= ts_query
-            ):
+            if stops_descent(entry, ts_query):
                 break
         return serialize_get_proof(proof)
 
     def serve_scan(self, lo: bytes, hi: bytes, ts_query: int) -> bytes:
-        """Assemble and serialize a SCAN proof (fully untrusted)."""
-        proof = ScanProof(lo=lo, hi=hi, ts_query=ts_query)
-        registry = self.store.registry
-        for level in registry.nonempty_levels():
-            digest = registry.get(level)
-            if digest.excludes_range(lo, hi):
-                proof.levels.append(LevelSkipped(level, "range-disjoint"))
-                continue
-            proof.levels.append(
-                self.store.prover.level_range_proof(level, lo, hi, ts_query)
-            )
-        return serialize_scan_proof(proof)
+        """Assemble and serialize the store's SCAN proof (fully untrusted)."""
+        return serialize_scan_proof(self.store.scan_proof(lo, hi, ts_query))
 
 
 class AttestedClient:

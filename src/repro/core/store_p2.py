@@ -51,6 +51,14 @@ from repro.sgx.sealing import (
 from repro.telemetry.metrics import SIZE_BUCKETS_BYTES, BoundCounter
 
 
+def stops_descent(entry, ts_query: int) -> bool:
+    """The early-stop test: ``entry`` proves a version at or before
+    ``ts_query``, and deeper levels hold only older ones (Lemma 5.4)."""
+    return (
+        isinstance(entry, LevelMembership) and entry.reveal.records[-1].ts <= ts_query
+    )
+
+
 @dataclass
 class VerifiedGet:
     """A GET result together with its verified proof (for inspection)."""
@@ -300,21 +308,11 @@ class ELSMP2Store(PlacedStore):
         over = (group - self.HOT_GROUP_THRESHOLD) / self.HOT_GROUP_THRESHOLD
         return 1.0 + over * over
 
-    def _charge_proof_work(self, proof_bytes: int) -> None:
-        if self.admission is not None:
-            self.admission.charge_proof_work(self._client, proof_bytes)
-
     #: Extra admission tokens a read that resolves to *absent* costs its
     #: client.  Honest YCSB mixes essentially never read missing keys,
     #: while filter-saturation and always-miss floods are nothing but
     #: negative lookups — the penalty drains those budgets fast.
     NEGATIVE_READ_COST = 2.0
-
-    def _charge_negative(self, count: int = 1) -> None:
-        if self.admission is not None and count > 0:
-            self.admission.charge_negative(
-                self._client, count * self.NEGATIVE_READ_COST
-            )
 
     # ------------------------------------------------------------------
     # Write path (w1-w3)
@@ -401,11 +399,8 @@ class ELSMP2Store(PlacedStore):
     # ------------------------------------------------------------------
     def get(self, key: bytes, ts_query: int | None = None) -> bytes | None:
         """GET(k, tsq): the verified value, or None if provably absent."""
-        result = self.get_verified(key, ts_query)
-        value = result.value
-        if value is None:
-            return None
-        return self.codec.decode_value(value)
+        value = self.get_verified(key, ts_query).value
+        return None if value is None else self.codec.decode_value(value)
 
     def get_verified(self, key: bytes, ts_query: int | None = None) -> VerifiedGet:
         """GET with the full verified proof exposed (stored-form record)."""
@@ -414,50 +409,36 @@ class ELSMP2Store(PlacedStore):
             # Admission runs in the untrusted dispatch layer, before the
             # enclave transition: a shed request must not cost an ECall.
             self._admit("get")
-            return self._get_verified_admitted(key, ts_query, span)
-
-    def _get_verified_admitted(
-        self, key: bytes, ts_query: int | None, span
-    ) -> VerifiedGet:
-        with self.env.op_call("get", in_bytes=len(key)):
-            tsq = self._ts if ts_query is None else ts_query
-            stored_key = self.codec.encode_key(key)
-            # Level L0 (the active MemTable and any rotated immutables
-            # awaiting background flush) is inside the enclave: trusted.
-            memtable_hit = self.db.mem_lookup(stored_key, tsq)
-            if memtable_hit is not None:
-                self._count_stop_level("memtable")
-                self._m_proof_get_bytes.observe(0)
-                span.set(stop_level="memtable", proof_bytes=0)
-                return VerifiedGet(
-                    record=memtable_hit,
-                    proof=GetProof(key=stored_key, ts_query=tsq),
-                    proof_bytes=0,
+            with self.env.op_call("get", in_bytes=len(key)):
+                tsq = self._ts if ts_query is None else ts_query
+                stored_key = self.codec.encode_key(key)
+                # Level L0 (the active MemTable and any rotated immutables
+                # awaiting background flush) is inside the enclave: trusted.
+                memtable_hit = self.db.mem_lookup(stored_key, tsq)
+                if memtable_hit is not None:
+                    self._count_stop_level("memtable")
+                    self._m_proof_get_bytes.observe(0)
+                    span.set(stop_level="memtable", proof_bytes=0)
+                    proof = GetProof(key=stored_key, ts_query=tsq)
+                    return VerifiedGet(record=memtable_hit, proof=proof, proof_bytes=0)
+                proof = self._build_get_proof(stored_key, tsq)
+                proof_bytes = proof.size_bytes()
+                # The proof is assembled in untrusted memory and copied
+                # into the enclave before verification.
+                self.env.copy_in(proof_bytes)
+                hashes_before = self._m_hash_calls.total()
+                record = self.verifier.verify_get(
+                    stored_key, tsq, proof, trusted_absence=self._trusted_absence
                 )
-            proof = self._build_get_proof(stored_key, tsq)
-            proof_bytes = proof.size_bytes()
-            # The proof is assembled in untrusted memory and copied
-            # into the enclave before verification.
-            self.env.copy_in(proof_bytes)
-            hashes_before = self._m_hash_calls.total()
-            record = self.verifier.verify_get(
-                stored_key, tsq, proof, trusted_absence=self._trusted_absence
-            )
-            self._m_verify_hashes.inc(self._m_hash_calls.total() - hashes_before)
-            self.total_proof_bytes += proof_bytes
-            self.telemetry.charge_resource("proof.bytes", proof_bytes)
-            self._charge_proof_work(proof_bytes)
-            if record is None:
-                self._charge_negative()
-            self._m_proof_get_bytes.observe(proof_bytes)
-            stop_level = max(
-                (entry.level for entry in proof.levels), default="none"
-            )
-            self._count_stop_level(stop_level)
-            span.set(stop_level=stop_level, proof_bytes=proof_bytes)
-            return VerifiedGet(
-                record=record, proof=proof, proof_bytes=proof_bytes
-            )
+                self._book_proof(
+                    hashes_before, proof_bytes, self._m_proof_get_bytes, record is None
+                )
+                stop_level = max(
+                    (entry.level for entry in proof.levels), default="none"
+                )
+                self._count_stop_level(stop_level)
+                span.set(stop_level=stop_level, proof_bytes=proof_bytes)
+                return VerifiedGet(record=record, proof=proof, proof_bytes=proof_bytes)
 
     def _count_stop_level(self, stop_level: int | str) -> None:
         """Count a verified GET under the deepest level it descended to."""
@@ -471,11 +452,8 @@ class ELSMP2Store(PlacedStore):
         self, keys: list[bytes], ts_query: int | None = None
     ) -> list[bytes | None]:
         """Batched GET: verified values aligned with the request order."""
-        result = self.multi_get_verified(keys, ts_query)
-        return [
-            None if value is None else self.codec.decode_value(value)
-            for value in result.values
-        ]
+        values = self.multi_get_verified(keys, ts_query).values
+        return [None if v is None else self.codec.decode_value(v) for v in values]
 
     def multi_get_verified(
         self, keys: list[bytes], ts_query: int | None = None
@@ -488,7 +466,8 @@ class ELSMP2Store(PlacedStore):
         auth-path nodes and boundary reveals emitted once in the proof's
         node pool, and upper Merkle rungs verified once thanks to the
         enclave's verified-node cache.  Results are exactly what N
-        sequential :meth:`get_verified` calls would return.
+        sequential :meth:`get_verified` calls would return: each level
+        applies GET's skip and early-stop rules to every pending key.
         """
         keys = list(keys)
         # The span wraps the ECall so the batch's boundary charges land
@@ -499,12 +478,11 @@ class ELSMP2Store(PlacedStore):
             # Admission runs before the enclave transition: a shed
             # request must not cost an ECall.
             self._admit("multi_get")
-            with self.env.op_call(
-                "multi_get", in_bytes=sum(len(k) for k in keys)
-            ):
+            with self.env.op_call("multi_get", in_bytes=sum(len(k) for k in keys)):
                 # MemTable hits are served inside the enclave (trusted)
-                # and excluded from the proof, exactly as in get_verified.
-                memtable_hits: dict[bytes, Record | None] = {}
+                # and excluded from the proof, exactly as in get_verified;
+                # the verified results of the other keys join them below.
+                by_key: dict[bytes, Record | None] = {}
                 need: list[bytes] = []
                 seen: set[bytes] = set()
                 for stored_key in stored:
@@ -513,53 +491,27 @@ class ELSMP2Store(PlacedStore):
                     seen.add(stored_key)
                     hit = self.db.mem_lookup(stored_key, tsq)
                     if hit is not None:
-                        memtable_hits[stored_key] = hit
+                        by_key[stored_key] = hit
                     else:
                         need.append(stored_key)
                 # Sorted batch order: per level the prover walks blocks in
                 # key order, so each block is fetched exactly once.
                 need.sort()
-                per_key_entries: dict[bytes, list] = {sk: [] for sk in need}
-                pending = set(need)
+                entries: dict[bytes, list] = {sk: [] for sk in need}
+                pending = list(need)
                 with self.prover.shared_block_scope():
                     for level in self.registry.nonempty_levels():
-                        if not pending:
-                            break
-                        digest = self.registry.get(level)
-                        ask: list[bytes] = []
-                        for stored_key in need:
-                            if stored_key not in pending:
-                                continue
-                            if digest.excludes_key(
-                                stored_key
-                            ) or self._trusted_absence(level, stored_key):
-                                per_key_entries[stored_key].append(
-                                    LevelSkipped(level, "trusted-metadata")
-                                )
-                            else:
-                                ask.append(stored_key)
+                        ask = [
+                            k for k in pending if not self._skips(level, k, entries[k])
+                        ]
                         if not ask:
                             continue
-                        answers = self.prover.level_multi_get_proof(
-                            level, ask, tsq
-                        )
-                        for stored_key in ask:
-                            entry = answers[stored_key]
-                            if self.db.config.use_bloom and isinstance(
-                                entry, LevelNonMembership
-                            ):
-                                self._m_bloom_fp.inc()
-                            per_key_entries[stored_key].append(entry)
-                            if (
-                                self.early_stop
-                                and isinstance(entry, LevelMembership)
-                                and entry.reveal.records[-1].ts <= tsq
-                            ):
-                                pending.discard(stored_key)
+                        answers = self.prover.level_multi_get_proof(level, ask, tsq)
+                        for k in ask:
+                            if self._stops_at(entries[k], answers[k], tsq):
+                                pending.remove(k)
                     proof = self.prover.assemble_batch(
-                        tuple(need),
-                        tsq,
-                        [per_key_entries[sk] for sk in need],
+                        tuple(need), tsq, [entries[sk] for sk in need]
                     )
                 proof_bytes = proof.size_bytes()
                 # One bulk copy of the batch proof into the enclave.
@@ -568,22 +520,18 @@ class ELSMP2Store(PlacedStore):
                 verified = self.verifier.verify_multi_get(
                     need, tsq, proof, trusted_absence=self._trusted_absence
                 )
-                self._m_verify_hashes.inc(
-                    self._m_hash_calls.total() - hashes_before
+                self._book_proof(
+                    hashes_before,
+                    proof_bytes,
+                    self._m_proof_multiget_bytes,
+                    sum(1 for record in verified if record is None),
                 )
-                by_key: dict[bytes, Record | None] = dict(zip(need, verified))
-                by_key.update(memtable_hits)
-                records = [by_key.get(sk) for sk in stored]
-                self.total_proof_bytes += proof_bytes
-                self.telemetry.charge_resource("proof.bytes", proof_bytes)
-                self._charge_proof_work(proof_bytes)
-                self._charge_negative(
-                    sum(1 for record in verified if record is None)
-                )
-                self._m_proof_multiget_bytes.observe(proof_bytes)
+                by_key.update(zip(need, verified))
                 span.set(batch_size=len(keys), proof_bytes=proof_bytes)
                 return VerifiedMultiGet(
-                    records=records, proof=proof, proof_bytes=proof_bytes
+                    records=[by_key.get(sk) for sk in stored],
+                    proof=proof,
+                    proof_bytes=proof_bytes,
                 )
 
     def _build_get_proof(self, stored_key: bytes, tsq: int) -> GetProof:
@@ -592,25 +540,32 @@ class ELSMP2Store(PlacedStore):
         stop at the first level that can serve the query (early stop)."""
         proof = GetProof(key=stored_key, ts_query=tsq)
         for level in self.registry.nonempty_levels():
-            digest = self.registry.get(level)
-            if digest.excludes_key(stored_key) or self._trusted_absence(
-                level, stored_key
-            ):
-                proof.levels.append(LevelSkipped(level, "trusted-metadata"))
+            if self._skips(level, stored_key, proof.levels):
                 continue
             entry = self.prover.level_get_proof(level, stored_key, tsq)
-            if self.db.config.use_bloom and isinstance(entry, LevelNonMembership):
-                # The filter said "maybe" but the level had nothing: the
-                # false positive cost a full non-membership proof.
-                self._m_bloom_fp.inc()
-            proof.levels.append(entry)
-            if (
-                self.early_stop
-                and isinstance(entry, LevelMembership)
-                and entry.reveal.records[-1].ts <= tsq
-            ):
+            if self._stops_at(proof.levels, entry, tsq):
                 break
         return proof
+
+    def _skips(self, level: int, stored_key: bytes, entries: list) -> bool:
+        """The level-skip rule of GET and MULTIGET: when the level's key
+        range or :meth:`_trusted_absence` rules ``stored_key`` out, append
+        the skip to the key's proof ``entries`` and return True."""
+        out_of_range = self.registry.get(level).excludes_key(stored_key)
+        if out_of_range or self._trusted_absence(level, stored_key):
+            entries.append(LevelSkipped(level, "trusted-metadata"))
+            return True
+        return False
+
+    def _stops_at(self, entries: list, entry, tsq: int) -> bool:
+        """Append the prover's level ``entry`` to the key's proof
+        ``entries``; True when the descent stops there (early stop)."""
+        entries.append(entry)
+        if self.db.config.use_bloom and isinstance(entry, LevelNonMembership):
+            # The filter said "maybe" but the level had nothing: the
+            # false positive cost a full non-membership proof.
+            self._m_bloom_fp.inc()
+        return self.early_stop and stops_descent(entry, tsq)
 
     def _trusted_absence(self, level: int, stored_key: bytes) -> bool:
         """Bloom/key-range check over trusted in-enclave metadata.
@@ -632,6 +587,25 @@ class ELSMP2Store(PlacedStore):
         self._m_bloom_negatives.inc()
         return True
 
+    def _book_proof(
+        self, hashes_before: float, proof_bytes: int, sizes, negatives: int = 0
+    ) -> None:
+        """Book a verified proof: the trusted hashes its verification
+        spent since ``hashes_before``, its bytes (running total,
+        ``proof.bytes`` resource, admission proof work, the ``sizes``
+        histogram) and the negative-read charge for ``negatives`` absent
+        keys."""
+        self._m_verify_hashes.inc(self._m_hash_calls.total() - hashes_before)
+        self.total_proof_bytes += proof_bytes
+        self.telemetry.charge_resource("proof.bytes", proof_bytes)
+        if self.admission is not None:
+            self.admission.charge_proof_work(self._client, proof_bytes)
+            if negatives > 0:
+                self.admission.charge_negative(
+                    self._client, negatives * self.NEGATIVE_READ_COST
+                )
+        sizes.observe(proof_bytes)
+
     def scan(
         self, lo: bytes, hi: bytes, ts_query: int | None = None
     ) -> list[tuple[bytes, bytes]]:
@@ -640,44 +614,40 @@ class ELSMP2Store(PlacedStore):
             # Admission runs before the enclave transition: a shed
             # request must not cost an ECall.
             self._admit("scan")
-            return self._scan_admitted(lo, hi, ts_query, span)
+            with self.env.op_call("scan", in_bytes=len(lo) + len(hi)):
+                if not self.codec.supports_range:
+                    raise ValueError(
+                        "deterministic key encryption cannot serve range queries; "
+                        "use the order-preserving mode"
+                    )
+                tsq = self._ts if ts_query is None else ts_query
+                enc_lo, enc_hi = self.codec.encode_range(lo, hi)
+                proof = self.scan_proof(enc_lo, enc_hi, tsq)
+                memtable_records = list(self.db.mem_range(enc_lo, enc_hi))
+                hashes_before = self._m_hash_calls.total()
+                records = self.verifier.verify_scan(
+                    enc_lo, enc_hi, tsq, proof, extra_trusted=memtable_records
+                )
+                proof_bytes = proof.size_bytes()
+                self._book_proof(hashes_before, proof_bytes, self._m_proof_scan_bytes)
+                span.set(result_count=len(records), proof_bytes=proof_bytes)
+                return [
+                    (self.codec.decode_key(r.key), self.codec.decode_value(r.value))
+                    for r in records
+                ]
 
-    def _scan_admitted(
-        self, lo: bytes, hi: bytes, ts_query: int | None, span
-    ) -> list[tuple[bytes, bytes]]:
-        with self.env.op_call("scan", in_bytes=len(lo) + len(hi)):
-            if not self.codec.supports_range:
-                raise ValueError(
-                    "deterministic key encryption cannot serve range queries; "
-                    "use the order-preserving mode"
-                )
-            tsq = self._ts if ts_query is None else ts_query
-            enc_lo, enc_hi = self.codec.encode_range(lo, hi)
-            proof = ScanProof(lo=enc_lo, hi=enc_hi, ts_query=tsq)
-            for level in self.registry.nonempty_levels():
-                digest = self.registry.get(level)
-                if digest.excludes_range(enc_lo, enc_hi):
-                    proof.levels.append(LevelSkipped(level, "range-disjoint"))
-                    continue
-                proof.levels.append(
-                    self.prover.level_range_proof(level, enc_lo, enc_hi, tsq)
-                )
-            memtable_records = list(self.db.mem_range(enc_lo, enc_hi))
-            hashes_before = self._m_hash_calls.total()
-            records = self.verifier.verify_scan(
-                enc_lo, enc_hi, tsq, proof, extra_trusted=memtable_records
-            )
-            self._m_verify_hashes.inc(self._m_hash_calls.total() - hashes_before)
-            scan_proof_bytes = proof.size_bytes()
-            self._m_proof_scan_bytes.observe(scan_proof_bytes)
-            self.total_proof_bytes += scan_proof_bytes
-            self.telemetry.charge_resource("proof.bytes", scan_proof_bytes)
-            self._charge_proof_work(scan_proof_bytes)
-            span.set(result_count=len(records), proof_bytes=scan_proof_bytes)
-            return [
-                (self.codec.decode_key(r.key), self.codec.decode_value(r.value))
-                for r in records
-            ]
+    def scan_proof(self, lo: bytes, hi: bytes, tsq: int) -> ScanProof:
+        """Assemble the SCAN proof for stored-form bounds ``[lo, hi]``:
+        a level is skipped only when its key range is disjoint from the
+        query, a skip any verifier can re-check.  The remote server
+        serves the same proof."""
+        proof = ScanProof(lo=lo, hi=hi, ts_query=tsq)
+        for level in self.registry.nonempty_levels():
+            if self.registry.get(level).excludes_range(lo, hi):
+                proof.levels.append(LevelSkipped(level, "range-disjoint"))
+            else:
+                proof.levels.append(self.prover.level_range_proof(level, lo, hi, tsq))
+        return proof
 
     # ------------------------------------------------------------------
     # Maintenance
