@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "52b4c3810cbafed7bd8a6a050ea170a21c43395b90c561fdd2e53629998d3db5"
+INDEX_DIGEST = "8bdd2ace9dc3fa1e15dd83aede088f8de3455a3b4e12965911172412c5dcf1d6"
 
 
 def _pinned(name: str) -> bool:
