@@ -187,7 +187,7 @@ RULE_EXAMPLES: dict[str, RuleExample] = {
     ),
     "EL601": RuleExample(
         positive=(
-            "# shared = ['LSMStore.immutables = lock:_lock']\n"
+            '# shared."repro.lsm.db.LSMStore.immutables" = "lock:_lock"\n'
             "def peek(self):\n"
             "    return self.immutables[0]  # no lock held"
         ),
