@@ -5,10 +5,10 @@ file pins everything the stores' telemetry records while running the same
 scripts on the same 16 cases and four P2 read cases: the metrics
 snapshot, each exported span (name, start/end, attributes and both cost
 ledgers), the tracer's ``attributed_total()`` and the kinds of the
-recorded events.  Each case
-hashes the canonical JSON of those four parts with SHA-256, so a change
-that claims to leave telemetry output alone is checked against every
-counter series, histogram bucket, span ledger and event at once.
+recorded events.  Each case hashes the canonical JSON of those four
+parts with SHA-256, so a change that claims to leave telemetry output
+alone is checked against every counter series, histogram bucket, span
+ledger and event at once.
 
 ``python tests/telemetry/test_snapshot_pin.py`` prints the current
 digests in the literal's format.
