@@ -305,7 +305,7 @@ RULE_EXAMPLES: dict[str, RuleExample] = {
     "EL804": RuleExample(
         positive=(
             "def get(self, key):\n"
-            "    entries = read_block_sequential(env, meta, handle)"
+            "    entries = read_table_sequential(env, meta)"
         ),
         negative=(
             "def get(self, key):\n"

@@ -23,6 +23,7 @@ import struct
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.cryptoprim.hashing import derive_filter_salt
 from repro.lsm.bloom import BloomFilter
@@ -360,8 +361,8 @@ class BlockFetcher:
             if block is None:
                 self._m_misses.inc()
                 raw = self.env.disk.open(meta.name).data
-                body = self._maybe_decompress(
-                    meta, bytes(raw[handle.offset : handle.offset + handle.length])
+                body = _decompress(
+                    self.env, meta, bytes(raw[handle.offset : handle.offset + handle.length])
                 )
                 block = _decode_block(body)
                 self._decoded[key] = block
@@ -383,24 +384,10 @@ class BlockFetcher:
                     raise BlockCorruptionError(
                         f"block {meta.name}@{handle.offset} failed its MAC check"
                     )
-        raw = self._maybe_decompress(meta, raw)
+        raw = _decompress(self.env, meta, raw)
         block = _decode_block(raw)
         self.buffer.put(key, block)
         return block
-
-    def _maybe_decompress(self, meta: SSTableMeta, raw: bytes) -> bytes:
-        if not meta.compressed:
-            return raw
-        comp_len, raw_len = _FRAME_HEADER.unpack_from(raw, 0)
-        body = zlib.decompress(raw[_FRAME_HEADER.size : _FRAME_HEADER.size + comp_len])
-        if len(body) != raw_len:
-            raise BlockCorruptionError(
-                f"decompressed block of {meta.name} has the wrong length"
-            )
-        self.env.clock.charge(
-            "decompress", self.env.costs.decompress_us_per_kb * (raw_len / 1024)
-        )
-        return body
 
     def invalidate_file(self, name: str) -> None:
         """Drop a deleted file's blocks from all caches (O(its blocks))."""
@@ -441,31 +428,41 @@ class ScopedBlockCache:
         return block
 
 
-def read_block_sequential(env: ExecutionEnv, meta: SSTableMeta, handle: BlockHandle) -> list[Entry]:
-    """Read one block outside the cache (compaction / audit scans).
+def read_table_sequential(env: ExecutionEnv, meta: SSTableMeta) -> Iterator[Entry]:
+    """Scan a whole table outside the cache (flush / compaction / audit).
 
-    Verifies the block MAC when the store is protected and decompresses
-    framed blocks, charging the same costs as the query read path.
+    The table is fetched with one ``file_read`` — one OCall and one
+    kernel read however many blocks it holds — and then walked block by
+    block: each block's MAC is checked when the store is protected and
+    framed blocks are decompressed, charging the same costs as the query
+    read path.  Entries are yielded block by block, so a corrupt block
+    raises only after every entry before it was consumed.
     """
-    raw = env.file_read(meta.name, handle.offset, handle.length)
-    if handle.mac is not None:
-        if hashlib.sha256(raw).digest() != handle.mac:
-            raise BlockCorruptionError(
-                f"block {meta.name}@{handle.offset} failed its MAC check"
-            )
-        env.trusted_cipher(handle.length)
-        env.trusted_hash(handle.length)
-    if meta.compressed:
-        comp_len, raw_len = _FRAME_HEADER.unpack_from(raw, 0)
-        raw = zlib.decompress(raw[_FRAME_HEADER.size : _FRAME_HEADER.size + comp_len])
-        if len(raw) != raw_len:
-            raise BlockCorruptionError(
-                f"decompressed block of {meta.name} has the wrong length"
-            )
-        env.clock.charge(
-            "decompress", env.costs.decompress_us_per_kb * (raw_len / 1024)
+    data = env.file_read(meta.name, 0, meta.size_bytes)
+    for handle in meta.handles:
+        raw = data[handle.offset : handle.offset + handle.length]
+        if handle.mac is not None:
+            if hashlib.sha256(raw).digest() != handle.mac:
+                raise BlockCorruptionError(
+                    f"block {meta.name}@{handle.offset} failed its MAC check"
+                )
+            env.trusted_cipher(handle.length)
+            env.trusted_hash(handle.length)
+        yield from _decode_block(_decompress(env, meta, raw)).entries
+
+
+def _decompress(env: ExecutionEnv, meta: SSTableMeta, raw: bytes) -> bytes:
+    """A block's body: its bytes, or the inflated frame of a compressed table."""
+    if not meta.compressed:
+        return raw
+    comp_len, raw_len = _FRAME_HEADER.unpack_from(raw, 0)
+    body = zlib.decompress(raw[_FRAME_HEADER.size : _FRAME_HEADER.size + comp_len])
+    if len(body) != raw_len:
+        raise BlockCorruptionError(
+            f"decompressed block of {meta.name} has the wrong length"
         )
-    return _decode_block(raw).entries
+    env.clock.charge("decompress", env.costs.decompress_us_per_kb * (raw_len / 1024))
+    return body
 
 
 def _decode_block(raw: bytes) -> Block:

@@ -11,7 +11,9 @@ access patterns the system needs:
   Merkle non-membership proof must exhibit;
 * ``range_entries`` — all entries in a key range plus both neighbours,
   feeding SCAN completeness proofs;
-* ``iter_entries`` — sequential scan for compaction.
+* ``iter_entries`` — sequential scan for flush, compaction, audit and
+  snapshots: each table is read with one file read (one OCall inside an
+  enclave) and decoded block by block, bypassing the read buffer.
 
 ``lookup``, ``get_group`` and ``range_entries`` are one walk of a
 :class:`_RunCursor`, which owns block residency for the operation: each
@@ -26,7 +28,13 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import Iterator
 
-from repro.lsm.sstable import BlockFetcher, Entry, ScopedBlockCache, SSTableMeta
+from repro.lsm.sstable import (
+    BlockFetcher,
+    Entry,
+    ScopedBlockCache,
+    SSTableMeta,
+    read_table_sequential,
+)
 from repro.sgx.env import ExecutionEnv
 
 
@@ -148,12 +156,9 @@ class LevelRun:
         return LookupResult(entries, cursor, start, after)
 
     def iter_entries(self, env: ExecutionEnv) -> Iterator[Entry]:
-        """Sequential scan for compaction, bypassing the read buffer."""
-        from repro.lsm.sstable import read_block_sequential
-
+        """Sequential scan for compaction: one read per table, no read buffer."""
         for meta in self.tables:
-            for handle in meta.handles:
-                yield from read_block_sequential(env, meta, handle)
+            yield from read_table_sequential(env, meta)
 
 
 _Position = tuple[int, int, int]  # (table index, block index, entry index)

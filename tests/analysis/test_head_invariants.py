@@ -214,3 +214,33 @@ def test_must_walk_rules_fire_on_mutated_tree(mutated_repo):
         # 958 with this edit alone; the inserted clear() shifts it by one.
         ("EL811", "src/repro/lsm/db.py", 959),
     ]
+
+
+def test_el804_fires_on_a_table_scan_in_the_get_path(mutated_repo):
+    """EL804 catches the real cache-bypassing reader on a proof path.
+
+    One edit in one copy: ``ELSMP2Store.get_verified`` scans a table with
+    ``read_table_sequential``, the reader flush and compaction use.  The
+    lock keeps the ``effects.block_bypass`` pattern naming the function
+    that exists.  (The extra OCall also drifts the ``get`` certificate;
+    this lock ignores EL803.)
+    """
+    from repro.analysis.costmodel import run_costmodel
+
+    def mutate(root: Path) -> None:
+        anchor = "                stored_key = self.codec.encode_key(key)\n"
+        _edit(
+            root,
+            "core/store_p2.py",
+            anchor,
+            anchor
+            + "                from repro.lsm.sstable import read_table_sequential\n"
+            + "                for meta in self.db.level_run(1).tables:\n"
+            + "                    list(read_table_sequential(self.env, meta))\n",
+        )
+
+    index = mutated_repo(mutate)
+    fired = sorted(
+        (f.rule, f.path, f.line) for f in run_costmodel(index) if f.rule == "EL804"
+    )
+    assert fired == [("EL804", "src/repro/core/store_p2.py", 417)]
