@@ -23,7 +23,7 @@ from repro.analysis import load_zone_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-CONFIG_DIGEST = "a5070137ff2841fbf4f2c9f9bffb9e1e78644e4e5c1700065f4a66d265eb3c15"
+CONFIG_DIGEST = "b02e9f144581dd5837eb47272272f79333833cd6e55ab182c1b57ffacaceb24f"
 
 
 def config_digest() -> str:
