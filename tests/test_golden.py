@@ -180,7 +180,7 @@ def run_read_case(name: str) -> dict:
 
 GOLDEN: dict[str, dict] = {
     "p1-imm0-compact": {
-        "now_us": 18653.848437499735,
+        "now_us": 18243.848437499764,
         "disk_bytes": 10665,
         "stats": {
             "bytes_compacted": 48460,
@@ -193,7 +193,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1276.8000000000043, 503),
             "crypto": (323.59130859375, 164),
             "disk_write": (26.327734375000002, 52),
-            "dram_copy": (36.17138671875, 394),
+            "dram_copy": (36.17138671875, 353),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (17.675781249999996, 26),
@@ -201,14 +201,14 @@ GOLDEN: dict[str, dict] = {
             "epc_page_fault": (700.0, 14),
             "fsync": (7560.0, 63),
             "hash": (453.90957031249883, 164),
-            "kernel_read": (178.0, 89),
+            "kernel_read": (96.0, 48),
             "kernel_write": (762.5, 305),
-            "ocall": (4152.0, 519),
-            "ocall_copy": (115.7484375, 394),
+            "ocall": (3824.0, 478),
+            "ocall_copy": (115.74843749999998, 353),
         },
     },
     "p1-imm0-stack": {
-        "now_us": 14744.57690429677,
+        "now_us": 14704.576904296771,
         "disk_bytes": 12110,
         "stats": {
             "bytes_compacted": 4958,
@@ -221,7 +221,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1626.0000000000155, 794),
             "crypto": (90.8349609375, 57),
             "disk_write": (9.66796875, 31),
-            "dram_copy": (13.177490234375, 316),
+            "dram_copy": (13.177490234375, 312),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (12.552343750000002, 24),
@@ -229,14 +229,14 @@ GOLDEN: dict[str, dict] = {
             "epc_page_fault": (800.0, 16),
             "fsync": (5040.0, 42),
             "hash": (131.80195312500013, 57),
-            "kernel_read": (64.0, 32),
+            "kernel_read": (56.0, 28),
             "kernel_write": (710.0, 284),
-            "ocall": (3152.0, 394),
-            "ocall_copy": (42.16796874999995, 316),
+            "ocall": (3120.0, 390),
+            "ocall_copy": (42.16796874999996, 312),
         },
     },
     "p1-imm2-compact": {
-        "now_us": 11007.685644531199,
+        "now_us": 10877.685644531195,
         "disk_bytes": 14922,
         "stats": {
             "bytes_compacted": 43602,
@@ -249,7 +249,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1209.6000000000022, 447),
             "crypto": (289.4140625, 142),
             "disk_write": (26.625390625, 48),
-            "dram_copy": (32.56689453125, 372),
+            "dram_copy": (32.56689453125, 335),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (15.714062499999999, 22),
@@ -257,14 +257,14 @@ GOLDEN: dict[str, dict] = {
             "epc_page_fault": (250.0, 5),
             "fsync": (6000.0, 50),
             "hash": (404.0968749999993, 142),
-            "kernel_read": (154.0, 77),
+            "kernel_read": (80.0, 40),
             "kernel_write": (737.5, 295),
-            "ocall": (3656.0, 457),
-            "ocall_copy": (104.21406249999977, 372),
+            "ocall": (3360.0, 420),
+            "ocall_copy": (104.21406249999977, 335),
         },
     },
     "p1-imm2-stack": {
-        "now_us": 10674.359472656253,
+        "now_us": 10634.359472656255,
         "disk_bytes": 16252,
         "stats": {
             "bytes_compacted": 4958,
@@ -277,7 +277,7 @@ GOLDEN: dict[str, dict] = {
             "compute": (1384.8000000000077, 593),
             "crypto": (85.1220703125, 49),
             "disk_write": (11.660546875, 31),
-            "dram_copy": (12.21923828125, 306),
+            "dram_copy": (12.21923828125, 302),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (11.63828125, 20),
@@ -285,14 +285,14 @@ GOLDEN: dict[str, dict] = {
             "epc_page_fault": (300.0, 6),
             "fsync": (3960.0, 33),
             "hash": (121.74648437500011, 49),
-            "kernel_read": (56.0, 28),
+            "kernel_read": (48.0, 24),
             "kernel_write": (695.0, 278),
-            "ocall": (2832.0, 354),
-            "ocall_copy": (39.101562500000036, 306),
+            "ocall": (2800.0, 350),
+            "ocall_copy": (39.10156250000004, 302),
         },
     },
     "p2-imm0-compact": {
-        "now_us": 25211.512275393332,
+        "now_us": 22481.51227539288,
         "disk_bytes": 80052,
         "dataset_hash": (
             "51e66057c6be41d985ff7e2b0e6b007e"
@@ -308,7 +308,7 @@ GOLDEN: dict[str, dict] = {
         "charges": {
             "compute": (828.0000000000002, 297),
             "disk_write": (163.713671875, 60),
-            "dram_copy": (185.195556640625, 611),
+            "dram_copy": (185.195556640625, 338),
             "dram_touch": (4.779999999999986, 239),
             "ecall": (3024.0, 378),
             "ecall_copy": (21.234375000000124, 453),
@@ -316,14 +316,14 @@ GOLDEN: dict[str, dict] = {
             "epc_page_fault": (550.0, 11),
             "fsync": (8520.0, 71),
             "hash": (3912.2628906253763, 6067),
-            "kernel_read": (596.0, 298),
+            "kernel_read": (50.0, 25),
             "kernel_write": (782.5, 313),
-            "ocall": (6016.0, 752),
-            "ocall_copy": (592.62578125, 611),
+            "ocall": (3832.0, 479),
+            "ocall_copy": (592.62578125, 338),
         },
     },
     "p2-imm0-stack": {
-        "now_us": 14930.64806640565,
+        "now_us": 14680.64806640565,
         "disk_bytes": 68200,
         "dataset_hash": (
             "d1655a9d62c90a002205a0608c67d7e4"
@@ -339,7 +339,7 @@ GOLDEN: dict[str, dict] = {
         "charges": {
             "compute": (862.8000000000003, 326),
             "disk_write": (40.51953125000001, 31),
-            "dram_copy": (34.12548828125, 313),
+            "dram_copy": (34.12548828125, 288),
             "dram_touch": (5.1799999999999775, 259),
             "ecall": (3024.0, 378),
             "ecall_copy": (20.73437500000012, 468),
@@ -347,14 +347,14 @@ GOLDEN: dict[str, dict] = {
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
             "hash": (1332.8871093750133, 1974),
-            "kernel_read": (58.0, 29),
+            "kernel_read": (8.0, 4),
             "kernel_write": (710.0, 284),
-            "ocall": (3128.0, 391),
-            "ocall_copy": (109.20156249999974, 313),
+            "ocall": (2928.0, 366),
+            "ocall_copy": (109.20156249999975, 288),
         },
     },
     "p2-imm2-compact": {
-        "now_us": 13484.311650389684,
+        "now_us": 12122.912480467874,
         "disk_bytes": 79144,
         "dataset_hash": (
             "7105f506fd92af6bc0c99e1f73c35928"
@@ -370,23 +370,22 @@ GOLDEN: dict[str, dict] = {
         "charges": {
             "compute": (808.7999999999998, 281),
             "disk_write": (136.959765625, 52),
-            "dram_copy": (149.718017578125, 538),
+            "dram_copy": (149.718017578125, 318),
             "dram_touch": (3.4200000000000026, 171),
             "ecall": (3024.0, 378),
             "ecall_copy": (14.532031250000008, 423),
             "enclave_touch": (16.300000000000097, 326),
             "epc_page_fault": (100.0, 2),
-            "flush_wait": (211.39916992184317, 2),
             "fsync": (6480.0, 54),
             "hash": (3163.4630859377753, 4917),
-            "kernel_read": (478.0, 239),
+            "kernel_read": (38.0, 19),
             "kernel_write": (747.5, 299),
-            "ocall": (5048.0, 631),
-            "ocall_copy": (479.09765625, 538),
+            "ocall": (3288.0, 411),
+            "ocall_copy": (479.09765625000125, 318),
         },
     },
     "p2-imm2-stack": {
-        "now_us": 10746.737431640277,
+        "now_us": 10496.737431640277,
         "disk_bytes": 70898,
         "dataset_hash": (
             "b0d9852d6e34741efb2ae535069769df"
@@ -402,7 +401,7 @@ GOLDEN: dict[str, dict] = {
         "charges": {
             "compute": (819.5999999999999, 290),
             "disk_write": (41.948046874999996, 31),
-            "dram_copy": (33.100341796875, 307),
+            "dram_copy": (33.100341796875, 282),
             "dram_touch": (3.4200000000000026, 171),
             "ecall": (3024.0, 378),
             "ecall_copy": (13.282031250000012, 425),
@@ -410,14 +409,14 @@ GOLDEN: dict[str, dict] = {
             "epc_page_fault": (100.0, 2),
             "fsync": (3960.0, 33),
             "hash": (1168.0355468749913, 1754),
-            "kernel_read": (58.0, 29),
+            "kernel_read": (8.0, 4),
             "kernel_write": (695.0, 278),
-            "ocall": (2840.0, 355),
-            "ocall_copy": (105.92109374999973, 307),
+            "ocall": (2640.0, 330),
+            "ocall_copy": (105.92109374999973, 282),
         },
     },
     "plain-enclave-imm0-compact": {
-        "now_us": 16297.138828124975,
+        "now_us": 16247.138828124976,
         "disk_bytes": 10626,
         "stats": {
             "bytes_compacted": 48460,
@@ -429,17 +428,17 @@ GOLDEN: dict[str, dict] = {
         "charges": {
             "compute": (1276.8000000000043, 503),
             "disk_write": (26.169531250000006, 47),
-            "dram_copy": (30.548828125, 323),
+            "dram_copy": (30.548828125, 318),
             "dram_touch": (2.940000000000002, 147),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_touch": (15.550000000000086, 311),
             "epc_page_fault": (550.0, 11),
             "fsync": (6960.0, 58),
-            "kernel_read": (46.0, 23),
+            "kernel_read": (36.0, 18),
             "kernel_write": (750.0, 300),
-            "ocall": (3512.0, 439),
-            "ocall_copy": (97.75624999999978, 323),
+            "ocall": (3472.0, 434),
+            "ocall_copy": (97.75624999999978, 318),
         },
     },
     "plain-enclave-imm0-stack": {
@@ -469,7 +468,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-enclave-imm2-compact": {
-        "now_us": 9891.752451171902,
+        "now_us": 9871.752451171902,
         "disk_bytes": 14880,
         "stats": {
             "bytes_compacted": 43602,
@@ -481,17 +480,17 @@ GOLDEN: dict[str, dict] = {
         "charges": {
             "compute": (1209.6000000000022, 447),
             "disk_write": (26.509375000000006, 43),
-            "dram_copy": (27.583740234375, 309),
+            "dram_copy": (27.583740234375, 304),
             "dram_touch": (1.640000000000001, 82),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_touch": (18.75000000000013, 375),
             "epc_page_fault": (100.0, 2),
             "fsync": (5400.0, 45),
-            "kernel_read": (38.0, 19),
+            "kernel_read": (28.0, 14),
             "kernel_write": (725.0, 290),
-            "ocall": (3080.0, 385),
-            "ocall_copy": (88.26796874999971, 309),
+            "ocall": (3040.0, 380),
+            "ocall_copy": (88.26796874999971, 304),
         },
     },
     "plain-enclave-imm2-stack": {
@@ -521,7 +520,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-imm0-compact": {
-        "now_us": 9092.458359375069,
+        "now_us": 9082.458359375069,
         "disk_bytes": 10626,
         "stats": {
             "bytes_compacted": 48460,
@@ -533,10 +532,10 @@ GOLDEN: dict[str, dict] = {
         "charges": {
             "compute": (1276.8000000000043, 503),
             "disk_write": (26.169531250000006, 47),
-            "dram_copy": (30.548828125, 323),
+            "dram_copy": (30.548828125, 318),
             "dram_touch": (2.940000000000002, 147),
             "fsync": (6960.0, 58),
-            "kernel_read": (46.0, 23),
+            "kernel_read": (36.0, 18),
             "kernel_write": (750.0, 300),
         },
     },
@@ -561,7 +560,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-imm2-compact": {
-        "now_us": 4545.548789062488,
+        "now_us": 4541.548789062488,
         "disk_bytes": 14880,
         "stats": {
             "bytes_compacted": 43602,
@@ -573,11 +572,11 @@ GOLDEN: dict[str, dict] = {
         "charges": {
             "compute": (1209.6000000000022, 447),
             "disk_write": (26.509375000000006, 43),
-            "dram_copy": (27.583740234375, 309),
+            "dram_copy": (27.583740234375, 304),
             "dram_touch": (1.640000000000001, 82),
             "flush_wait": (237.1854003906251, 2),
             "fsync": (5400.0, 45),
-            "kernel_read": (38.0, 19),
+            "kernel_read": (28.0, 14),
             "kernel_write": (725.0, 290),
         },
     },
@@ -606,7 +605,7 @@ GOLDEN: dict[str, dict] = {
 
 GOLDEN_READS: dict[str, dict] = {
     "p2-reads-default": {
-        "now_us": 15516.154794921214,
+        "now_us": 15266.154794921214,
         "disk_bytes": 68329,
         "dataset_hash": (
             "47024ebf7dfce0628cca754a64f15936"
@@ -622,7 +621,7 @@ GOLDEN_READS: dict[str, dict] = {
         "charges": {
             "compute": (871.8000000000003, 329),
             "disk_write": (40.51953125000001, 31),
-            "dram_copy": (34.156982421875, 316),
+            "dram_copy": (34.156982421875, 291),
             "dram_touch": (7.939999999999919, 397),
             "ecall": (3376.0, 422),
             "ecall_copy": (41.38828125000006, 549),
@@ -630,14 +629,14 @@ GOLDEN_READS: dict[str, dict] = {
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
             "hash": (1502.1976562500347, 2209),
-            "kernel_read": (58.0, 29),
+            "kernel_read": (8.0, 4),
             "kernel_write": (717.5, 287),
-            "ocall": (3152.0, 394),
-            "ocall_copy": (109.30234374999972, 316),
+            "ocall": (2952.0, 369),
+            "ocall_copy": (109.30234374999974, 291),
         },
     },
     "p2-reads-no-early-stop": {
-        "now_us": 15635.2585058587,
+        "now_us": 15385.2585058587,
         "disk_bytes": 68329,
         "dataset_hash": (
             "47024ebf7dfce0628cca754a64f15936"
@@ -653,7 +652,7 @@ GOLDEN_READS: dict[str, dict] = {
         "charges": {
             "compute": (871.8000000000003, 329),
             "disk_write": (40.51953125000001, 31),
-            "dram_copy": (34.156982421875, 316),
+            "dram_copy": (34.156982421875, 291),
             "dram_touch": (9.639999999999883, 482),
             "ecall": (3376.0, 422),
             "ecall_copy": (53.645312499999996, 549),
@@ -661,14 +660,14 @@ GOLDEN_READS: dict[str, dict] = {
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
             "hash": (1607.3443359375503, 2361),
-            "kernel_read": (58.0, 29),
+            "kernel_read": (8.0, 4),
             "kernel_write": (717.5, 287),
-            "ocall": (3152.0, 394),
-            "ocall_copy": (109.30234374999972, 316),
+            "ocall": (2952.0, 369),
+            "ocall_copy": (109.30234374999974, 291),
         },
     },
     "p2-reads-on-demand": {
-        "now_us": 28240.656992199747,
+        "now_us": 26030.656992198124,
         "disk_bytes": 12239,
         "dataset_hash": (
             "47024ebf7dfce0628cca754a64f15936"
@@ -684,7 +683,7 @@ GOLDEN_READS: dict[str, dict] = {
         "charges": {
             "compute": (871.8000000000003, 329),
             "disk_write": (9.66796875, 31),
-            "dram_copy": (74.056640625, 695),
+            "dram_copy": (74.056640625, 474),
             "dram_touch": (0.14, 7),
             "ecall": (3376.0, 422),
             "ecall_copy": (41.38828125000006, 549),
@@ -692,14 +691,14 @@ GOLDEN_READS: dict[str, dict] = {
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
             "hash": (10307.772851559379, 16124),
-            "kernel_read": (816.0, 408),
+            "kernel_read": (374.0, 187),
             "kernel_write": (717.5, 287),
-            "ocall": (6184.0, 773),
-            "ocall_copy": (236.9812500000005, 695),
+            "ocall": (4416.0, 552),
+            "ocall_copy": (236.98124999999993, 474),
         },
     },
     "p2-reads-no-bloom": {
-        "now_us": 16264.521201170915,
+        "now_us": 16014.521201170915,
         "disk_bytes": 68329,
         "dataset_hash": (
             "47024ebf7dfce0628cca754a64f15936"
@@ -715,7 +714,7 @@ GOLDEN_READS: dict[str, dict] = {
         "charges": {
             "compute": (871.8000000000003, 329),
             "disk_write": (40.51953125000001, 31),
-            "dram_copy": (34.156982421875, 316),
+            "dram_copy": (34.156982421875, 291),
             "dram_touch": (12.739999999999817, 637),
             "ecall": (3376.0, 422),
             "ecall_copy": (109.90624999999959, 567),
@@ -723,10 +722,10 @@ GOLDEN_READS: dict[str, dict] = {
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
             "hash": (2177.246093750136, 3365),
-            "kernel_read": (58.0, 29),
+            "kernel_read": (8.0, 4),
             "kernel_write": (717.5, 287),
-            "ocall": (3152.0, 394),
-            "ocall_copy": (109.30234374999972, 316),
+            "ocall": (2952.0, 369),
+            "ocall_copy": (109.30234374999974, 291),
         },
     },
 }
