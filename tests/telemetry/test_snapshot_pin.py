@@ -72,30 +72,30 @@ def read_telemetry_digest(name: str) -> str:
 
 
 PINNED: dict[str, str] = {
-    "p2-imm0-compact": "345722b9e99b0151ad3b04b0ea97ed96501efd9df977b255539e71abde379bf5",
-    "p2-imm0-stack": "69e1afcf559e0bb43610deb3cd8659977194bafb9a42f7c8c3b8f2ec6d1c50f0",
-    "p2-imm2-compact": "9325d8ef126bbffb7d4e414427f2a14d4c11afef388c8b290d7f31ba8506ca6a",
-    "p2-imm2-stack": "a471de84f4eca76be257047fc57aedb14dfa12037f8580f353cc854e26dc79a8",
-    "p1-imm0-compact": "51ddf6b5d7caf1df89bfa122d009ab1a917bc60e534500ca2b0498dc65244887",
-    "p1-imm0-stack": "4d207696a176d0b8751ad7360a4a56dd5c585cc75cc452a50c989e366fafbdeb",
-    "p1-imm2-compact": "522a46a49b95c129c72305d33899f5d114cf83bacd8806ba78915ec93900e1f1",
-    "p1-imm2-stack": "1ed7c072e490e8712d658f4a62cf9f50d2c3ebc8badbddc88895e185b84ee93b",
-    "plain-enclave-imm0-compact": "85b4a8ec2743add0280e3a6cb74e0de435a055a9d6bbc7db1d64c461cbc108d3",
+    "p2-imm0-compact": "113e9804d2a0226dfa1ba83ade8a0b7ce387112c3fca007c9d61b57435a847b4",
+    "p2-imm0-stack": "57e7908bca2ad82fa4d19492094c829dbd03298195defc6cc791d2362a2c2812",
+    "p2-imm2-compact": "0ec601b1c58d68710757c97220263e7fffdd868c886903fc801559f21565b1bb",
+    "p2-imm2-stack": "bb73d5c690e194e9720c76b36e47c81a9f1e9d5fd48f36186713608aa202e19d",
+    "p1-imm0-compact": "b1b9d3d7d93ee8a417935cdb675c57672d1647fe64069d90865002e2976b3c59",
+    "p1-imm0-stack": "60ceabaa61708f0187df1715bf2912b670d75332ac85bd94fd6406a2151b1e58",
+    "p1-imm2-compact": "6f3fba99484768bb66c1f24b83855c9d9c9ec1161d57ed87f0217bc0e94c7aca",
+    "p1-imm2-stack": "3bea6015437872949d7be5e1f817549ee56c48678a8a8f457df976624dea263b",
+    "plain-enclave-imm0-compact": "08d8d02b371f1c63763413bf58ee284296ab9b5995e6517debc7a40d50e07ae6",
     "plain-enclave-imm0-stack": "f835edfb4effe4141784f43d3bb32b71241c8aea8c01879bfcf24e23c2c14bf5",
-    "plain-enclave-imm2-compact": "b7acea5c5d3fd18e3c618b339190d4201359a38ae918e115dd6397bba7a8b893",
+    "plain-enclave-imm2-compact": "27d7e93b61b8ce9b4d72f7dc5d218145450a0bb3a3a2cfa7ebb7928a317ee90c",
     "plain-enclave-imm2-stack": "d7fd34a62da25599a05b06227e5ee7978419a77db3d3d3ff8da66b7e21bf74e3",
-    "plain-imm0-compact": "9d779fc485d46cf472378df5b6789d3e4bbc9554379bf19526b3b8ece1ceeeb2",
+    "plain-imm0-compact": "a1c246641b8417e812b354c7aa50520baa8acdc93d7f3567d0bad51ef3dbc1b4",
     "plain-imm0-stack": "f845965b7c04ccd14baabe275478ba83b2d89331ee8e298229d09052448e41f9",
-    "plain-imm2-compact": "3fccaf00396ad1db04f26ec635f75593e47ac88be4119ccbb0e944e138cf41ba",
+    "plain-imm2-compact": "d7cc92f98ec4a350de3cdd49468c08ca07c89a4cd9a79b1d249171534f403923",
     "plain-imm2-stack": "d57abfba633667e39f3fb334a41676e8ba576890f44c99f5bbf6ede8ef4edb9b",
 }
 
 
 PINNED_READS: dict[str, str] = {
-    "p2-reads-default": "6080bde5bc29b413b4f617eedc930bf5fba9abe5f33dde4d90eca1346ce70abb",
-    "p2-reads-no-early-stop": "01028258f9638c1fb42df7bc1cc739597dcd845b319a8da7f1905014aa7f1ed9",
-    "p2-reads-on-demand": "9adb37f7c80af517755e77b0507a2e4adc677ad4b72472099fc0393b70ae8b89",
-    "p2-reads-no-bloom": "4a620d2db64f5ebfba391d38dd076a96f09b454e1f414d6980ac0e43838d0682",
+    "p2-reads-default": "2fb4600292eaef855e5a3ee38e4f2a050450b5123e64bc517d15d891b0996e20",
+    "p2-reads-no-early-stop": "1a14b99a9813158fb918c2e8413aaa0dc2d7db2fd5ad6ca1ab2cd11d0f6fe8ce",
+    "p2-reads-on-demand": "60e3081e8853b19e93afcee623739e032753d39875e2670bd54514ede169409d",
+    "p2-reads-no-bloom": "81fad70d401ea9a1e8692e7d6250c016e41f48ec53295ad3408eb163fbe7f51d",
 }
 
 
