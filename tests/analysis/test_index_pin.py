@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "8bdd2ace9dc3fa1e15dd83aede088f8de3455a3b4e12965911172412c5dcf1d6"
+INDEX_DIGEST = "b99bb2292df90cbc5aab3cb744ad485a287d87dbcd0f0371920867599ba8af4f"
 
 
 def _pinned(name: str) -> bool:
