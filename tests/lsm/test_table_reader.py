@@ -30,12 +30,17 @@ def _disk_reads(env) -> float:
     return env.telemetry.metrics.get("disk.ops").value(op="read")
 
 
-def test_compaction_issues_one_read_ocall_per_input_table():
-    store = make_p2_store(compaction=False)
+def _stacked(store):
+    """Four flushes with compaction off: one level per flush."""
     for i in range(200):
         store.put(*kv(i))
         if i % 50 == 49:
             store.flush()
+    return store
+
+
+def test_compaction_makes_one_read_ocall_per_input_table():
+    store = _stacked(make_p2_store(compaction=False))
     db = store.db
     levels = db.level_indices()
     assert len(levels) >= 2
@@ -61,17 +66,18 @@ def _table(env, name, file_no, keys, compress=False, protect=False):
     return builder.finish()
 
 
-def _charges(env) -> tuple[dict[str, float], dict[str, int]]:
-    """Per-category (microseconds, number of charges) so far."""
-    breakdown = env.clock.breakdown()
+def _charged(env, read):
+    """``read()``'s result, and the microseconds and number of charges it
+    made in each per-block category."""
+    clock = env.clock
+    us, counts = clock.breakdown(), {c: clock.event_count(c) for c in _PER_BLOCK_CATEGORIES}
+    result = read()
+    after = clock.breakdown()
     return (
-        {cat: breakdown.get(cat, 0.0) for cat in _PER_BLOCK_CATEGORIES},
-        {cat: env.clock.event_count(cat) for cat in _PER_BLOCK_CATEGORIES},
+        result,
+        {c: after.get(c, 0.0) - us.get(c, 0.0) for c in _PER_BLOCK_CATEGORIES},
+        {c: clock.event_count(c) - counts[c] for c in _PER_BLOCK_CATEGORIES},
     )
-
-
-def _delta(after, before):
-    return tuple({cat: a[cat] - b[cat] for cat in a} for a, b in zip(after, before))
 
 
 @pytest.mark.parametrize(
@@ -95,31 +101,26 @@ def test_iter_entries_matches_block_by_block_decoding(enclave_env, flags):
         buffer=ReadBuffer(env, 256 * 1024, block_stride=256),
         protected=flags.get("protect", False),
     )
-    before = _charges(env)
-    expected = [
-        entry
-        for meta in run.tables
-        for handle in meta.handles
-        for entry in fetcher.read_block(meta, handle).entries
-    ]
-    per_block = _delta(_charges(env), before)
-
-    before, reads_before = _charges(env), _disk_reads(env)
-    assert list(run.iter_entries(env)) == expected
-    us, counts = _delta(_charges(env), before)
-    assert counts == per_block[1]
-    assert us == pytest.approx(per_block[0])
-    assert _disk_reads(env) - reads_before == len(run.tables)
+    expected, block_us, block_counts = _charged(
+        env,
+        lambda: [
+            entry
+            for meta in run.tables
+            for handle in meta.handles
+            for entry in fetcher.read_block(meta, handle).entries
+        ],
+    )
+    reads_before = _disk_reads(env)
+    entries, us, counts = _charged(env, lambda: list(run.iter_entries(env)))
     assert len(expected) == 130
+    assert entries == expected
+    assert counts == block_counts
+    assert us == pytest.approx(block_us)
+    assert _disk_reads(env) - reads_before == len(run.tables)
 
 
 def test_corrupt_last_block_fails_compaction_and_audit_after_earlier_blocks():
-    store = make_p1_store(compaction=False)
-    for i in range(200):
-        store.put(*kv(i))
-        if i % 50 == 49:
-            store.flush()
-    db = store.db
+    db = _stacked(make_p1_store(compaction=False)).db
     levels = db.level_indices()
     assert len(levels) >= 2
     level = levels[-1]
