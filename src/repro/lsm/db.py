@@ -874,16 +874,16 @@ class LSMStore:
                         _MEMTABLE_REGION, imm.approximate_bytes
                     )
                 self.stats.flushes += 1
+                # Advance the time-cut BEFORE any seal, the WAL sync's
+                # included: the seal publishing this flush must carry the
+                # new boundary, or recovery replays what the SSTable holds.
+                self._flushed_ts = max(self._flushed_ts, imm.max_ts)
                 # The epoch does not advance, so the commit seal's digest
                 # covers every WAL record appended so far — sync first,
                 # or a crash right after sealing could truncate records
                 # the digest vouches for and recovery would refuse.
                 if self.wal.has_unsynced:
                     self.wal.sync()
-                # Advance the time-cut BEFORE sealing: the seal that
-                # publishes this flush must carry the new boundary, or
-                # recovery would replay records the SSTable already holds.
-                self._flushed_ts = max(self._flushed_ts, imm.max_ts)
                 self._commit("background_flush")
             self._maybe_compact()
         self._bg_free_us = max(self._bg_free_us, track.end_us)

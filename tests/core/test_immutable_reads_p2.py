@@ -130,3 +130,32 @@ def test_recovery_with_queued_immutables_unflushed():
     for i in range(written + 1):
         assert reopened.get(kv(i)[0]) == kv(i)[1]
     assert reopened.audit().clean
+
+
+def test_crash_after_the_background_wal_sync_seal_recovers():
+    """Under autoseal the background flush's WAL sync seals before the
+    commit does: that seal must already carry the flush's time-cut, or
+    recovery replays records the new SSTable holds."""
+    import pytest
+
+    from repro.faults import FaultPlan, SimulatedCrash
+
+    store = pipelined_store(autoseal=True, wal_sync_every=1 << 20)
+    store.persist_seal()
+    written = fill_until_rotation(store)
+    store.put(*kv(written))  # unsynced when the flush starts
+    FaultPlan().attach(store.disk).crash_at("commit.before_hook")
+    with pytest.raises(SimulatedCrash):
+        store.db.drain_immutables()
+    reopened = pipelined_store(
+        autoseal=True,
+        wal_sync_every=1 << 20,
+        clock=store.clock,
+        disk=store.disk,
+        counter=store.counter,
+        reopen=True,
+    )
+    reopened.recover_from_disk()
+    for i in range(written + 1):
+        assert reopened.get(kv(i)[0]) == kv(i)[1]
+    assert reopened.audit().clean
