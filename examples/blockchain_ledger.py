@@ -22,6 +22,7 @@ import struct
 from repro import RollbackDetected, ScaleConfig
 from repro.core.adversary import RollbackHost
 from repro.core.store_p2 import ELSMP2Store
+from repro.sgx.sealing import load_blob
 
 
 def account(i: int) -> bytes:
@@ -81,7 +82,8 @@ def main() -> None:
 
     print("\n== rollback attack: reverting a payment ==")
     host = RollbackHost(ledger.disk)
-    pre_payment = ledger.seal_state()
+    # persist_seal writes the seal, then moves the monotonic counter.
+    pre_payment = load_blob(ledger.env, ledger.persist_seal())
     host.snapshot(pre_payment)
     # A big payment lands...
     balances[3] -= 500
@@ -90,7 +92,7 @@ def main() -> None:
     nonces[4] += 1
     ledger.put(account(3), encode_balance(balances[3], nonces[3]))
     ledger.put(account(4), encode_balance(balances[4], nonces[4]))
-    ledger.seal_state()
+    ledger.persist_seal()
     # ...and the host restores the pre-payment snapshot.
     stale = host.rollback_to(0)
     try:

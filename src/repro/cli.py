@@ -495,7 +495,11 @@ def cmd_crash_test(args) -> int:
         f"{len(results) - failures} passed, {failures} failed "
         f"(seed={args.seed}, ops={args.ops}, sync_every={args.sync_every})"
     )
-    return 1 if failures else 0
+    # A site no hit reached never had its recovery tested.
+    unreached = [s for s in sites if s not in {r.crashed_at for r in results}]
+    if unreached:
+        print(f"FAIL: sites no hit reached: {', '.join(unreached)}", file=sys.stderr)
+    return 1 if failures or unreached else 0
 
 
 def _explain_rule(rule: str) -> int:

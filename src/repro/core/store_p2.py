@@ -108,7 +108,6 @@ class ELSMP2Store(PlacedStore):
         secret: bytes = b"",
         rollback_protection: bool = False,
         counter_buffer_ops: int = 64,
-        counter_slack: int = 0,
         autoseal: bool = False,
         early_stop: bool = True,
         proof_mode: str = "embedded",
@@ -136,10 +135,6 @@ class ELSMP2Store(PlacedStore):
         # store must be handed the same counter it used before the crash.
         self.counter = counter or TrustedMonotonicCounter(self.clock)
         self.anchor = BufferedCounterAnchor(self.counter, counter_buffer_ops)
-        #: Counter increments a recovered seal may legitimately trail the
-        #: hardware by (a crash can land between the increment and the
-        #: seal write).  0 keeps the strict equality check.
-        self.counter_slack = counter_slack
         self.total_proof_bytes = 0
 
         self._m_recovery_dropped_bytes = self.telemetry.counter(
@@ -392,7 +387,17 @@ class ELSMP2Store(PlacedStore):
     def _maybe_anchor(self) -> None:
         if self.rollback_protection:
             self.env.trusted_hash(32 * (len(self.registry.nonempty_levels()) + 2))
-            self.anchor.record_write(self.dataset_hash())
+            if self.anchor.record_write():
+                self._anchor_seal()
+
+    def _anchor_seal(self) -> None:
+        """Seal and anchor the buffered writes, once their WAL records
+        are on disk (under autoseal the sync is the seal)."""
+        seals = self._seal_seq
+        if self.db.wal.has_unsynced:
+            self.db.wal.sync()
+        if self._seal_seq == seals:
+            self.persist_seal()
 
     # ------------------------------------------------------------------
     # Read path (r1-r2)
@@ -737,15 +742,14 @@ class ELSMP2Store(PlacedStore):
         return self.registry.dataset_hash(self.listener.wal_digest)
 
     def seal_state(self) -> SealedBlob:
-        """Anchor and seal the trusted state for persistence."""
+        """Seal the trusted state, claiming the counter value that
+        :meth:`persist_seal` moves to once the blob is durable."""
         dataset = self.dataset_hash()
-        if self.rollback_protection:
-            self.anchor.anchor(dataset)
         payload = {
             "registry": self.registry.to_payload(),
             "wal_digest": self.listener.wal_digest.hex(),
             "ts": self._ts,
-            "counter": self.anchor.anchored_value,
+            "counter": self.anchor.anchored_value + 1 if self.rollback_protection else 0,
             "dataset": dataset.hex(),
             "manifest_seq": self.db.manifest_seq,
             "wal_epoch": self.db.wal.epoch,
@@ -777,13 +781,16 @@ class ELSMP2Store(PlacedStore):
 
     def persist_seal(self) -> str:
         """Seal the trusted state and write it to disk as the newest
-        ``SEAL-<n>`` file; older seals are reaped only once the new one
-        is durable.  Returns the file name written."""
+        ``SEAL-<n>`` file, then move the counter (its only mover); the
+        durability floor and the reaping of older seals wait for that.
+        Returns the file name written."""
         ts_at_seal = self._ts
         blob = self.seal_state()
         self._seal_seq += 1
         name = self._seal_name(self._seal_seq)
         store_blob(self.env, name, blob)
+        if self.rollback_protection:
+            self.anchor.anchor()
         self._m_seals.inc()
         self._durable_ts = max(self._durable_ts, ts_at_seal)
         for seq in self._seal_seqs_on_disk():
@@ -806,13 +813,16 @@ class ELSMP2Store(PlacedStore):
         return self.db.durable_ts()
 
     def check_recovery(self, blob: SealedBlob) -> dict:
-        """Unseal a persisted state and verify it is not a rollback."""
-        payload = unseal(self.enclave, blob)
+        """Unseal a persisted state and verify it is not a rollback (a
+        pure probe: no counter moves)."""
+        return self._fresh(unseal(self.enclave, blob))
+
+    def _fresh(self, payload: dict) -> dict:
         if self.rollback_protection and not self.anchor.check_freshness(
-            payload["counter"], slack=self.counter_slack
+            payload["counter"]
         ):
             raise RollbackDetected(
-                "sealed state counter is behind the trusted monotonic counter"
+                "sealed state counter is neither the trusted counter nor one ahead"
             )
         return payload
 
@@ -826,11 +836,11 @@ class ELSMP2Store(PlacedStore):
         # file bytes must be keyed exactly as the original was.  Seals
         # from before the keyed-filter feature carry no salt (unkeyed).
         self.db.config.bloom_salt = bytes.fromhex(payload.get("bloom_salt", ""))
-        self.anchor.restore(payload["counter"], bytes.fromhex(payload["dataset"]))
 
     def recover_from_seal(self, blob: SealedBlob) -> int:
         """Full restart flow: unseal, rollback-check, adopt the sealed
-        manifest + WAL epoch, authenticate the WAL, and replay it.
+        manifest + WAL epoch, authenticate the WAL, replay it, and (with
+        rollback protection) re-anchor with a fresh seal.
 
         Call on a store constructed with ``reopen=True`` over the same
         disk (and the same hardware ``counter``).  Returns the number of
@@ -845,21 +855,23 @@ class ELSMP2Store(PlacedStore):
         no prefix matches (tampering, or a device that dropped an
         acknowledged fsync), recovery refuses loudly.
         """
+        return self._recover(unseal(self.enclave, blob))
+
+    def _recover(self, payload: dict) -> int:
         # The recovery span owns every charge replay makes (hashing the
         # WAL, replay IO, the recovery flush), so a trace of a restart
         # shows what recovery cost; the events it emits carry its ids.
         with self.telemetry.span("elsm.recovery") as span:
-            replayed = self._recover_from_seal_locked(blob)
+            replayed = self._adopt(payload)
             span.set(replayed=replayed)
         self.telemetry.emit("store.recovered", replayed=replayed, ts=self._ts)
         return replayed
 
-    def _recover_from_seal_locked(self, blob: SealedBlob) -> int:
+    def _adopt(self, payload: dict) -> int:
         from repro.core.auth_compaction import WAL_DIGEST_INIT, advance_wal_digest
         from repro.core.errors import IntegrityViolation
 
-        payload = self.check_recovery(blob)
-        self.load_trusted_state(payload)
+        self.load_trusted_state(self._fresh(payload))
         # Adopt the on-disk seal numbering *before* replay: a recovery-
         # triggered flush may autoseal, and its seal must outnumber every
         # seal already on disk or a stale one would win the next restart.
@@ -927,6 +939,10 @@ class ELSMP2Store(PlacedStore):
         if self.autoseal:
             # Everything just recovered is on disk and sealed.
             self._durable_ts = max(self._durable_ts, self._ts)
+        if self.rollback_protection:
+            # Re-anchor: a seal one ahead gets its lost increment, and a
+            # seal the host hid can never stand for this restart's writes.
+            self.persist_seal()
         return replayed
 
     def recover_from_disk(self) -> int:
@@ -941,17 +957,15 @@ class ELSMP2Store(PlacedStore):
         """
         from repro.core.errors import IntegrityViolation
 
-        seqs = self._seal_seqs_on_disk()
         last_error: Exception | None = None
-        for seq in seqs:
+        for seq in self._seal_seqs_on_disk():
             try:
                 blob = load_blob(self.env, self._seal_name(seq))
-                payload_check = unseal(self.enclave, blob)
+                payload = unseal(self.enclave, blob)
             except SealError as exc:
                 last_error = exc
                 continue
-            del payload_check  # full check (incl. freshness) happens below
-            replayed = self.recover_from_seal(blob)
+            replayed = self._recover(payload)
             # Reap only seals older than the one adopted: a recovery
             # flush may already have written (and reaped around) a newer
             # one, which must survive.

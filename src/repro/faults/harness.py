@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from repro.core.errors import IntegrityViolation, RollbackDetected
 from repro.core.store_p2 import ELSMP2Store
 from repro.faults.plan import CRASH_SITES, FaultPlan, SimulatedCrash
-from repro.sim.clock import SimClock
-from repro.sim.disk import SimDisk
 from repro.sim.scale import ScaleConfig
 
 
@@ -67,6 +65,9 @@ class CrashConsistencyHarness:
     #: mutations, so the foreground flush + WAL-epoch crash sites keep
     #: firing now that capacity overflow rotates instead of flushing.
     FULL_FLUSH_EVERY = 30
+    #: Background-flush cadence: drain the immutable queue as the flusher
+    #: thread does, so ``flush.background.publish`` fires.
+    BACKGROUND_FLUSH_EVERY = 4
 
     def __init__(
         self,
@@ -86,28 +87,22 @@ class CrashConsistencyHarness:
     # ------------------------------------------------------------------
     # Store / workload construction
     # ------------------------------------------------------------------
-    def _build_store(
-        self,
-        disk: SimDisk | None = None,
-        clock: SimClock | None = None,
-        counter=None,
-        reopen: bool = False,
-    ) -> ELSMP2Store:
+    def _build_store(self, crashed: ELSMP2Store | None = None) -> ELSMP2Store:
+        """A fresh store, or one reopened over ``crashed``'s disk, clock
+        and hardware counter."""
         # Tiny capacities so a ~100-op workload exercises several
         # flushes and at least one cascading compaction.
         return ELSMP2Store(
             scale=ScaleConfig(factor=1 / 4096),
-            clock=clock,
-            disk=disk,
-            counter=counter,
-            reopen=reopen,
+            clock=crashed and crashed.clock,
+            disk=crashed and crashed.disk,
+            counter=crashed and crashed.counter,
+            reopen=crashed is not None,
             write_buffer_bytes=1024,
             level1_max_bytes=2048,
             file_max_bytes=1024,
             block_bytes=512,
             rollback_protection=True,
-            counter_buffer_ops=1_000_000,  # anchors come from autoseal only
-            counter_slack=1,  # a crash can split increment from seal write
             autoseal=True,
             wal_sync_every=self.sync_every,
             # Pipelined write path on: rotation + background-flush crash
@@ -152,11 +147,15 @@ class CrashConsistencyHarness:
         crashed: str | None = None
         try:
             i = 0
-            since_flush = 0
+            since_flush = since_drain = 0
             while i < self.ops:
                 if since_flush >= self.FULL_FLUSH_EVERY:
                     store.flush()
-                    since_flush = 0
+                    since_flush = since_drain = 0
+                    floor = max(floor, store.durability_ts())
+                elif since_drain >= self.BACKGROUND_FLUSH_EVERY:
+                    store.db.drain_immutables()
+                    since_drain = 0
                     floor = max(floor, store.durability_ts())
                 if rng.random() < self.GROUP_FRACTION:
                     size = rng.randrange(2, self.GROUP_MAX + 1)
@@ -174,6 +173,7 @@ class CrashConsistencyHarness:
                     acked += len(group)
                     i += size
                     since_flush += size
+                    since_drain += size
                     floor = max(floor, store.durability_ts())
                     continue
                 roll = rng.random()
@@ -191,6 +191,7 @@ class CrashConsistencyHarness:
                     store.get(key)
                 i += 1
                 since_flush += 1
+                since_drain += 1
                 floor = max(floor, store.durability_ts())
         except SimulatedCrash as crash:
             crashed = crash.site
@@ -218,12 +219,7 @@ class CrashConsistencyHarness:
     ) -> CrashRunResult:
         """Reopen over the surviving disk and run every invariant."""
         try:
-            store = self._build_store(
-                disk=old_store.disk,
-                clock=old_store.clock,
-                counter=old_store.counter,
-                reopen=True,
-            )
+            store = self._build_store(old_store)
             store.recover_from_disk()
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             result.ok = False
@@ -374,9 +370,8 @@ class CrashConsistencyHarness:
     def run_rollback_check(self) -> CrashRunResult:
         """A malicious host restores an older disk image: must be caught.
 
-        The image is taken at least two seals back — with
-        ``counter_slack=1`` an image exactly one seal old is
-        indistinguishable from an honest crash, by design.
+        The image is exactly one seal old: seals are durable before the
+        counter moves, so no honest seal is ever behind it.
         """
         scenario = "rollback"
         rng = random.Random(self._derive_seed(scenario))
@@ -389,23 +384,20 @@ class CrashConsistencyHarness:
             for name in store.disk.list_files()
         }
         seals_before = store._seal_seq
-        # Keep writing so the hardware counter moves >= 2 past the image.
+        # Write until one more seal lands: the counter moves one past.
         extra_rng = random.Random(self._derive_seed(scenario + ":extra"))
-        for i in range(4 * self.sync_every):
+        while store._seal_seq == seals_before:
             store.put(
                 self._key(extra_rng.randrange(self.keyspace)),
-                self._value(self.ops + i),
+                self._value(store.current_ts),
             )
-        store.flush()
         result = CrashRunResult(
             scenario=scenario, ok=True, triggered=True, acked=acked,
             durable_floor=floor,
         )
-        if store._seal_seq - seals_before < 2:
+        if store._seal_seq - seals_before != 1:
             result.ok = False
-            result.detail = (
-                "scenario bug: fewer than 2 seals after the snapshot"
-            )
+            result.detail = "scenario bug: not exactly one seal after the snapshot"
             return result
         # "Power cycle" + the host swaps in the stale image.
         for name in list(store.disk.list_files()):
@@ -414,12 +406,8 @@ class CrashConsistencyHarness:
             store.disk.create(name)
             store.disk.open(name).data = bytearray(data)
             store.disk.open(name).synced_bytes = len(data)
-        revived = self._build_store(
-            disk=store.disk, clock=store.clock, counter=store.counter,
-            reopen=True,
-        )
         try:
-            revived.recover_from_disk()
+            self._build_store(store).recover_from_disk()
         except RollbackDetected:
             result.detail = "rollback detected as required"
             return result
@@ -463,10 +451,7 @@ class CrashConsistencyHarness:
             return result
         store.disk.power_loss(None)  # deterministic: unsynced tail gone
         try:
-            revived = self._build_store(
-                disk=store.disk, clock=store.clock, counter=store.counter,
-                reopen=True,
-            )
+            revived = self._build_store(store)
             revived.recover_from_disk()
         except IntegrityViolation:
             result.detail = "acked-data loss detected (recovery refused)"

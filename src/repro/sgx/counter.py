@@ -1,11 +1,13 @@
 """Trusted monotonic counters for rollback defence.
 
 Section 5.6.1: a malicious host can replace the whole store with an older
-*but authenticated* version.  eLSM defends by periodically anchoring the
-hash of the current dataset (all level roots + the WAL digest) to a
-trusted monotonic counter (TPM / ``sgx_create_monotonic_counter`` / ROTE).
-On recovery, a sealed state whose counter value is behind the hardware
-counter is rejected.
+*but authenticated* version.  eLSM defends by binding each sealed state
+(all level roots + the WAL digest) to a trusted monotonic counter (TPM /
+``sgx_create_monotonic_counter`` / ROTE).
+
+The seal goes first: it claims hardware + 1, is written and fsynced, and
+only then is the counter incremented.  So the newest durable seal equals
+the counter or, after a crash before the increment, is one ahead of it.
 
 Counter writes are slow on real hardware (tens of milliseconds on TPMs),
 so the paper adds a tunable write buffer that batches anchor updates —
@@ -43,12 +45,12 @@ class TrustedMonotonicCounter:
 
 
 class BufferedCounterAnchor:
-    """Batches dataset-hash anchors so only every Nth write hits hardware.
+    """The enclave's side of the counter: when to anchor, and to what.
 
     ``buffer_ops`` trades rollback-detection granularity for write latency:
-    with a buffer of N, a crash can lose at most the last N writes to a
-    rollback (the paper: "the size of the write buffer is tunable by the
-    system administrator").
+    with a buffer of N, at most the last N writes are not yet bound to the
+    counter (the paper: "the size of the write buffer is tunable by the
+    system administrator").  The store seals, then calls :meth:`anchor`.
     """
 
     def __init__(self, counter: TrustedMonotonicCounter, buffer_ops: int = 1) -> None:
@@ -57,51 +59,28 @@ class BufferedCounterAnchor:
         self.counter = counter
         self.buffer_ops = buffer_ops
         self._pending = 0
-        self._anchored_value = 0
-        self._anchored_hash = b""
+        #: The hardware counter as this enclave last knew it; the next
+        #: seal claims one more.
+        self.anchored_value = 0
 
-    @property
-    def anchored_value(self) -> int:
-        """The counter value bound to the last anchored dataset hash."""
-        return self._anchored_value
-
-    @property
-    def anchored_hash(self) -> bytes:
-        return self._anchored_hash
-
-    def record_write(self, dataset_hash: bytes) -> bool:
-        """Note one logical write; anchors when the buffer fills.
-
-        Returns True when an anchor was pushed to the hardware counter.
-        """
+    def record_write(self) -> bool:
+        """Note one logical write; True once ``buffer_ops`` writes wait
+        for an anchor."""
         self._pending += 1
-        if self._pending >= self.buffer_ops:
-            self.anchor(dataset_hash)
-            return True
-        return False
+        return self._pending >= self.buffer_ops
 
-    def restore(self, value: int, dataset_hash: bytes) -> None:
-        """Adopt a recovered (already freshness-checked) anchor state."""
-        self._anchored_value = value
-        self._anchored_hash = dataset_hash
+    def anchor(self) -> int:
+        """Move the hardware counter to the value the seal just made
+        durable claims; returns it."""
+        self.anchored_value = self.counter.increment()
         self._pending = 0
+        return self.anchored_value
 
-    def anchor(self, dataset_hash: bytes) -> None:
-        """Force an anchor of ``dataset_hash`` to the hardware counter."""
-        self._anchored_value = self.counter.increment()
-        self._anchored_hash = dataset_hash
-        self._pending = 0
-
-    def check_freshness(self, claimed_value: int, slack: int = 0) -> bool:
-        """True iff a recovered state's counter value is fresh.
-
-        With the default ``slack=0`` the claimed value must equal the
-        hardware counter exactly.  A positive slack accepts a state up to
-        ``slack`` increments behind it — needed when a crash can land
-        between the hardware increment and the seal write, so the newest
-        surviving seal legitimately trails the counter by one (the same
-        window Ariadne-style schemes tolerate).  A value *ahead* of the
-        hardware counter is never fresh.
-        """
-        hardware = self.counter.read()
-        return hardware - slack <= claimed_value <= hardware
+    def check_freshness(self, claimed_value: int) -> bool:
+        """True iff a recovered state's counter value is the hardware
+        counter or one ahead of it (a crash between its durable seal and
+        the increment).  Ariadne (Strackx & Piessens, USENIX Security
+        2016) closes the crash window this way, with no slack.  The read
+        also tells a reopened enclave where the counter stands."""
+        self.anchored_value = self.counter.read()
+        return self.anchored_value <= claimed_value <= self.anchored_value + 1

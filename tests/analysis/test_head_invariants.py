@@ -243,4 +243,4 @@ def test_el804_fires_on_a_table_scan_in_the_get_path(mutated_repo):
     fired = sorted(
         (f.rule, f.path, f.line) for f in run_costmodel(index) if f.rule == "EL804"
     )
-    assert fired == [("EL804", "src/repro/core/store_p2.py", 417)]
+    assert fired == [("EL804", "src/repro/core/store_p2.py", 422)]

@@ -159,8 +159,6 @@ def test_hot_group_writes_price_quadratically_at_the_door():
 def test_bloom_salt_round_trips_through_seal_and_recovery():
     store = make_p2_store(
         rollback_protection=True,
-        counter_buffer_ops=1_000_000,
-        counter_slack=1,
         autoseal=True,
     )
     assert store.salted_bloom
@@ -173,8 +171,6 @@ def test_bloom_salt_round_trips_through_seal_and_recovery():
 
     reopened = make_p2_store(
         rollback_protection=True,
-        counter_buffer_ops=1_000_000,
-        counter_slack=1,
         autoseal=True,
         disk=store.disk,
         clock=store.clock,
@@ -195,8 +191,6 @@ def test_unkeyed_store_recovery_stays_unkeyed():
     store = make_p2_store(
         salted_bloom=False,
         rollback_protection=True,
-        counter_buffer_ops=1_000_000,
-        counter_slack=1,
         autoseal=True,
     )
     assert store.db.config.bloom_salt == b""
@@ -207,8 +201,6 @@ def test_unkeyed_store_recovery_stays_unkeyed():
     reopened = make_p2_store(
         salted_bloom=False,
         rollback_protection=True,
-        counter_buffer_ops=1_000_000,
-        counter_slack=1,
         autoseal=True,
         disk=store.disk,
         clock=store.clock,

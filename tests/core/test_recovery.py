@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.errors import IntegrityViolation, RollbackDetected
 from repro.core.store_p2 import ELSMP2Store
+from repro.sgx.sealing import load_blob
 from tests.conftest import TEST_SCALE, kv
 
 
@@ -111,11 +112,13 @@ def test_rollback_detected_across_restart():
     host = RollbackHost(store.disk)
     store.put(b"k", b"v1")
     store.flush()
-    old_blob = store.seal_state()
+    # Only a persisted seal is committed: its counter increment
+    # follows the durable write.
+    old_blob = load_blob(store.env, store.persist_seal())
     host.snapshot(old_blob)
     store.put(b"k", b"v2")
     store.flush()
-    store.seal_state()
+    store.persist_seal()
     stale_blob = host.rollback_to(0)
     revived = crash_and_reopen(store)
     with pytest.raises(RollbackDetected):

@@ -9,15 +9,20 @@ fall-back behaviour of ``recover_from_disk`` over numbered SEAL files.
 import pytest
 
 from repro.core.errors import IntegrityViolation, RollbackDetected
-from repro.sgx.sealing import SealError, decode_blob, encode_blob, unseal
+from repro.sgx.counter import TrustedMonotonicCounter
+from repro.sgx.sealing import (
+    SealError,
+    decode_blob,
+    encode_blob,
+    load_blob,
+    unseal,
+)
 from tests.conftest import kv, make_p2_store
 
 
 def make_autoseal_store(**overrides):
     defaults = dict(
         rollback_protection=True,
-        counter_buffer_ops=1_000_000,
-        counter_slack=1,
         autoseal=True,
         wal_sync_every=4,
     )
@@ -62,27 +67,59 @@ def test_rolled_back_disk_image_detected_by_recover_from_disk():
         reopen(store).recover_from_disk()
 
 
-def test_one_seal_behind_is_tolerated_within_slack():
-    """counter_slack=1 exists because a crash can land between the
-    counter increment and the seal write; exactly one behind is legal."""
+def persisted_blob(store):
+    """Commit a seal (write, fsync, counter increment); return its blob."""
+    return load_blob(store.env, store.persist_seal())
+
+
+def test_one_seal_behind_is_a_rollback():
+    """The seal is written before the counter moves, so the newest
+    honest seal is never behind the counter: one seal old is a rollback."""
     store = make_autoseal_store()
     for i in range(10):
         store.put(*kv(i))
-    blob = store.seal_state()  # increments the anchor
-    store.anchor.anchor(store.dataset_hash())  # one more hardware tick
-    payload = store.check_recovery(blob)  # slack=1: accepted
-    assert payload["ts"] == store.current_ts
-
-
-def test_two_seals_behind_rejected_even_with_slack():
-    store = make_autoseal_store()
-    for i in range(10):
-        store.put(*kv(i))
-    blob = store.seal_state()
-    store.anchor.anchor(store.dataset_hash())
-    store.anchor.anchor(store.dataset_hash())
+    blob = persisted_blob(store)
+    store.persist_seal()
     with pytest.raises(RollbackDetected):
         store.check_recovery(blob)
+
+
+def test_two_seals_behind_rejected():
+    store = make_autoseal_store()
+    for i in range(10):
+        store.put(*kv(i))
+    blob = persisted_blob(store)
+    store.persist_seal()
+    store.persist_seal()
+    with pytest.raises(RollbackDetected):
+        store.check_recovery(blob)
+
+
+def test_check_recovery_is_a_pure_probe():
+    """A seal one ahead of the counter is fresh, and probing it moves
+    nothing; only adopting it does."""
+    store = make_autoseal_store()
+    for i in range(10):
+        store.put(*kv(i))
+    blob = store.seal_state()  # claims the counter's next value
+    before = store.counter.read()
+    assert store.check_recovery(blob)["counter"] == before + 1
+    assert store.counter.read() == before
+
+
+def test_seal_two_ahead_of_counter_rejected():
+    """No honest order leaves a seal two ahead of the counter."""
+    store = make_autoseal_store()
+    store.persist_seal()
+    blob = store.seal_state()  # claims 2
+    behind = make_autoseal_store(
+        disk=store.disk,
+        clock=store.clock,
+        counter=TrustedMonotonicCounter(store.clock),  # reads 0
+        reopen=True,
+    )
+    with pytest.raises(RollbackDetected):
+        behind.check_recovery(blob)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.core.errors import (
     IntegrityViolation,
     RollbackDetected,
 )
+from repro.sgx.sealing import load_blob
 from tests.conftest import kv, make_p2_store
 
 
@@ -165,11 +166,13 @@ def test_rollback_detected_with_counter():
     host = RollbackHost(store.disk)
     store.put(b"k", b"v1")
     store.flush()
-    old_blob = store.seal_state()
+    # Only a persisted seal is committed: its counter increment
+    # follows the durable write.
+    old_blob = load_blob(store.env, store.persist_seal())
     host.snapshot(old_blob)
     store.put(b"k", b"v2")
     store.flush()
-    store.seal_state()
+    store.persist_seal()
     stale_blob = host.rollback_to(0)
     with pytest.raises(RollbackDetected):
         store.check_recovery(stale_blob)

@@ -43,8 +43,6 @@ def test_flush_crash_leaves_previous_manifest_on_disk():
 def test_seal_crash_site_reached_via_autoseal():
     store = make_p2_store(
         rollback_protection=True,
-        counter_buffer_ops=1_000_000,
-        counter_slack=1,
         autoseal=True,
         wal_sync_every=4,
     )

@@ -74,3 +74,27 @@ def test_cli_crash_test_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 failed" in out
+
+
+def test_background_flush_site_recovers():
+    """The workload drains the immutable queue as the flusher thread
+    does, so the background flush's commit is crashed at too."""
+    h = CrashConsistencyHarness(seed=0, ops=100)
+    run(h, "flush.background.publish")
+    run(h, "flush.background.publish", hit=3)
+
+
+def test_cli_crash_test_fails_on_an_unreached_site(capsys):
+    code = cli_main(
+        [
+            "crash-test",
+            "--ops", "1",
+            "--quick",
+            "--sites", "flush.background.publish",
+            "--random-rounds", "0",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert "0 failed" in captured.out
+    assert code == 1
+    assert "flush.background.publish" in captured.err

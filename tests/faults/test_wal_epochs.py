@@ -56,8 +56,6 @@ def test_crash_between_epoch_create_and_old_delete():
     disk at the crash instant, and recovery loses nothing acked."""
     store = make_p2_store(
         rollback_protection=True,
-        counter_buffer_ops=1_000_000,
-        counter_slack=1,
         autoseal=True,
         wal_sync_every=4,
     )
@@ -79,8 +77,6 @@ def test_crash_between_epoch_create_and_old_delete():
         clock=store.clock,
         counter=store.counter,
         rollback_protection=True,
-        counter_buffer_ops=1_000_000,
-        counter_slack=1,
         autoseal=True,
         wal_sync_every=4,
         reopen=True,

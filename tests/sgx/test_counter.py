@@ -24,39 +24,63 @@ def test_counter_write_is_expensive():
     assert clock.breakdown()["monotonic_counter"] == COUNTER_WRITE_US
 
 
+def drive(anchor, writes):
+    """Record ``writes`` writes, anchoring whenever one is due (as the
+    store does once its seal is durable); returns the due flags."""
+    due = []
+    for _ in range(writes):
+        due.append(anchor.record_write())
+        if due[-1]:
+            anchor.anchor()
+    return due
+
+
 def test_buffered_anchor_cadence():
     counter = TrustedMonotonicCounter(SimClock())
     anchor = BufferedCounterAnchor(counter, buffer_ops=4)
-    pushed = [anchor.record_write(b"h%d" % i) for i in range(8)]
-    assert pushed == [False, False, False, True] * 2
+    assert drive(anchor, 8) == [False, False, False, True] * 2
     assert counter.read() == 2
 
 
 def test_unbuffered_anchor_every_write():
     counter = TrustedMonotonicCounter(SimClock())
     anchor = BufferedCounterAnchor(counter, buffer_ops=1)
-    for i in range(3):
-        assert anchor.record_write(b"h%d" % i)
+    assert drive(anchor, 3) == [True] * 3
     assert counter.read() == 3
 
 
-def test_anchor_records_latest_hash():
+def test_recording_a_write_moves_no_counter():
+    """Only anchor() increments: a due write waits for its seal."""
     counter = TrustedMonotonicCounter(SimClock())
     anchor = BufferedCounterAnchor(counter, buffer_ops=2)
-    anchor.record_write(b"first")
-    anchor.record_write(b"second")
-    assert anchor.anchored_hash == b"second"
+    assert [anchor.record_write() for _ in range(3)] == [False, True, True]
+    assert counter.read() == 0
+    assert anchor.anchor() == 1
     assert anchor.anchored_value == 1
 
 
 def test_freshness_check():
+    """Fresh means equal to the hardware counter or one ahead of it (a
+    seal made durable just before a crash skipped its increment)."""
     counter = TrustedMonotonicCounter(SimClock())
     anchor = BufferedCounterAnchor(counter, buffer_ops=1)
-    anchor.record_write(b"v1")
-    stale_value = anchor.anchored_value
-    anchor.record_write(b"v2")
-    assert anchor.check_freshness(anchor.anchored_value)
-    assert not anchor.check_freshness(stale_value)
+    anchor.anchor()
+    anchor.anchor()
+    assert anchor.check_freshness(2)
+    assert anchor.check_freshness(3)
+    assert not anchor.check_freshness(1)  # one seal behind: a rollback
+    assert not anchor.check_freshness(4)  # never sealed in this order
+    assert counter.read() == 2  # a check moves nothing
+
+
+def test_freshness_check_teaches_a_reopened_enclave_the_counter():
+    counter = TrustedMonotonicCounter(SimClock())
+    for _ in range(5):
+        counter.increment()
+    reopened = BufferedCounterAnchor(counter)
+    assert reopened.anchored_value == 0
+    assert reopened.check_freshness(6)
+    assert reopened.anchored_value == 5  # its next seal claims 6
 
 
 def test_invalid_buffer_ops():
@@ -68,10 +92,9 @@ def test_invalid_buffer_ops():
 def test_forced_anchor_resets_pending():
     counter = TrustedMonotonicCounter(SimClock())
     anchor = BufferedCounterAnchor(counter, buffer_ops=3)
-    anchor.record_write(b"a")
-    anchor.anchor(b"forced")
-    assert anchor.anchored_hash == b"forced"
+    anchor.record_write()
+    anchor.anchor()
     # The pending count restarted: three more writes to the next anchor.
-    assert not anchor.record_write(b"b")
-    assert not anchor.record_write(b"c")
-    assert anchor.record_write(b"d")
+    assert not anchor.record_write()
+    assert not anchor.record_write()
+    assert anchor.record_write()
