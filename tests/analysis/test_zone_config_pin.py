@@ -23,7 +23,7 @@ from repro.analysis import load_zone_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-CONFIG_DIGEST = "b02e9f144581dd5837eb47272272f79333833cd6e55ab182c1b57ffacaceb24f"
+CONFIG_DIGEST = "20906a2ebd32f0b1f7b0bf5a8680fd7bdea918d611ec49124e8abab8ccaa3681"
 
 
 def config_digest() -> str:
