@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "b99bb2292df90cbc5aab3cb744ad485a287d87dbcd0f0371920867599ba8af4f"
+INDEX_DIGEST = "2d9426d39726cc6ddad4c841f759f94af55172f6f35f558ccc4ba1312dfdb77a"
 
 
 def _pinned(name: str) -> bool:
