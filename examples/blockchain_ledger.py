@@ -22,7 +22,6 @@ import struct
 from repro import RollbackDetected, ScaleConfig
 from repro.core.adversary import RollbackHost
 from repro.core.store_p2 import ELSMP2Store
-from repro.sgx.sealing import load_blob
 
 
 def account(i: int) -> bytes:
@@ -37,13 +36,20 @@ def decode_balance(blob: bytes) -> tuple[int, int]:
     return struct.unpack("<QQ", blob)
 
 
-def main() -> None:
-    rng = random.Random(42)
-    ledger = ELSMP2Store(
+def open_ledger(**restart) -> ELSMP2Store:
+    """The node's store; a restart passes the surviving disk, clock and
+    hardware counter."""
+    return ELSMP2Store(
         scale=ScaleConfig(factor=1 / 2048),
         rollback_protection=True,
         counter_buffer_ops=64,
+        **restart,
     )
+
+
+def main() -> None:
+    rng = random.Random(42)
+    ledger = open_ledger()
 
     print("== genesis: funding 500 accounts ==")
     balances = {i: 1_000 for i in range(500)}
@@ -83,8 +89,8 @@ def main() -> None:
     print("\n== rollback attack: reverting a payment ==")
     host = RollbackHost(ledger.disk)
     # persist_seal writes the seal, then moves the monotonic counter.
-    pre_payment = load_blob(ledger.env, ledger.persist_seal())
-    host.snapshot(pre_payment)
+    ledger.persist_seal()
+    host.snapshot()
     # A big payment lands...
     balances[3] -= 500
     balances[4] += 500
@@ -93,10 +99,13 @@ def main() -> None:
     ledger.put(account(3), encode_balance(balances[3], nonces[3]))
     ledger.put(account(4), encode_balance(balances[4], nonces[4]))
     ledger.persist_seal()
-    # ...and the host restores the pre-payment snapshot.
-    stale = host.rollback_to(0)
+    # ...the node restarts, and the host restores the pre-payment disk.
+    host.rollback_to(0)
+    restarted = open_ledger(
+        disk=ledger.disk, clock=ledger.clock, counter=ledger.counter, reopen=True
+    )
     try:
-        ledger.check_recovery(stale)
+        restarted.recover_from_disk()
         raise SystemExit("UNDETECTED ROLLBACK — this must never print")
     except RollbackDetected as exc:
         print(f"rollback detected by the monotonic counter: {exc}")

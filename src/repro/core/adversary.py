@@ -22,7 +22,7 @@ the paper's security analysis enumerates:
   another key's pooled nodes (cross-key splicing; integrity);
 * :func:`tamper_sstable_byte` — flip bytes on the untrusted disk, which
   the next read or compaction must detect;
-* :class:`RollbackHost` — restore an older sealed state + disk image
+* :class:`RollbackHost` — restore an older disk image, seals included
   (caught by the monotonic counter when rollback protection is on).
 """
 
@@ -39,7 +39,6 @@ from repro.core.proofs import (
     LevelNonMembership,
     RangeLevelProof,
 )
-from repro.sgx.sealing import SealedBlob
 from repro.sim.disk import SimDisk
 
 
@@ -270,31 +269,29 @@ def tamper_sstable_byte(disk: SimDisk, level_prefix: str = "L", flip: int = 0x01
 
 
 class RollbackHost:
-    """Snapshots and restores the full untrusted state (disk + seal).
+    """Snapshots and restores the full untrusted disk, seal files included.
 
     Models the Section 5.6.1 adversary: after a power cycle it hands the
-    enclave an *older but authentic* sealed blob and matching disk image.
+    enclave an *older but authentic* disk image, whose newest seal is the
+    one ``recover_from_disk`` then adopts.
     """
 
     def __init__(self, disk: SimDisk) -> None:
         self.disk = disk
-        self._snapshots: list[tuple[dict[str, bytes], SealedBlob]] = []
+        self._images: list[dict[str, bytes]] = []
 
-    def snapshot(self, sealed: SealedBlob) -> int:
-        """Capture the full disk image plus its sealed blob."""
-        image = {
-            name: bytes(self.disk.open(name).data)
-            for name in self.disk.list_files()
-        }
-        self._snapshots.append((image, sealed))
-        return len(self._snapshots) - 1
+    def snapshot(self) -> int:
+        """Capture the full disk image; returns its index."""
+        self._images.append(
+            {name: bytes(self.disk.open(name).data) for name in self.disk.list_files()}
+        )
+        return len(self._images) - 1
 
-    def rollback_to(self, index: int) -> SealedBlob:
-        """Restore a captured image; returns its (stale) sealed blob."""
-        image, sealed = self._snapshots[index]
+    def rollback_to(self, index: int) -> None:
+        """Replace the disk with a captured image, as if fully synced."""
         for name in list(self.disk.list_files()):
             self.disk.delete(name)
-        for name, data in image.items():
+        for name, data in self._images[index].items():
             self.disk.create(name)
             self.disk.open(name).data = bytearray(data)
-        return sealed
+            self.disk.open(name).synced_bytes = len(data)

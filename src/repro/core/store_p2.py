@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.admission import AdmissionController
-from repro.core.auth_compaction import AuthCompactionListener
+from repro.core.auth_compaction import WAL_DIGEST_INIT, AuthCompactionListener, advance_wal_digest
 from repro.core.digest import DigestRegistry
 from repro.core.encryption import MODE_PLAIN, KeyValueCodec
-from repro.core.errors import RollbackDetected
+from repro.core.errors import IntegrityViolation, RollbackDetected
 from repro.core.placed import PlacedStore
 from repro.core.prover import OnDemandProver, Prover
 from repro.core.proofs import (
@@ -214,7 +214,7 @@ class ELSMP2Store(PlacedStore):
         # Keyed Bloom hashing: the master salt comes from enclave
         # randomness, so the attacker outside cannot precompute
         # filter-saturating keys.  A reopened store overwrites this with
-        # the *sealed* salt in load_trusted_state before the manifest
+        # the *sealed* salt in recover_from_disk before the manifest
         # (and hence every filter) is rebuilt.
         if self.salted_bloom:
             config.bloom_salt = self.enclave.random_bytes(FILTER_SALT_LEN)
@@ -741,7 +741,7 @@ class ELSMP2Store(PlacedStore):
         """Hash of all level roots plus the WAL digest."""
         return self.registry.dataset_hash(self.listener.wal_digest)
 
-    def seal_state(self) -> SealedBlob:
+    def _seal_state(self) -> SealedBlob:
         """Seal the trusted state, claiming the counter value that
         :meth:`persist_seal` moves to once the blob is durable."""
         dataset = self.dataset_hash()
@@ -785,7 +785,7 @@ class ELSMP2Store(PlacedStore):
         durability floor and the reaping of older seals wait for that.
         Returns the file name written."""
         ts_at_seal = self._ts
-        blob = self.seal_state()
+        blob = self._seal_state()
         self._seal_seq += 1
         name = self._seal_name(self._seal_seq)
         store_blob(self.env, name, blob)
@@ -812,160 +812,131 @@ class ELSMP2Store(PlacedStore):
             return self._durable_ts
         return self.db.durable_ts()
 
-    def check_recovery(self, blob: SealedBlob) -> dict:
-        """Unseal a persisted state and verify it is not a rollback (a
-        pure probe: no counter moves)."""
-        return self._fresh(unseal(self.enclave, blob))
-
-    def _fresh(self, payload: dict) -> dict:
-        if self.rollback_protection and not self.anchor.check_freshness(
-            payload["counter"]
-        ):
-            raise RollbackDetected(
-                "sealed state counter is neither the trusted counter nor one ahead"
-            )
-        return payload
-
-    def load_trusted_state(self, payload: dict) -> None:
-        """Adopt an unsealed (and rollback-checked) trusted state."""
-        self.registry.load_payload(payload["registry"])
-        self.listener.wal_digest = bytes.fromhex(payload["wal_digest"])
-        self._ts = payload["ts"]
-        # Restore the sealed Bloom salt *before* the manifest reload
-        # that follows in recover_from_seal: every filter rebuilt from
-        # file bytes must be keyed exactly as the original was.  Seals
-        # from before the keyed-filter feature carry no salt (unkeyed).
-        self.db.config.bloom_salt = bytes.fromhex(payload.get("bloom_salt", ""))
-
-    def recover_from_seal(self, blob: SealedBlob) -> int:
-        """Full restart flow: unseal, rollback-check, adopt the sealed
-        manifest + WAL epoch, authenticate the WAL, replay it, and (with
-        rollback protection) re-anchor with a fresh seal.
+    def recover_from_disk(self) -> int:
+        """Restart when only the disk (and hardware counter) survive:
+        adopt the newest on-disk seal that decodes and unseals cleanly,
+        rollback-check it, adopt its manifest and WAL epoch, authenticate
+        the WAL, replay it, and (with rollback protection) re-anchor with
+        a fresh seal.
 
         Call on a store constructed with ``reopen=True`` over the same
         disk (and the same hardware ``counter``).  Returns the number of
-        WAL records replayed.  Raises :class:`RollbackDetected` for a
-        stale sealed state and :class:`IntegrityViolation` when the WAL
-        on the untrusted disk does not match the enclave's digest.
-
-        The WAL check accepts the *longest prefix* whose running digest
-        equals the sealed digest: entries appended after the seal (the
-        crash window) are unauthenticated, so they are discarded — with
-        telemetry and a physical truncation — rather than trusted.  If
-        no prefix matches (tampering, or a device that dropped an
-        acknowledged fsync), recovery refuses loudly.
-        """
-        return self._recover(unseal(self.enclave, blob))
-
-    def _recover(self, payload: dict) -> int:
-        # The recovery span owns every charge replay makes (hashing the
-        # WAL, replay IO, the recovery flush), so a trace of a restart
-        # shows what recovery cost; the events it emits carry its ids.
-        with self.telemetry.span("elsm.recovery") as span:
-            replayed = self._adopt(payload)
-            span.set(replayed=replayed)
-        self.telemetry.emit("store.recovered", replayed=replayed, ts=self._ts)
-        return replayed
-
-    def _adopt(self, payload: dict) -> int:
-        from repro.core.auth_compaction import WAL_DIGEST_INIT, advance_wal_digest
-        from repro.core.errors import IntegrityViolation
-
-        self.load_trusted_state(self._fresh(payload))
-        # Adopt the on-disk seal numbering *before* replay: a recovery-
-        # triggered flush may autoseal, and its seal must outnumber every
-        # seal already on disk or a stale one would win the next restart.
-        disk_seals = self._seal_seqs_on_disk()
-        if disk_seals:
-            self._seal_seq = max(self._seal_seq, disk_seals[0])
-        manifest_seq = payload.get("manifest_seq", 0)
-        if manifest_seq > 0:
-            if not self.db.load_manifest(manifest_seq):
-                raise IntegrityViolation(
-                    "manifest named by the sealed state is missing from disk"
-                )
-        else:
-            # The seal predates the first commit: no level may survive,
-            # even if an uncommitted manifest was eagerly loaded on open.
-            self.db.reset_levels()
-        if "wal_epoch" in payload and payload["wal_epoch"] > 0:
-            self.db.wal.set_epoch(payload["wal_epoch"])
-
-        target = self.listener.wal_digest
-        digest = WAL_DIGEST_INIT
-        seen: list[Record] = []
-        accepted: list[Record] = []
-        accepted_end = 0
-        # An empty log matches the reset digest.
-        matched = constant_time_eq(digest, target)
-        for record, end in self.db.wal.replay_entries():
-            digest = advance_wal_digest(digest, record)
-            self.env.trusted_hash(record.approximate_bytes() + 32)
-            seen.append(record)
-            if constant_time_eq(digest, target):
-                accepted = list(seen)
-                accepted_end = end
-                matched = True
-        if not matched:
-            raise IntegrityViolation(
-                "write-ahead log failed authentication during recovery"
-            )
-        wal_size = self.disk.size(self.db.wal.path)
-        if wal_size > accepted_end:
-            self._m_recovery_dropped_bytes.inc(wal_size - accepted_end)
-            self._m_recovery_dropped_entries.inc(len(seen) - len(accepted))
-            self.telemetry.emit(
-                "wal.recovery.truncated",
-                dropped_bytes=wal_size - accepted_end,
-                dropped_entries=len(seen) - len(accepted),
-                accepted_end=accepted_end,
-            )
-            self.db.wal.truncate_to(accepted_end)
-
-        self.db.cleanup_orphans()
-        if accepted:
-            self._ts = max(self._ts, max(r.ts for r in accepted))
-        # Drop the replay prefix a background flush already committed to
-        # SSTables: the seal's flushed_ts is the time-cut boundary, and
-        # replaying below it would duplicate (key, ts) pairs between the
-        # rebuilt MemTable and the levels.  (Timestamp restoration above
-        # uses the *unfiltered* accepted records.)
-        flushed_ts = payload.get("flushed_ts", 0)
-        if flushed_ts:
-            self.db.restore_flushed_ts(flushed_ts)
-            accepted = [r for r in accepted if r.ts > flushed_ts]
-        replayed = self.db.recover(records=accepted)
-        self._ts = max(self._ts, self.db.last_ts)
-        if self.autoseal:
-            # Everything just recovered is on disk and sealed.
-            self._durable_ts = max(self._durable_ts, self._ts)
-        if self.rollback_protection:
-            # Re-anchor: a seal one ahead gets its lost increment, and a
-            # seal the host hid can never stand for this restart's writes.
-            self.persist_seal()
-        return replayed
-
-    def recover_from_disk(self) -> int:
-        """Restart when only the disk (and hardware counter) survive:
-        adopt the newest on-disk seal that decodes and unseals cleanly.
+        WAL records replayed.
 
         Torn or corrupt seal files (a crash during the seal write) fall
         back to the previous seal; a seal that unseals but fails the
         freshness check raises :class:`RollbackDetected` — an older seal
         is *never* tried in that case, since silently accepting one is
         exactly the rollback being defended against.
-        """
-        from repro.core.errors import IntegrityViolation
 
+        The WAL check accepts the *longest prefix* whose running digest
+        equals the sealed digest: entries appended after the seal (the
+        crash window) are unauthenticated, so they are discarded — with
+        telemetry and a physical truncation — rather than trusted.  If
+        no prefix matches (tampering, or a device that dropped an
+        acknowledged fsync), recovery raises :class:`IntegrityViolation`.
+        """
         last_error: Exception | None = None
         for seq in self._seal_seqs_on_disk():
             try:
-                blob = load_blob(self.env, self._seal_name(seq))
-                payload = unseal(self.enclave, blob)
+                payload = unseal(self.enclave, load_blob(self.env, self._seal_name(seq)))
             except SealError as exc:
                 last_error = exc
                 continue
-            replayed = self._recover(payload)
+            # The recovery span owns every charge replay makes (hashing
+            # the WAL, replay IO, the recovery flush), so a trace of a
+            # restart shows what recovery cost; its events carry its ids.
+            with self.telemetry.span("elsm.recovery") as span:
+                if self.rollback_protection and not self.anchor.check_freshness(
+                    payload["counter"]
+                ):
+                    raise RollbackDetected(
+                        "sealed state counter is neither the trusted counter "
+                        "nor one ahead"
+                    )
+                self.registry.load_payload(payload["registry"])
+                self.listener.wal_digest = bytes.fromhex(payload["wal_digest"])
+                self._ts = payload["ts"]
+                # Restore the sealed Bloom salt *before* the manifest
+                # reload: every filter rebuilt from file bytes must be
+                # keyed exactly as the original was.
+                self.db.config.bloom_salt = bytes.fromhex(payload["bloom_salt"])
+                # Adopt the on-disk seal numbering *before* replay: a
+                # recovery-triggered flush may autoseal, and its seal must
+                # outnumber every seal on disk or a stale one would win
+                # the next restart.
+                disk_seals = self._seal_seqs_on_disk()
+                if disk_seals:
+                    self._seal_seq = max(self._seal_seq, disk_seals[0])
+                if payload["manifest_seq"] > 0:
+                    if not self.db.load_manifest(payload["manifest_seq"]):
+                        raise IntegrityViolation(
+                            "manifest named by the sealed state is missing from disk"
+                        )
+                else:
+                    # The seal predates the first commit: no level may
+                    # survive, even if an uncommitted manifest was eagerly
+                    # loaded on open.
+                    self.db.reset_levels()
+                if payload["wal_epoch"] > 0:
+                    self.db.wal.set_epoch(payload["wal_epoch"])
+
+                target = self.listener.wal_digest
+                digest = WAL_DIGEST_INIT
+                seen: list[Record] = []
+                accepted: list[Record] = []
+                accepted_end = 0
+                # An empty log matches the reset digest.
+                matched = constant_time_eq(digest, target)
+                for record, end in self.db.wal.replay_entries():
+                    digest = advance_wal_digest(digest, record)
+                    self.env.trusted_hash(record.approximate_bytes() + 32)
+                    seen.append(record)
+                    if constant_time_eq(digest, target):
+                        accepted = list(seen)
+                        accepted_end = end
+                        matched = True
+                if not matched:
+                    raise IntegrityViolation(
+                        "write-ahead log failed authentication during recovery"
+                    )
+                wal_size = self.disk.size(self.db.wal.path)
+                if wal_size > accepted_end:
+                    self._m_recovery_dropped_bytes.inc(wal_size - accepted_end)
+                    self._m_recovery_dropped_entries.inc(len(seen) - len(accepted))
+                    self.telemetry.emit(
+                        "wal.recovery.truncated",
+                        dropped_bytes=wal_size - accepted_end,
+                        dropped_entries=len(seen) - len(accepted),
+                        accepted_end=accepted_end,
+                    )
+                    self.db.wal.truncate_to(accepted_end)
+
+                self.db.cleanup_orphans()
+                if accepted:
+                    self._ts = max(self._ts, max(r.ts for r in accepted))
+                # Drop the replay prefix a background flush already
+                # committed to SSTables: the seal's flushed_ts is the
+                # time-cut boundary, and replaying below it would duplicate
+                # (key, ts) pairs between the rebuilt MemTable and the
+                # levels.  (Timestamp restoration above uses the
+                # *unfiltered* accepted records.)
+                flushed_ts = payload["flushed_ts"]
+                if flushed_ts:
+                    self.db.restore_flushed_ts(flushed_ts)
+                    accepted = [r for r in accepted if r.ts > flushed_ts]
+                replayed = self.db.recover(records=accepted)
+                self._ts = max(self._ts, self.db.last_ts)
+                if self.autoseal:
+                    # Everything just recovered is on disk and sealed.
+                    self._durable_ts = max(self._durable_ts, self._ts)
+                if self.rollback_protection:
+                    # Re-anchor: a seal one ahead gets its lost increment,
+                    # and a seal the host hid can never stand for this
+                    # restart's writes.
+                    self.persist_seal()
+                span.set(replayed=replayed)
+            self.telemetry.emit("store.recovered", replayed=replayed, ts=self._ts)
             # Reap only seals older than the one adopted: a recovery
             # flush may already have written (and reaped around) a newer
             # one, which must survive.

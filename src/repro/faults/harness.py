@@ -28,6 +28,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
+from repro.core.adversary import RollbackHost
 from repro.core.errors import IntegrityViolation, RollbackDetected
 from repro.core.store_p2 import ELSMP2Store
 from repro.faults.plan import CRASH_SITES, FaultPlan, SimulatedCrash
@@ -215,7 +216,6 @@ class CrashConsistencyHarness:
         result: CrashRunResult,
         old_store: ELSMP2Store,
         attempted: list[tuple[str, bytes, bytes | None]],
-        relax_floor: bool = False,
     ) -> CrashRunResult:
         """Reopen over the surviving disk and run every invariant."""
         try:
@@ -232,7 +232,7 @@ class CrashConsistencyHarness:
             + store.telemetry.counter("wal.replay_dropped_entries").total()
         )
         failures: list[str] = []
-        if j < result.durable_floor and not relax_floor:
+        if j < result.durable_floor:
             failures.append(
                 f"durable write lost: recovered ts {j} < floor "
                 f"{result.durable_floor}"
@@ -379,10 +379,8 @@ class CrashConsistencyHarness:
         store.persist_seal()
         attempted, acked, floor, crashed = self._run_workload(store, rng)
         assert crashed is None
-        image = {
-            name: bytes(store.disk.open(name).data)
-            for name in store.disk.list_files()
-        }
+        host = RollbackHost(store.disk)
+        host.snapshot()
         seals_before = store._seal_seq
         # Write until one more seal lands: the counter moves one past.
         extra_rng = random.Random(self._derive_seed(scenario + ":extra"))
@@ -399,13 +397,7 @@ class CrashConsistencyHarness:
             result.ok = False
             result.detail = "scenario bug: not exactly one seal after the snapshot"
             return result
-        # "Power cycle" + the host swaps in the stale image.
-        for name in list(store.disk.list_files()):
-            store.disk.delete(name)
-        for name, data in image.items():
-            store.disk.create(name)
-            store.disk.open(name).data = bytearray(data)
-            store.disk.open(name).synced_bytes = len(data)
+        host.rollback_to(0)  # "power cycle" + the host swaps in the stale image
         try:
             self._build_store(store).recover_from_disk()
         except RollbackDetected:

@@ -843,7 +843,7 @@ class LSMStore:
         and one enclave digest cover the active table and the whole
         queue; the seal's ``flushed_ts`` records the time-cut boundary,
         and recovery replays only records newer than it (see
-        ``ELSMP2Store.recover_from_seal``).
+        ``ELSMP2Store.recover_from_disk``).
         """
         with self._lock:
             if not self.immutables:
@@ -1110,7 +1110,7 @@ class LSMStore:
         ones.  Returns True when a manifest was loaded.  SSTable
         metadata — block index, Bloom filters, MACs — is re-derived from
         the file bytes; the WAL is NOT replayed here (eLSM authenticates
-        it first via its digest; see ELSMP2Store.recover_from_seal).
+        it first via its digest; see ELSMP2Store.recover_from_disk).
         """
         candidates = [seq] if seq is not None else self._manifest_seqs_on_disk()
         for candidate in candidates:

@@ -42,9 +42,9 @@ def test_random_ops_with_crashes(seed):
             assert store.scan(lo, hi) == expected, (seed, step)
         else:
             # Crash: seal, drop the enclave, reopen from disk, recover.
-            blob = store.seal_state()
+            store.persist_seal()
             store = crash_and_reopen(store)
-            store.recover_from_seal(blob)
+            store.recover_from_disk()
 
     # Final full validation.
     for key in keys:
@@ -54,9 +54,9 @@ def test_random_ops_with_crashes(seed):
 
 def test_crash_immediately_after_open():
     store = make_store()
-    blob = store.seal_state()
+    store.persist_seal()
     revived = crash_and_reopen(store)
-    assert revived.recover_from_seal(blob) == 0
+    assert revived.recover_from_disk() == 0
     assert revived.get(b"anything") is None
 
 
@@ -64,11 +64,11 @@ def test_double_crash():
     store = make_store()
     for i in range(40):
         store.put(b"key%03d" % i, b"v")
-    blob = store.seal_state()
+    store.persist_seal()
     first = crash_and_reopen(store)
-    first.recover_from_seal(blob)
-    blob2 = first.seal_state()
+    first.recover_from_disk()
+    first.persist_seal()
     second = crash_and_reopen(first)
-    second.recover_from_seal(blob2)
+    second.recover_from_disk()
     for i in range(40):
         assert second.get(b"key%03d" % i) == b"v"

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.errors import IntegrityViolation, RollbackDetected
 from repro.core.store_p2 import ELSMP2Store
-from repro.sgx.sealing import load_blob
 from tests.conftest import TEST_SCALE, kv
 
 
@@ -50,14 +49,14 @@ def persisted():
     store.flush()
     for i in range(200, 210):
         store.put(*kv(i))
-    blob = store.seal_state()
-    return store, blob
+    store.persist_seal()
+    return store
 
 
 def test_reopen_restores_everything(persisted):
-    store, blob = persisted
+    store = persisted
     revived = crash_and_reopen(store)
-    replayed = revived.recover_from_seal(blob)
+    replayed = revived.recover_from_disk()
     assert replayed == 10  # the unflushed WAL tail
     # Leveled data, WAL data, versions, and absences all verify.
     assert revived.get(kv(4)[0]) == kv(4, version=1)[1]
@@ -68,17 +67,17 @@ def test_reopen_restores_everything(persisted):
 
 
 def test_reopen_scans_verify(persisted):
-    store, blob = persisted
+    store = persisted
     revived = crash_and_reopen(store)
-    revived.recover_from_seal(blob)
+    revived.recover_from_disk()
     lo, hi = kv(20)[0], kv(30)[0]
     assert revived.scan(lo, hi) == store.scan(lo, hi)
 
 
 def test_reopen_continues_writing(persisted):
-    store, blob = persisted
+    store = persisted
     revived = crash_and_reopen(store)
-    revived.recover_from_seal(blob)
+    revived.recover_from_disk()
     ts = revived.put(b"post-crash", b"value")
     assert ts > store.current_ts
     assert revived.get(b"post-crash") == b"value"
@@ -87,22 +86,22 @@ def test_reopen_continues_writing(persisted):
 
 
 def test_wal_tampering_detected_at_recovery(persisted):
-    store, blob = persisted
+    store = persisted
     wal = store.disk.open(store.db.wal.path)
     wal.data[20] ^= 0xFF
     revived = crash_and_reopen(store)
     with pytest.raises(IntegrityViolation):
-        revived.recover_from_seal(blob)
+        revived.recover_from_disk()
 
 
 def test_wal_truncation_detected_at_recovery(persisted):
     """Dropping the WAL tail (losing acknowledged writes) is caught."""
-    store, blob = persisted
+    store = persisted
     wal = store.disk.open(store.db.wal.path)
     wal.data = wal.data[: len(wal.data) // 2]
     revived = crash_and_reopen(store)
     with pytest.raises(IntegrityViolation):
-        revived.recover_from_seal(blob)
+        revived.recover_from_disk()
 
 
 def test_rollback_detected_across_restart():
@@ -114,25 +113,25 @@ def test_rollback_detected_across_restart():
     store.flush()
     # Only a persisted seal is committed: its counter increment
     # follows the durable write.
-    old_blob = load_blob(store.env, store.persist_seal())
-    host.snapshot(old_blob)
+    store.persist_seal()
+    host.snapshot()
     store.put(b"k", b"v2")
     store.flush()
     store.persist_seal()
-    stale_blob = host.rollback_to(0)
+    host.rollback_to(0)
     revived = crash_and_reopen(store)
     with pytest.raises(RollbackDetected):
-        revived.recover_from_seal(stale_blob)
+        revived.recover_from_disk()
 
 
 def test_sstable_tampering_detected_after_reopen(persisted):
     from repro.core.adversary import tamper_sstable_byte
     from repro.core.errors import AuthenticationError
 
-    store, blob = persisted
+    store = persisted
     assert tamper_sstable_byte(store.disk) is not None
     revived = crash_and_reopen(store)
-    revived.recover_from_seal(blob)
+    revived.recover_from_disk()
     detected = 0
     for i in range(200):
         try:
@@ -143,7 +142,7 @@ def test_sstable_tampering_detected_after_reopen(persisted):
 
 
 def test_manifest_reflects_compactions(persisted):
-    store, _ = persisted
+    store = persisted
     manifest = store.disk.open(store.db.manifest_path)
     import json
 

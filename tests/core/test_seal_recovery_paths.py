@@ -8,6 +8,7 @@ fall-back behaviour of ``recover_from_disk`` over numbered SEAL files.
 
 import pytest
 
+from repro.core.adversary import RollbackHost
 from repro.core.errors import IntegrityViolation, RollbackDetected
 from repro.sgx.counter import TrustedMonotonicCounter
 from repro.sgx.sealing import (
@@ -45,73 +46,53 @@ def reopen(store, **overrides):
 # ----------------------------------------------------------------------
 def test_rolled_back_disk_image_detected_by_recover_from_disk():
     store = make_autoseal_store()
+    host = RollbackHost(store.disk)
     store.persist_seal()
     for i in range(30):
         store.put(*kv(i))
-    image = {
-        name: bytes(store.disk.open(name).data)
-        for name in store.disk.list_files()
-    }
+    host.snapshot()
     seals_before = store._seal_seq
     for i in range(30, 80):
         store.put(*kv(i))
     store.flush()
     assert store._seal_seq - seals_before >= 2  # counter moved >= 2 past
-    for name in list(store.disk.list_files()):
-        store.disk.delete(name)
-    for name, data in image.items():
-        store.disk.create(name)
-        store.disk.open(name).data = bytearray(data)
-        store.disk.open(name).synced_bytes = len(data)
+    host.rollback_to(0)
     with pytest.raises(RollbackDetected):
         reopen(store).recover_from_disk()
 
 
-def persisted_blob(store):
-    """Commit a seal (write, fsync, counter increment); return its blob."""
-    return load_blob(store.env, store.persist_seal())
+def seals_behind(behind: int):
+    """A store whose disk image is ``behind`` persisted seals older than
+    its hardware counter."""
+    store = make_autoseal_store()
+    host = RollbackHost(store.disk)
+    for i in range(10):
+        store.put(*kv(i))
+    store.persist_seal()
+    host.snapshot()
+    for _ in range(behind):
+        store.persist_seal()
+    host.rollback_to(0)
+    return store
 
 
 def test_one_seal_behind_is_a_rollback():
     """The seal is written before the counter moves, so the newest
     honest seal is never behind the counter: one seal old is a rollback."""
-    store = make_autoseal_store()
-    for i in range(10):
-        store.put(*kv(i))
-    blob = persisted_blob(store)
-    store.persist_seal()
     with pytest.raises(RollbackDetected):
-        store.check_recovery(blob)
+        reopen(seals_behind(1)).recover_from_disk()
 
 
 def test_two_seals_behind_rejected():
-    store = make_autoseal_store()
-    for i in range(10):
-        store.put(*kv(i))
-    blob = persisted_blob(store)
-    store.persist_seal()
-    store.persist_seal()
     with pytest.raises(RollbackDetected):
-        store.check_recovery(blob)
-
-
-def test_check_recovery_is_a_pure_probe():
-    """A seal one ahead of the counter is fresh, and probing it moves
-    nothing; only adopting it does."""
-    store = make_autoseal_store()
-    for i in range(10):
-        store.put(*kv(i))
-    blob = store.seal_state()  # claims the counter's next value
-    before = store.counter.read()
-    assert store.check_recovery(blob)["counter"] == before + 1
-    assert store.counter.read() == before
+        reopen(seals_behind(2)).recover_from_disk()
 
 
 def test_seal_two_ahead_of_counter_rejected():
     """No honest order leaves a seal two ahead of the counter."""
     store = make_autoseal_store()
     store.persist_seal()
-    blob = store.seal_state()  # claims 2
+    store.persist_seal()  # the seal on disk claims 2
     behind = make_autoseal_store(
         disk=store.disk,
         clock=store.clock,
@@ -119,7 +100,7 @@ def test_seal_two_ahead_of_counter_rejected():
         reopen=True,
     )
     with pytest.raises(RollbackDetected):
-        behind.check_recovery(blob)
+        behind.recover_from_disk()
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +110,7 @@ def test_tampered_seal_blob_fails_unseal():
     store = make_p2_store()
     for i in range(10):
         store.put(*kv(i))
-    blob = store.seal_state()
+    blob = load_blob(store.env, store.persist_seal())
     data = bytearray(blob.ciphertext)
     data[5] ^= 0xFF
     tampered = type(blob)(
@@ -141,7 +122,7 @@ def test_tampered_seal_blob_fails_unseal():
 
 def test_torn_seal_file_fails_decode():
     store = make_p2_store()
-    blob = store.seal_state()
+    blob = load_blob(store.env, store.persist_seal())
     encoded = encode_blob(blob)
     with pytest.raises(SealError):
         decode_blob(encoded[: len(encoded) // 2])

@@ -25,7 +25,6 @@ from repro.core.errors import (
     IntegrityViolation,
     RollbackDetected,
 )
-from repro.sgx.sealing import load_blob
 from tests.conftest import kv, make_p2_store
 
 
@@ -161,48 +160,59 @@ def test_honest_prover_still_passes(store):
 # ----------------------------------------------------------------------
 # Rollback (Section 5.6.1)
 # ----------------------------------------------------------------------
-def test_rollback_detected_with_counter():
-    store = make_p2_store(rollback_protection=True, counter_buffer_ops=1)
+def reopen(store):
+    """A new enclave instance over the same disk and hardware counter."""
+    return make_p2_store(
+        rollback_protection=store.rollback_protection,
+        disk=store.disk,
+        clock=store.clock,
+        counter=store.counter,
+        reopen=True,
+    )
+
+
+def rolled_back(rollback_protection: bool):
+    """A store whose disk the host has rolled back past a second write."""
+    store = make_p2_store(
+        rollback_protection=rollback_protection, counter_buffer_ops=1
+    )
     host = RollbackHost(store.disk)
     store.put(b"k", b"v1")
     store.flush()
     # Only a persisted seal is committed: its counter increment
     # follows the durable write.
-    old_blob = load_blob(store.env, store.persist_seal())
-    host.snapshot(old_blob)
+    store.persist_seal()
+    host.snapshot()
     store.put(b"k", b"v2")
     store.flush()
     store.persist_seal()
-    stale_blob = host.rollback_to(0)
+    host.rollback_to(0)
+    return store
+
+
+def test_rollback_detected_with_counter():
     with pytest.raises(RollbackDetected):
-        store.check_recovery(stale_blob)
+        reopen(rolled_back(rollback_protection=True)).recover_from_disk()
 
 
 def test_rollback_undetected_without_counter():
     """Sealing alone cannot stop rollbacks — the attack the paper's
     monotonic counter exists to close."""
-    store = make_p2_store(rollback_protection=False)
-    host = RollbackHost(store.disk)
-    store.put(b"k", b"v1")
-    store.flush()
-    old_blob = store.seal_state()
-    host.snapshot(old_blob)
-    store.put(b"k", b"v2")
-    store.flush()
-    stale_blob = host.rollback_to(0)
-    payload = store.check_recovery(stale_blob)  # no exception: undetected
-    assert payload["ts"] == 1
+    revived = reopen(rolled_back(rollback_protection=False))
+    revived.recover_from_disk()  # no exception: undetected
+    assert revived.current_ts == 1
+    assert revived.get(b"k") == b"v1"
 
 
 def test_fresh_recovery_accepted():
     store = make_p2_store(rollback_protection=True, counter_buffer_ops=1)
     store.put(b"k", b"v1")
     store.flush()
-    blob = store.seal_state()
-    payload = store.check_recovery(blob)
-    assert payload["ts"] == store.current_ts
-    store.load_trusted_state(payload)
-    assert store.get(b"k") == b"v1"
+    store.persist_seal()
+    revived = reopen(store)
+    revived.recover_from_disk()
+    assert revived.current_ts == store.current_ts
+    assert revived.get(b"k") == b"v1"
 
 
 def test_wal_digest_detects_tampered_log():

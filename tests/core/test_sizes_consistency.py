@@ -65,9 +65,9 @@ def test_report_after_recovery_consistent():
     for i in range(100):
         store.put(*kv(i))
     store.flush()
-    blob = store.seal_state()
+    store.persist_seal()
     revived = crash_and_reopen(store)
-    revived.recover_from_seal(blob)
+    revived.recover_from_disk()
     report = revived.report()
     assert report["timestamp"] == store.current_ts
     assert set(report["levels"]) == set(store.db.level_indices())

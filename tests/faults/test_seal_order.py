@@ -10,22 +10,10 @@ counter has not caught up with.
 import pytest
 
 import repro.core.store_p2 as store_p2
+from repro.core.adversary import RollbackHost
 from repro.core.errors import RollbackDetected
 from repro.faults import CrashConsistencyHarness, FaultPlan, SimulatedCrash
 from tests.conftest import kv, make_p2_store
-
-
-def disk_image(disk) -> dict[str, bytes]:
-    return {name: bytes(disk.open(name).data) for name in disk.list_files()}
-
-
-def restore_image(disk, image: dict[str, bytes]) -> None:
-    for name in list(disk.list_files()):
-        disk.delete(name)
-    for name, data in image.items():
-        disk.create(name)
-        disk.open(name).data = bytearray(data)
-        disk.open(name).synced_bytes = len(data)
 
 
 def reopen(harness, store):
@@ -45,13 +33,14 @@ def test_image_one_seal_old_is_a_rollback():
         store.put(*kv(i))
     store.flush()
     store.persist_seal()
-    image = disk_image(store.disk)
+    host = RollbackHost(store.disk)
+    host.snapshot()
     seals = store._seal_seq
     while store._seal_seq == seals:
         ts = store.put(b"acked", b"durable")
     assert store._seal_seq == seals + 1
     assert store.durability_ts() >= ts  # reported durable
-    restore_image(store.disk, image)
+    host.rollback_to(0)
     with pytest.raises(RollbackDetected):
         reopen(harness, store).recover_from_disk()
 
@@ -82,8 +71,9 @@ def test_crash_after_seal_write_adopts_the_seal_one_ahead():
     counter = store.counter.read()
     assert len(seal_names(store)) == 2  # the new seal and its predecessor
     revived = reopen(harness, store)
+    assert store.counter.read() == counter  # reopening moves nothing
     revived.recover_from_disk()
-    assert store.counter.read() == counter + 1  # the increment finished
+    assert store.counter.read() == counter + 1  # adoption finished the increment
     assert revived.current_ts >= floor
     for key, value in acked[:floor]:
         assert revived.get(key) == value

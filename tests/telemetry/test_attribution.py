@@ -139,14 +139,14 @@ def test_exactness_invariant_survives_reopen():
     for i in range(30):
         store.put(*kv(i))
     store.flush()
-    blob = store.seal_state()
+    store.persist_seal()
     reopened = make_p2_store(
         clock=store.clock,
         disk=store.disk,
         counter=store.counter,
         reopen=True,
     )
-    reopened.recover_from_seal(blob)
+    reopened.recover_from_disk()
     reopened.get(kv(3)[0])
     merged = store.telemetry.tracer.attributed_total()
     merged.merge(reopened.telemetry.tracer.attributed_total())

@@ -76,7 +76,7 @@ def test_ct_log_survives_restart():
     for cert in certs:
         log.submit(cert)
     log.store.flush()
-    blob = log.store.seal_state()
+    log.store.persist_seal()
 
     revived_store = ELSMP2Store(
         scale=TEST_SCALE,
@@ -91,7 +91,7 @@ def test_ct_log_survives_restart():
         rollback_protection=True,
         reopen=True,
     )
-    revived_store.recover_from_seal(blob)
+    revived_store.recover_from_disk()
     revived_log = CTLogServer(revived_store)
     latest = certs[-1]
     result = revived_log.lookup(latest.hostname)
