@@ -23,7 +23,7 @@ from repro.analysis import load_zone_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-CONFIG_DIGEST = "20906a2ebd32f0b1f7b0bf5a8680fd7bdea918d611ec49124e8abab8ccaa3681"
+CONFIG_DIGEST = "cc170c00badba7b47b9fc6c37cd363247d66a6310a8b23f1a737d40b524dd5bc"
 
 
 def config_digest() -> str:
