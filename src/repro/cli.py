@@ -480,13 +480,14 @@ def cmd_crash_test(args) -> int:
             HUB.deactivate()
 
     width = max(len(r.scenario) for r in results)
-    print(f"{'scenario':<{width}}  result  crashed-at")
+    print(f"{'scenario':<{width}}  {'result':<11}  crashed-at")
     failures = 0
     for r in results:
-        verdict = "PASS" if r.ok else "FAIL"
+        # A scenario whose fault never fired tested nothing: it fails.
+        verdict = "PASS" if r.ok else "FAIL" if r.triggered else "NOT-REACHED"
         failures += 0 if r.ok else 1
         where = r.crashed_at or ("-" if r.triggered else "not reached")
-        line = f"{r.scenario:<{width}}  {verdict:<6}  {where}"
+        line = f"{r.scenario:<{width}}  {verdict:<11}  {where}"
         if not r.ok or args.verbose:
             line += f"  [{r.detail}]"
         print(line)

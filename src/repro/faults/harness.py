@@ -20,6 +20,8 @@ disk and hardware counter, and checks:
 Separate scenarios check that a rolled-back disk+seal image raises
 ``RollbackDetected`` and that a device which drops an acknowledged fsync
 is *detected* (recovery refuses) rather than silently serving a hole.
+A random or fsync-loss scenario whose fault never fired fails: it
+checked nothing.
 """
 
 from __future__ import annotations
@@ -338,11 +340,24 @@ class CrashConsistencyHarness:
                 results.append(self.run_site(site, hit))
         return results
 
+    def _crash_budget(self, scenario: str, plan: FaultPlan) -> int:
+        """A seeded disk op for ``scenario`` to crash at: after the fsync
+        ``plan`` drops, if any, and no later than the last disk op of a
+        dry run of the same workload under ``plan`` (store and workload
+        are deterministic per seed), so the crash fires."""
+        store = self._build_store()
+        store.persist_seal()
+        plan.attach(store.disk)
+        self._run_workload(store, random.Random(self._derive_seed(scenario)))
+        first = plan.fsync_drops_at[0] + 1 if plan.fsync_drops_at else 1
+        rng = random.Random(self._derive_seed(scenario + ":budget"))
+        return rng.randint(first, max(plan.disk_ops, first))
+
     def run_random_crash(self, round_index: int) -> CrashRunResult:
         """Crash after a seeded-random number of disk operations."""
         scenario = f"random#{round_index}"
+        crash_after = self._crash_budget(scenario, FaultPlan())
         rng = random.Random(self._derive_seed(scenario))
-        crash_after = rng.randrange(20, 600)
         store = self._build_store()
         store.persist_seal()
         plan = FaultPlan(self._derive_seed(scenario + ":plan"))
@@ -352,7 +367,7 @@ class CrashConsistencyHarness:
         plan.disarm()
         result = CrashRunResult(
             scenario=f"{scenario}(disk-ops={crash_after})",
-            ok=True,
+            ok=crashed is not None,
             triggered=crashed is not None,
             crashed_at=crashed,
             acked=acked,
@@ -421,24 +436,29 @@ class CrashConsistencyHarness:
         that is still a consistent prefix.
         """
         scenario = "fsync-loss"
+        wal = f"{self.name_prefix}/wal.log*"
+        crash_after = self._crash_budget(
+            scenario, FaultPlan().drop_fsync(wal, times=1, after=2)
+        )
         rng = random.Random(self._derive_seed(scenario))
         store = self._build_store()
         store.persist_seal()
         plan = FaultPlan(self._derive_seed(scenario + ":plan"))
         plan.attach(store.disk)
-        plan.drop_fsync(f"{self.name_prefix}/wal.log*", times=1, after=2)
-        plan.crash_after_ops(rng.randrange(150, 400))
+        plan.drop_fsync(wal, times=1, after=2)
+        plan.crash_after_ops(crash_after)
         attempted, acked, floor, crashed = self._run_workload(store, rng)
         plan.disarm()
+        triggered = crashed is not None and plan.injected_errors > 0
         result = CrashRunResult(
             scenario=scenario,
-            ok=True,
-            triggered=crashed is not None and plan.injected_errors > 0,
+            ok=triggered,
+            triggered=triggered,
             crashed_at=crashed,
             acked=acked,
             durable_floor=floor,
         )
-        if not result.triggered:
+        if not triggered:
             result.detail = "fsync drop or crash not reached"
             return result
         store.disk.power_loss(None)  # deterministic: unsynced tail gone

@@ -113,6 +113,7 @@ class FaultPlan:
         self.armed = True
         self.disk_ops = 0
         self.injected_errors = 0
+        self.fsync_drops_at: list[int] = []  # disk-op index of each drop
         self.crash_log: list[str] = []
 
     # ------------------------------------------------------------------
@@ -213,6 +214,7 @@ class FaultPlan:
                     if rule.times is not None:
                         rule.times -= 1
                     self.injected_errors += 1
+                    self.fsync_drops_at.append(self.disk_ops)
                     return FSYNC_DROPPED
         if op == "read":
             self._read_counts[name] = self._read_counts.get(name, 0) + 1

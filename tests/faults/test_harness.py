@@ -85,11 +85,14 @@ def test_background_flush_site_recovers():
 
 
 def test_cli_crash_test_fails_on_an_unreached_site(capsys):
+    """Every scenario fires and passes; only the site's hit count is out
+    of reach, and that alone fails the run."""
     code = cli_main(
         [
             "crash-test",
-            "--ops", "1",
-            "--quick",
+            "--seed", "1",
+            "--ops", "120",
+            "--hits", "1000",
             "--sites", "flush.background.publish",
             "--random-rounds", "0",
         ]
@@ -98,3 +101,28 @@ def test_cli_crash_test_fails_on_an_unreached_site(capsys):
     assert "0 failed" in captured.out
     assert code == 1
     assert "flush.background.publish" in captured.err
+
+
+def test_every_random_round_and_fsync_loss_fires():
+    """At these parameters a random round used to finish before its
+    disk-op budget and still report PASS."""
+    h = CrashConsistencyHarness(seed=1, ops=120)
+    for result in h.run_random_crashes(2) + [h.run_fsync_loss()]:
+        assert result.triggered, f"{result.scenario} never crashed"
+        assert result.ok, f"{result.scenario}: {result.detail}"
+
+
+def test_cli_crash_test_fails_on_a_scenario_that_never_fires(capsys):
+    """One mutation makes no third WAL fsync for the device to drop."""
+    code = cli_main(
+        [
+            "crash-test",
+            "--ops", "1",
+            "--quick",
+            "--sites", "seal.before_write",
+            "--random-rounds", "0",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "fsync-loss" in out and "NOT-REACHED" in out
