@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "2d9426d39726cc6ddad4c841f759f94af55172f6f35f558ccc4ba1312dfdb77a"
+INDEX_DIGEST = "09256209ea8a1b8721b0005b58fef4cdef95f2258f1a4a09c0e3fd3cf12ecaab"
 
 
 def _pinned(name: str) -> bool:
