@@ -130,10 +130,6 @@ class Enclave:
         """Charge a copy from untrusted memory into the enclave."""
         self.clock.charge("enclave_copy", self.costs.enclave_copy_cost(nbytes))
 
-    def copy_out(self, nbytes: int) -> None:
-        """Charge a copy from the enclave out to untrusted memory."""
-        self.clock.charge("enclave_copy", self.costs.enclave_copy_cost(nbytes))
-
     def compute_hash(self, nbytes: int) -> None:
         """Charge an in-enclave hash over ``nbytes``."""
         self.clock.charge("hash", self.costs.hash_cost(nbytes))

@@ -98,22 +98,13 @@ def test_cost_certificates_bit_reproducible(head_index):
     assert first == (REPO_ROOT / "analysis" / "costs.toml").read_text()
 
 
-#: Effect patterns allowed to match no call site, each with its reason.
-DEAD_EFFECT_PATTERNS_ALLOWED = {
-    # ``Enclave.copy_out`` exists but no path charges an enclave-to-host
-    # copy today; the pattern stays so that the first such call counts
-    # as a boundary effect (EL801) instead of passing unseen.
-    ("copy_out", "copy_out"),
-}
-
-
 def test_every_effect_pattern_matches_a_call_site(head_index):
     """A ``[costmodel] effects.*`` pattern that matches nothing checks nothing.
 
     Renaming or deleting the function a pattern names leaves the lint
     silently clean: the certificates lose that effect and EL801/EL802/
     EL804 stop looking for it.  Every pattern must match at least one
-    call site in the indexed tree, or be listed above with its reason.
+    call site in the indexed tree.
     """
     from repro.analysis.callgraph import get_callgraph
     from repro.analysis.flow import Matcher
@@ -130,9 +121,7 @@ def test_every_effect_pattern_matches_a_call_site(head_index):
         for pattern in patterns
         if not any(Matcher([pattern]).match(*site) for site in sites)
     )
-    assert set(dead) == DEAD_EFFECT_PATTERNS_ALLOWED, (
-        f"effect patterns matching no call site: {dead}"
-    )
+    assert not dead, f"effect patterns matching no call site: {dead}"
 
 
 def test_pr8_metrics_registered_and_documented(head_index):
