@@ -23,7 +23,7 @@ from repro.analysis import load_zone_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-CONFIG_DIGEST = "cc170c00badba7b47b9fc6c37cd363247d66a6310a8b23f1a737d40b524dd5bc"
+CONFIG_DIGEST = "99ba3657cadd17e22256c9098fc93e7819a8547e9dc3625dc7a7cbe4aae864c0"
 
 
 def config_digest() -> str:
