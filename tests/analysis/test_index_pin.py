@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "09256209ea8a1b8721b0005b58fef4cdef95f2258f1a4a09c0e3fd3cf12ecaab"
+INDEX_DIGEST = "199adf47d3010d858a2505307003df41f19d3a9597e9421f1aa3ad3b7cb6905f"
 
 
 def _pinned(name: str) -> bool:
