@@ -8,6 +8,7 @@ recovery fails loudly on rollbacks and WAL tampering.
 
 import pytest
 
+from repro.core.adversary import RollbackHost
 from repro.core.errors import IntegrityViolation, RollbackDetected
 from repro.core.store_p2 import ELSMP2Store
 from tests.conftest import TEST_SCALE, kv
@@ -104,10 +105,10 @@ def test_wal_truncation_detected_at_recovery(persisted):
         revived.recover_from_disk()
 
 
-def test_rollback_detected_across_restart():
-    from repro.core.adversary import RollbackHost
-
-    store = make_store(rollback_protection=True, counter_buffer_ops=1)
+def rolled_back(rollback_protection: bool = True):
+    """A store whose disk the host has rolled back past a second write
+    and its seal."""
+    store = make_store(rollback_protection=rollback_protection, counter_buffer_ops=1)
     host = RollbackHost(store.disk)
     store.put(b"k", b"v1")
     store.flush()
@@ -119,7 +120,11 @@ def test_rollback_detected_across_restart():
     store.flush()
     store.persist_seal()
     host.rollback_to(0)
-    revived = crash_and_reopen(store)
+    return store
+
+
+def test_rollback_detected_across_restart():
+    revived = crash_and_reopen(rolled_back())
     with pytest.raises(RollbackDetected):
         revived.recover_from_disk()
 

@@ -12,7 +12,6 @@ from repro.core.adversary import (
     CrossLevelReplayProver,
     ForgingProver,
     OmittingProver,
-    RollbackHost,
     ScanDroppingProver,
     StaleHidingProver,
     StaleRevealProver,
@@ -26,6 +25,7 @@ from repro.core.errors import (
     RollbackDetected,
 )
 from tests.conftest import kv, make_p2_store
+from tests.core.test_recovery import crash_and_reopen, make_store, rolled_back
 
 
 @pytest.fixture
@@ -160,56 +160,26 @@ def test_honest_prover_still_passes(store):
 # ----------------------------------------------------------------------
 # Rollback (Section 5.6.1)
 # ----------------------------------------------------------------------
-def reopen(store):
-    """A new enclave instance over the same disk and hardware counter."""
-    return make_p2_store(
-        rollback_protection=store.rollback_protection,
-        disk=store.disk,
-        clock=store.clock,
-        counter=store.counter,
-        reopen=True,
-    )
-
-
-def rolled_back(rollback_protection: bool):
-    """A store whose disk the host has rolled back past a second write."""
-    store = make_p2_store(
-        rollback_protection=rollback_protection, counter_buffer_ops=1
-    )
-    host = RollbackHost(store.disk)
-    store.put(b"k", b"v1")
-    store.flush()
-    # Only a persisted seal is committed: its counter increment
-    # follows the durable write.
-    store.persist_seal()
-    host.snapshot()
-    store.put(b"k", b"v2")
-    store.flush()
-    store.persist_seal()
-    host.rollback_to(0)
-    return store
-
-
 def test_rollback_detected_with_counter():
     with pytest.raises(RollbackDetected):
-        reopen(rolled_back(rollback_protection=True)).recover_from_disk()
+        crash_and_reopen(rolled_back()).recover_from_disk()
 
 
 def test_rollback_undetected_without_counter():
     """Sealing alone cannot stop rollbacks — the attack the paper's
     monotonic counter exists to close."""
-    revived = reopen(rolled_back(rollback_protection=False))
+    revived = crash_and_reopen(rolled_back(rollback_protection=False))
     revived.recover_from_disk()  # no exception: undetected
     assert revived.current_ts == 1
     assert revived.get(b"k") == b"v1"
 
 
 def test_fresh_recovery_accepted():
-    store = make_p2_store(rollback_protection=True, counter_buffer_ops=1)
+    store = make_store(rollback_protection=True, counter_buffer_ops=1)
     store.put(b"k", b"v1")
     store.flush()
     store.persist_seal()
-    revived = reopen(store)
+    revived = crash_and_reopen(store)
     revived.recover_from_disk()
     assert revived.current_ts == store.current_ts
     assert revived.get(b"k") == b"v1"

@@ -104,8 +104,8 @@ def test_cli_crash_test_fails_on_an_unreached_site(capsys):
 
 
 def test_every_random_round_and_fsync_loss_fires():
-    """At these parameters a random round used to finish before its
-    disk-op budget and still report PASS."""
+    """At these parameters a budget drawn without a dry run exceeds the
+    workload's disk ops; every round and fsync-loss must still crash."""
     h = CrashConsistencyHarness(seed=1, ops=120)
     for result in h.run_random_crashes(2) + [h.run_fsync_loss()]:
         assert result.triggered, f"{result.scenario} never crashed"
