@@ -42,10 +42,6 @@ class EpcPager:
         self.touch_count = 0
         self.evicted_dirty_count = 0
 
-    @property
-    def resident_pages(self) -> int:
-        return len(self._resident)
-
     def touch(self, region: str, offset: int, nbytes: int, write: bool = False) -> int:
         """Access ``nbytes`` of ``region`` at ``offset``; returns faults taken.
 

@@ -272,10 +272,6 @@ class Histogram(_Instrument):
             return 0.0
         return series.sum / series.count
 
-    def total_count(self) -> int:
-        """Observations across every labelled series."""
-        return sum(series.count for series in self._series.values())
-
     def percentile(self, p: float, **labels: str) -> float:
         """Nearest-rank percentile.
 

@@ -227,11 +227,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def current_trace_id(self) -> int | None:
-        """The root span id of this thread's open stack, if any."""
-        stack = self._stack()
-        return stack[0].trace_id if stack else None
-
     @property
     def spans(self) -> list[Span]:
         """Finished spans, oldest first."""

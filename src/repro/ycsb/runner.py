@@ -49,12 +49,6 @@ class RunResult:
             return 0.0
         return self.operations / (self.duration_us / 1e6) / 1e3
 
-    def goodput_kops(self) -> float:
-        """Throughput counting only operations that were not shed."""
-        if self.duration_us == 0:
-            return 0.0
-        return (self.operations - self.shed_ops) / (self.duration_us / 1e6) / 1e3
-
 
 def _telemetry(store):
     """The store's telemetry, when it exposes one (all repro stores do)."""
