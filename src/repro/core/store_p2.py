@@ -766,18 +766,12 @@ class ELSMP2Store(PlacedStore):
         }
         return seal(self.enclave, payload)
 
-    def _seal_name(self, seq: int) -> str:
-        return f"{self.db.name_prefix}/SEAL-{seq:06d}"
+    @property
+    def _seal_prefix(self) -> str:
+        return f"{self.db.name_prefix}/SEAL-"
 
-    def _seal_seqs_on_disk(self) -> list[int]:
-        """Seal sequence numbers present on disk, newest first."""
-        prefix = f"{self.db.name_prefix}/SEAL-"
-        seqs = []
-        for fname in self.env.file_list(prefix):
-            suffix = fname[len(prefix):]
-            if suffix.isdigit():
-                seqs.append(int(suffix))
-        return sorted(seqs, reverse=True)
+    def _seal_name(self, seq: int) -> str:
+        return f"{self._seal_prefix}{seq:06d}"
 
     def persist_seal(self) -> str:
         """Seal the trusted state and write it to disk as the newest
@@ -793,7 +787,7 @@ class ELSMP2Store(PlacedStore):
             self.anchor.anchor()
         self._m_seals.inc()
         self._durable_ts = max(self._durable_ts, ts_at_seal)
-        for seq in self._seal_seqs_on_disk():
+        for seq in reversed(self.env.file_seqs(self._seal_prefix)):
             if seq != self._seal_seq:
                 self.env.file_delete(self._seal_name(seq))
         return name
@@ -837,7 +831,7 @@ class ELSMP2Store(PlacedStore):
         acknowledged fsync), recovery raises :class:`IntegrityViolation`.
         """
         last_error: Exception | None = None
-        for seq in self._seal_seqs_on_disk():
+        for seq in reversed(self.env.file_seqs(self._seal_prefix)):
             try:
                 payload = unseal(self.enclave, load_blob(self.env, self._seal_name(seq)))
             except SealError as exc:
@@ -865,9 +859,9 @@ class ELSMP2Store(PlacedStore):
                 # recovery-triggered flush may autoseal, and its seal must
                 # outnumber every seal on disk or a stale one would win
                 # the next restart.
-                disk_seals = self._seal_seqs_on_disk()
+                disk_seals = self.env.file_seqs(self._seal_prefix)
                 if disk_seals:
-                    self._seal_seq = max(self._seal_seq, disk_seals[0])
+                    self._seal_seq = max(self._seal_seq, disk_seals[-1])
                 if payload["manifest_seq"] > 0:
                     if not self.db.load_manifest(payload["manifest_seq"]):
                         raise IntegrityViolation(
@@ -940,7 +934,7 @@ class ELSMP2Store(PlacedStore):
             # Reap only seals older than the one adopted: a recovery
             # flush may already have written (and reaped around) a newer
             # one, which must survive.
-            for other in self._seal_seqs_on_disk():
+            for other in reversed(self.env.file_seqs(self._seal_prefix)):
                 if other < seq:
                     self.env.file_delete(self._seal_name(other))
             return replayed

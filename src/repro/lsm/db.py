@@ -1091,16 +1091,6 @@ class LSMStore:
         if previous > 0:
             self._pending_deletes.append(self._manifest_name(previous))
 
-    def _manifest_seqs_on_disk(self) -> list[int]:
-        """Manifest sequence numbers present on disk, descending."""
-        prefix = f"{self.name_prefix}/MANIFEST-"
-        seqs = []
-        for fname in self.env.file_list(prefix):
-            suffix = fname[len(prefix):]
-            if suffix.isdigit():
-                seqs.append(int(suffix))
-        return sorted(seqs, reverse=True)
-
     def load_manifest(self, seq: int | None = None) -> bool:
         """Rebuild the level structure from disk (store reopen).
 
@@ -1112,7 +1102,10 @@ class LSMStore:
         the file bytes; the WAL is NOT replayed here (eLSM authenticates
         it first via its digest; see ELSMP2Store.recover_from_disk).
         """
-        candidates = [seq] if seq is not None else self._manifest_seqs_on_disk()
+        if seq is not None:
+            candidates = [seq]
+        else:
+            candidates = self.env.file_seqs(f"{self.name_prefix}/MANIFEST-")[::-1]
         for candidate in candidates:
             name = self._manifest_name(candidate)
             if not self.env.file_exists(name):

@@ -71,7 +71,7 @@ class WriteAheadLog:
         #: Called after every completed fsync (eLSM piggybacks sealing
         #: of the trusted state onto the durability boundary).
         self.on_sync = None
-        existing = self._existing_epochs()
+        existing = self.env.file_seqs(self.name + ".")
         if existing:
             self.epoch = existing[-1]
         else:
@@ -89,16 +89,6 @@ class WriteAheadLog:
 
     def _epoch_path(self, epoch: int) -> str:
         return f"{self.name}.{epoch:06d}"
-
-    def _existing_epochs(self) -> list[int]:
-        """Epoch numbers present on disk, ascending."""
-        prefix = self.name + "."
-        epochs = []
-        for fname in self.env.file_list(prefix):
-            suffix = fname[len(prefix):]
-            if suffix.isdigit():
-                epochs.append(int(suffix))
-        return sorted(epochs)
 
     @property
     def durable_ts(self) -> int:
@@ -144,7 +134,7 @@ class WriteAheadLog:
         returns the deleted names.
         """
         dropped = []
-        for epoch in self._existing_epochs():
+        for epoch in self.env.file_seqs(self.name + "."):
             if epoch != self.epoch:
                 self.env.file_delete(self._epoch_path(epoch))
                 dropped.append(self._epoch_path(epoch))

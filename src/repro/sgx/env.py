@@ -253,6 +253,12 @@ class ExecutionEnv:
         """Names of files starting with ``prefix`` (directory listing)."""
         return [n for n in self.disk.list_files() if n.startswith(prefix)]
 
+    def file_seqs(self, prefix: str) -> list[int]:
+        """Ascending numbers of the files named ``prefix`` + digits
+        (numbered manifests, WAL epochs, seals); other names are skipped."""
+        suffixes = (name[len(prefix):] for name in self.file_list(prefix))
+        return sorted(int(s) for s in suffixes if s.isdigit())
+
     # ------------------------------------------------------------------
     # Trusted metadata accounting (no-ops without an enclave)
     # ------------------------------------------------------------------
