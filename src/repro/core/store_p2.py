@@ -830,119 +830,121 @@ class ELSMP2Store(PlacedStore):
         no prefix matches (tampering, or a device that dropped an
         acknowledged fsync), recovery raises :class:`IntegrityViolation`.
         """
+        # Pick the newest seal that unseals; adopt it after the loop.
         last_error: Exception | None = None
         for seq in reversed(self.env.file_seqs(self._seal_prefix)):
             try:
                 payload = unseal(self.enclave, load_blob(self.env, self._seal_name(seq)))
+                break
             except SealError as exc:
                 last_error = exc
-                continue
-            # The recovery span owns every charge replay makes (hashing
-            # the WAL, replay IO, the recovery flush), so a trace of a
-            # restart shows what recovery cost; its events carry its ids.
-            with self.telemetry.span("elsm.recovery") as span:
-                if self.rollback_protection and not self.anchor.check_freshness(
-                    payload["counter"]
-                ):
-                    raise RollbackDetected(
-                        "sealed state counter is neither the trusted counter "
-                        "nor one ahead"
-                    )
-                self.registry.load_payload(payload["registry"])
-                self.listener.wal_digest = bytes.fromhex(payload["wal_digest"])
-                self._ts = payload["ts"]
-                # Restore the sealed Bloom salt *before* the manifest
-                # reload: every filter rebuilt from file bytes must be
-                # keyed exactly as the original was.
-                self.db.config.bloom_salt = bytes.fromhex(payload["bloom_salt"])
-                # Adopt the on-disk seal numbering *before* replay: a
-                # recovery-triggered flush may autoseal, and its seal must
-                # outnumber every seal on disk or a stale one would win
-                # the next restart.
-                disk_seals = self.env.file_seqs(self._seal_prefix)
-                if disk_seals:
-                    self._seal_seq = max(self._seal_seq, disk_seals[-1])
-                if payload["manifest_seq"] > 0:
-                    if not self.db.load_manifest(payload["manifest_seq"]):
-                        raise IntegrityViolation(
-                            "manifest named by the sealed state is missing from disk"
-                        )
-                else:
-                    # The seal predates the first commit: no level may
-                    # survive, even if an uncommitted manifest was eagerly
-                    # loaded on open.
-                    self.db.reset_levels()
-                if payload["wal_epoch"] > 0:
-                    self.db.wal.set_epoch(payload["wal_epoch"])
-
-                target = self.listener.wal_digest
-                digest = WAL_DIGEST_INIT
-                seen: list[Record] = []
-                accepted: list[Record] = []
-                accepted_end = 0
-                # An empty log matches the reset digest.
-                matched = constant_time_eq(digest, target)
-                for record, end in self.db.wal.replay_entries():
-                    digest = advance_wal_digest(digest, record)
-                    self.env.trusted_hash(record.approximate_bytes() + 32)
-                    seen.append(record)
-                    if constant_time_eq(digest, target):
-                        accepted = list(seen)
-                        accepted_end = end
-                        matched = True
-                if not matched:
+        else:
+            if last_error is not None:
+                raise IntegrityViolation(
+                    f"no intact sealed state found on disk: {last_error}"
+                )
+            raise IntegrityViolation("no sealed state found on disk")
+        # The recovery span owns every charge replay makes (hashing
+        # the WAL, replay IO, the recovery flush), so a trace of a
+        # restart shows what recovery cost; its events carry its ids.
+        with self.telemetry.span("elsm.recovery") as span:
+            if self.rollback_protection and not self.anchor.check_freshness(
+                payload["counter"]
+            ):
+                raise RollbackDetected(
+                    "sealed state counter is neither the trusted counter "
+                    "nor one ahead"
+                )
+            self.registry.load_payload(payload["registry"])
+            self.listener.wal_digest = bytes.fromhex(payload["wal_digest"])
+            self._ts = payload["ts"]
+            # Restore the sealed Bloom salt *before* the manifest
+            # reload: every filter rebuilt from file bytes must be
+            # keyed exactly as the original was.
+            self.db.config.bloom_salt = bytes.fromhex(payload["bloom_salt"])
+            # Adopt the on-disk seal numbering *before* replay: a
+            # recovery-triggered flush may autoseal, and its seal must
+            # outnumber every seal on disk or a stale one would win
+            # the next restart.
+            disk_seals = self.env.file_seqs(self._seal_prefix)
+            if disk_seals:
+                self._seal_seq = max(self._seal_seq, disk_seals[-1])
+            if payload["manifest_seq"] > 0:
+                if not self.db.load_manifest(payload["manifest_seq"]):
                     raise IntegrityViolation(
-                        "write-ahead log failed authentication during recovery"
+                        "manifest named by the sealed state is missing from disk"
                     )
-                wal_size = self.disk.size(self.db.wal.path)
-                if wal_size > accepted_end:
-                    self._m_recovery_dropped_bytes.inc(wal_size - accepted_end)
-                    self._m_recovery_dropped_entries.inc(len(seen) - len(accepted))
-                    self.telemetry.emit(
-                        "wal.recovery.truncated",
-                        dropped_bytes=wal_size - accepted_end,
-                        dropped_entries=len(seen) - len(accepted),
-                        accepted_end=accepted_end,
-                    )
-                    self.db.wal.truncate_to(accepted_end)
+            else:
+                # The seal predates the first commit: no level may
+                # survive, even if an uncommitted manifest was eagerly
+                # loaded on open.
+                self.db.reset_levels()
+            if payload["wal_epoch"] > 0:
+                self.db.wal.set_epoch(payload["wal_epoch"])
 
-                self.db.cleanup_orphans()
-                if accepted:
-                    self._ts = max(self._ts, max(r.ts for r in accepted))
-                # Drop the replay prefix a background flush already
-                # committed to SSTables: the seal's flushed_ts is the
-                # time-cut boundary, and replaying below it would duplicate
-                # (key, ts) pairs between the rebuilt MemTable and the
-                # levels.  (Timestamp restoration above uses the
-                # *unfiltered* accepted records.)
-                flushed_ts = payload["flushed_ts"]
-                if flushed_ts:
-                    self.db.restore_flushed_ts(flushed_ts)
-                    accepted = [r for r in accepted if r.ts > flushed_ts]
-                replayed = self.db.recover(records=accepted)
-                self._ts = max(self._ts, self.db.last_ts)
-                if self.autoseal:
-                    # Everything just recovered is on disk and sealed.
-                    self._durable_ts = max(self._durable_ts, self._ts)
-                if self.rollback_protection:
-                    # Re-anchor: a seal one ahead gets its lost increment,
-                    # and a seal the host hid can never stand for this
-                    # restart's writes.
-                    self.persist_seal()
-                span.set(replayed=replayed)
-            self.telemetry.emit("store.recovered", replayed=replayed, ts=self._ts)
-            # Reap only seals older than the one adopted: a recovery
-            # flush may already have written (and reaped around) a newer
-            # one, which must survive.
-            for other in reversed(self.env.file_seqs(self._seal_prefix)):
-                if other < seq:
-                    self.env.file_delete(self._seal_name(other))
-            return replayed
-        if last_error is not None:
-            raise IntegrityViolation(
-                f"no intact sealed state found on disk: {last_error}"
-            )
-        raise IntegrityViolation("no sealed state found on disk")
+            target = self.listener.wal_digest
+            digest = WAL_DIGEST_INIT
+            seen: list[Record] = []
+            accepted: list[Record] = []
+            accepted_end = 0
+            # An empty log matches the reset digest.
+            matched = constant_time_eq(digest, target)
+            for record, end in self.db.wal.replay_entries():
+                digest = advance_wal_digest(digest, record)
+                self.env.trusted_hash(record.approximate_bytes() + 32)
+                seen.append(record)
+                if constant_time_eq(digest, target):
+                    accepted = list(seen)
+                    accepted_end = end
+                    matched = True
+            if not matched:
+                raise IntegrityViolation(
+                    "write-ahead log failed authentication during recovery"
+                )
+            wal_size = self.disk.size(self.db.wal.path)
+            if wal_size > accepted_end:
+                self._m_recovery_dropped_bytes.inc(wal_size - accepted_end)
+                self._m_recovery_dropped_entries.inc(len(seen) - len(accepted))
+                self.telemetry.emit(
+                    "wal.recovery.truncated",
+                    dropped_bytes=wal_size - accepted_end,
+                    dropped_entries=len(seen) - len(accepted),
+                    accepted_end=accepted_end,
+                )
+                self.db.wal.truncate_to(accepted_end)
+
+            self.db.cleanup_orphans()
+            if accepted:
+                self._ts = max(self._ts, max(r.ts for r in accepted))
+            # Drop the replay prefix a background flush already
+            # committed to SSTables: the seal's flushed_ts is the
+            # time-cut boundary, and replaying below it would duplicate
+            # (key, ts) pairs between the rebuilt MemTable and the
+            # levels.  (Timestamp restoration above uses the
+            # *unfiltered* accepted records.)
+            flushed_ts = payload["flushed_ts"]
+            if flushed_ts:
+                self.db.restore_flushed_ts(flushed_ts)
+                accepted = [r for r in accepted if r.ts > flushed_ts]
+            replayed = self.db.recover(records=accepted)
+            self._ts = max(self._ts, self.db.last_ts)
+            if self.autoseal:
+                # Everything just recovered is on disk and sealed.
+                self._durable_ts = max(self._durable_ts, self._ts)
+            if self.rollback_protection:
+                # Re-anchor: a seal one ahead gets its lost increment,
+                # and a seal the host hid can never stand for this
+                # restart's writes.
+                self.persist_seal()
+            span.set(replayed=replayed)
+        self.telemetry.emit("store.recovered", replayed=replayed, ts=self._ts)
+        # Reap only seals older than the one adopted: a recovery
+        # flush may already have written (and reaped around) a newer
+        # one, which must survive.
+        for other in reversed(self.env.file_seqs(self._seal_prefix)):
+            if other < seq:
+                self.env.file_delete(self._seal_name(other))
+        return replayed
 
     #: A P2 restart is always authenticated: the shell's plain WAL replay
     #: would trust whatever the host's disk says.
