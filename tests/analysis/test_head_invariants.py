@@ -124,6 +124,43 @@ def test_every_effect_pattern_matches_a_call_site(head_index):
     assert not dead, f"effect patterns matching no call site: {dead}"
 
 
+def test_every_concurrency_policy_line_names_live_code(head_index):
+    """A ``[concurrency]`` line naming code that is gone checks nothing.
+
+    Every ``shared`` / ``published`` key must name an attribute that its
+    class (or a base) assigns on ``self`` in the indexed tree (the attr
+    part may glob), and every ``background_entries`` /
+    ``foreground_entries`` pattern must match a function.
+    """
+    import ast
+    import fnmatch
+
+    from repro.analysis.callgraph import get_callgraph
+
+    graph = get_callgraph(head_index)
+    policy = head_index.config.concurrency
+    assigned: dict[str, set[str]] = {}
+    for fn in graph.functions.values():
+        for node in fn.nodes.of(ast.Attribute):
+            if (
+                fn.cls is not None
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                assigned.setdefault(fn.cls, set()).add(node.attr)
+    dead = []
+    for key in [*policy.ownership, *policy.published]:
+        cls, attr = key.rsplit(".", 1)
+        attrs = set().union(*(assigned.get(q, ()) for q in graph.lineage(cls)))
+        if not fnmatch.filter(attrs, attr):
+            dead.append(key)
+    for pattern in [*policy.background_entries, *policy.foreground_entries]:
+        if not fnmatch.filter(graph.functions, pattern):
+            dead.append(pattern)
+    assert not dead, f"[concurrency] lines naming no live code: {dead}"
+
+
 def test_pr8_metrics_registered_and_documented(head_index):
     registered = {r.name for r in head_index.metric_registrations}
     missing = PR8_METRICS - registered
