@@ -19,8 +19,6 @@ eLSM-P2 subclasses it and overrides what authentication changes.
 
 from __future__ import annotations
 
-import threading
-
 from repro.lsm.cache import LOCATION_UNTRUSTED
 from repro.lsm.db import LSMConfig, LSMStore
 from repro.lsm.records import parse_write_ops
@@ -99,8 +97,10 @@ class PlacedStore:
             reopen=reopen,
         )
         self._ts = 0
-        # The in-enclave mutex guarding concurrent operations (5.5.2).
-        self._op_lock = threading.RLock()
+        # The in-enclave mutex guarding concurrent operations (5.5.2) is
+        # the engine's own lock: a background flush holds it too, so a
+        # verified read never sees a level root without its level.
+        self._op_lock = self.db._lock
 
     def _before_engine(self, config: LSMConfig) -> list:
         """Build what the engine is built with; returns its listeners."""
