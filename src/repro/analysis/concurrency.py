@@ -1,10 +1,11 @@
 """EL6xx — concurrency analysis for the pipelined write path.
 
-PR 8 made the store multi-threaded: daemon ``_BackgroundWorker`` threads
-(flusher, compactor) mutate ``LSMStore`` state while foreground ops read
-it.  This family checks every attribute reachable from both a background
-thread entry and a foreground op against the declarative ownership
-policy in the ``[concurrency]`` section of ``analysis/zones.toml``:
+The pipelined write path made the store multi-threaded: the daemon
+``BackgroundFlusher`` thread mutates ``LSMStore`` state while foreground
+ops read it.  This family checks every attribute reachable from both a
+background thread entry and a foreground op against the declarative
+ownership policy in the ``[concurrency]`` section of
+``analysis/zones.toml``:
 
 * **EL601** — an access to a shared attribute that violates its declared
   ownership (``lock:<name>`` access outside the lock, a write to a
@@ -28,8 +29,7 @@ opening a ``parallel_track`` count as background for reachability (the
 work they charge models another core).  Reachability is
 :func:`~repro.analysis.flow.closure` over the call graph's per-function
 call sites, widened for virtual dispatch (a call resolving to a
-base-class method also reaches every same-named override, so
-``_BackgroundWorker._step`` reaches each worker's step).  EL602's
+base-class method also reaches every same-named override).  EL602's
 freeze-then-mutate check is a :class:`~repro.analysis.flow.MustWalk`.
 
 Lock identity is *name-based*: ``lock:_lock`` accepts any ``with

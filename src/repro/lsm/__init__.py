@@ -10,7 +10,7 @@ modifying the engine* (Section 5.5.3).
 
 from repro.lsm.records import KIND_DELETE, KIND_PUT, Record, decode_record, encode_record
 from repro.lsm.db import LSMConfig, LSMStore
-from repro.lsm.background import BackgroundCompactor
+from repro.lsm.background import BackgroundFlusher
 from repro.lsm.iterator import latest_versions, merge_sorted, store_snapshot
 from repro.lsm.events import CompactionContext, EventListener
 
@@ -25,7 +25,7 @@ __all__ = [
     "merge_sorted",
     "latest_versions",
     "store_snapshot",
-    "BackgroundCompactor",
+    "BackgroundFlusher",
     "EventListener",
     "CompactionContext",
 ]

@@ -1,19 +1,18 @@
-"""Background compaction & flush threads (Section 5.5.2 concurrency).
+"""The background flush thread (Section 5.5.2 concurrency).
 
-LevelDB runs compaction on a background thread while foreground reads
-and writes continue; the paper's eLSM supports "concurrent COMPACTION
-with reads/writes" synchronised through in-enclave state.  In this
-codebase all trusted-state updates already happen under the store's
-in-enclave mutex, so a background worker only needs to take the same
-lock — readers either see the pre-compaction levels (and verify against
-the pre-compaction digests) or the post-compaction ones, never a mix.
+LevelDB flushes and compacts on a background thread while foreground
+reads and writes continue; the paper's eLSM supports "concurrent
+COMPACTION with reads/writes" synchronised through in-enclave state.  In
+this codebase all trusted-state updates already happen under the store's
+in-enclave mutex, so the worker only needs to take the same lock —
+readers either see the levels before a flush or after it, never a mix.
 
-``BackgroundCompactor`` polls the store and compacts any over-capacity
-level, off the writer's critical path.  ``BackgroundFlusher`` drains the
-immutable-MemTable queue the pipelined write path produces (see
-``LSMConfig.max_immutable_memtables``).  Worker errors do not die
-silently: each is recorded in a *bounded* ring, counted in the
-``lsm.background.errors`` metric, surfaced as a structured
+``BackgroundFlusher`` drains the immutable-MemTable queue the pipelined
+write path produces (see ``LSMConfig.max_immutable_memtables``).  Its one
+step is ``LSMStore.flush_oldest_immutable``, which runs the compaction
+cascade too, so the engine alone decides which level compacts next.
+Worker errors do not die silently: each is recorded in a *bounded* ring,
+counted in the ``lsm.background.errors`` metric, surfaced as a structured
 ``lsm.background.error`` event, and reflected in :meth:`health`.
 """
 
@@ -29,20 +28,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.lsm.db
 #: Retained per worker; older errors are evicted (the count survives in
 #: the ``lsm.background.errors`` metric, so nothing is lost silently).
 _MAX_RETAINED_ERRORS = 16
+#: Idle sleep between queue checks; :meth:`BackgroundFlusher.nudge` ends it.
+_POLL_INTERVAL_S = 0.005
 
 
-class _BackgroundWorker:
-    """Shared daemon-thread scaffolding with non-silent error handling."""
+class BackgroundFlusher:
+    """Flushes queued immutable MemTables on a daemon thread.
 
-    #: Subclasses set this: the worker kind reported in telemetry.
-    kind = "worker"
+    Each flush (and the compactions it cascades into) is charged to a
+    parallel clock track, so foreground writers only ever pay the gap to
+    the worker's completion instant (usually zero), never the flush
+    itself.
+    """
 
-    def __init__(self, db: "LSMStore", poll_interval_s: float = 0.005) -> None:
+    def __init__(self, db: "LSMStore") -> None:
         self.db = db
-        self.poll_interval_s = poll_interval_s
         self._stop = threading.Event()
         self._wake = threading.Event()
         self._thread: threading.Thread | None = None
+        self.flushes_run = 0
         self.errors: deque[Exception] = deque(maxlen=_MAX_RETAINED_ERRORS)
         self.error_count = 0
         self._m_errors = db.telemetry.counter(
@@ -51,8 +55,7 @@ class _BackgroundWorker:
             labels=("kind",),
         )
 
-    # ------------------------------------------------------------------
-    def start(self) -> "_BackgroundWorker":
+    def start(self) -> "BackgroundFlusher":
         """Launch the daemon thread; returns self for chaining."""
         if self._thread is not None:
             raise RuntimeError("already started")
@@ -61,7 +64,7 @@ class _BackgroundWorker:
         return self
 
     def stop(self) -> None:
-        """Stop the thread, finishing any in-flight work item."""
+        """Stop the thread, finishing any in-flight flush."""
         self._stop.set()
         self._wake.set()
         if self._thread is not None:
@@ -72,7 +75,7 @@ class _BackgroundWorker:
         """Wake the thread immediately (e.g. after a burst of writes)."""
         self._wake.set()
 
-    def __enter__(self) -> "_BackgroundWorker":
+    def __enter__(self) -> "BackgroundFlusher":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -86,7 +89,7 @@ class _BackgroundWorker:
         long-running process cannot grow it without limit.
         """
         return {
-            "kind": self.kind,
+            "kind": "flusher",
             "status": "failed" if self.error_count else "ok",
             "running": self._thread is not None,
             "error_count": self.error_count,
@@ -96,91 +99,22 @@ class _BackgroundWorker:
     def _record_error(self, exc: Exception) -> None:
         self.errors.append(exc)
         self.error_count += 1
-        self._m_errors.inc(kind=self.kind)
+        self._m_errors.inc(kind="flusher")
         self.db.telemetry.emit(
             "lsm.background.error",
-            worker=self.kind,
+            worker="flusher",
             error=repr(exc),
             error_count=self.error_count,
         )
 
-    # Subclass hook: do one unit of work; return True if more may follow.
-    def _step(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _run(self) -> None:
         while not self._stop.is_set():
             try:
-                if self._step():
+                if self.db.flush_oldest_immutable():
+                    self.flushes_run += 1
                     continue  # keep draining without sleeping
             except Exception as exc:  # noqa: BLE001 - surfaced via health()
                 self._record_error(exc)
                 break
-            self._wake.wait(self.poll_interval_s)
+            self._wake.wait(_POLL_INTERVAL_S)
             self._wake.clear()
-
-
-class BackgroundCompactor(_BackgroundWorker):
-    """Runs level compactions on a daemon thread until stopped."""
-
-    kind = "compactor"
-
-    def __init__(self, db: "LSMStore", poll_interval_s: float = 0.005) -> None:
-        super().__init__(db, poll_interval_s)
-        self.compactions_run = 0
-
-    def _over_capacity_level(self) -> int | None:
-        # Snapshot under the store lock: a foreground flush in stacking
-        # mode re-keys ``_levels`` in place, so an unlocked scan could
-        # see a torn level map (EL601).
-        with self.db._lock:
-            for level in self.db.level_indices():
-                run = self.db.level_run(level)
-                if run is not None and not run.is_empty:
-                    if run.total_bytes > self.db._level_capacity(level):
-                        return level
-            return None
-
-    def _step(self) -> bool:
-        level = self._over_capacity_level()
-        if level is None:
-            return False
-        self.db.compact_level(level)
-        self.compactions_run += 1
-        return True
-
-    def drain(self) -> None:
-        """Synchronously compact until no level is over capacity."""
-        while True:
-            level = self._over_capacity_level()
-            if level is None:
-                return
-            self.db.compact_level(level)
-            self.compactions_run += 1
-
-
-class BackgroundFlusher(_BackgroundWorker):
-    """Drains the immutable-MemTable queue on a daemon thread.
-
-    Each step flushes the oldest queued immutable via
-    ``LSMStore.flush_oldest_immutable`` — the flush is charged to a
-    parallel clock track, so foreground writers only ever pay the gap to
-    the worker's completion instant (usually zero), never the flush
-    itself.
-    """
-
-    kind = "flusher"
-
-    def __init__(self, db: "LSMStore", poll_interval_s: float = 0.005) -> None:
-        super().__init__(db, poll_interval_s)
-        self.flushes_run = 0
-
-    def _step(self) -> bool:
-        if not self.db.flush_oldest_immutable():
-            return False
-        self.flushes_run += 1
-        return True
-
-    def drain(self) -> None:
-        """Synchronously flush every queued immutable."""
-        self.flushes_run += self.db.drain_immutables()

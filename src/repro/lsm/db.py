@@ -893,8 +893,8 @@ class LSMStore:
 
     def drain_immutables(self) -> int:
         """Background-flush every queued immutable (oldest first);
-        returns how many were flushed.  Used by the background flusher
-        thread and by tests."""
+        returns how many were flushed.  The flusher thread's one step,
+        looped on the caller's thread (the crash harness, tests)."""
         drained = 0
         while self.flush_oldest_immutable():
             drained += 1
