@@ -23,7 +23,7 @@ from repro.analysis import load_zone_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-CONFIG_DIGEST = "99ba3657cadd17e22256c9098fc93e7819a8547e9dc3625dc7a7cbe4aae864c0"
+CONFIG_DIGEST = "51af25790dd3651450cd54d4c463adb433e32bf79fd9be81fed96a06207a9425"
 
 
 def config_digest() -> str:
