@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "199adf47d3010d858a2505307003df41f19d3a9597e9421f1aa3ad3b7cb6905f"
+INDEX_DIGEST = "867cf3df145ec8ae72ac95d36bcab7e2fa3f0bff8674143e02b2007968ebdf52"
 
 
 def _pinned(name: str) -> bool:
