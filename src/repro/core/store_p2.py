@@ -777,20 +777,25 @@ class ELSMP2Store(PlacedStore):
         """Seal the trusted state and write it to disk as the newest
         ``SEAL-<n>`` file, then move the counter (its only mover); the
         durability floor and the reaping of older seals wait for that.
-        Returns the file name written."""
-        ts_at_seal = self._ts
-        blob = self._seal_state()
-        self._seal_seq += 1
-        name = self._seal_name(self._seal_seq)
-        store_blob(self.env, name, blob)
-        if self.rollback_protection:
-            self.anchor.anchor()
-        self._m_seals.inc()
-        self._durable_ts = max(self._durable_ts, ts_at_seal)
-        for seq in reversed(self.env.file_seqs(self._seal_prefix)):
-            if seq != self._seal_seq:
-                self.env.file_delete(self._seal_name(seq))
-        return name
+        Returns the file name written.
+
+        Takes the engine lock (reentrant: autoseal callers hold it), so a
+        background step cannot move the counter between the state read
+        and its seal."""
+        with self.db._lock:
+            ts_at_seal = self._ts
+            blob = self._seal_state()
+            self._seal_seq += 1
+            name = self._seal_name(self._seal_seq)
+            store_blob(self.env, name, blob)
+            if self.rollback_protection:
+                self.anchor.anchor()
+            self._m_seals.inc()
+            self._durable_ts = max(self._durable_ts, ts_at_seal)
+            for seq in reversed(self.env.file_seqs(self._seal_prefix)):
+                if seq != self._seal_seq:
+                    self.env.file_delete(self._seal_name(seq))
+            return name
 
     def _autoseal_commit(self, reason: str) -> None:
         self.persist_seal()

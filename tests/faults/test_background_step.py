@@ -10,6 +10,10 @@ step, at either site of its commit path, must recover to a prefix of the
 acknowledged writes.
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core.store_p2 import ELSMP2Store
@@ -103,3 +107,61 @@ def test_crash_inside_the_step_recovers_a_prefix(position, site):
     assert floor <= ts <= position
     _check_reads(recovered, ts)
     assert recovered.audit().clean
+
+
+def _parked_in(thread: threading.Thread, function: str) -> bool:
+    """True while ``thread`` is inside a frame of ``function``."""
+    frame = sys._current_frames().get(thread.ident)
+    while frame is not None:
+        if frame.f_code.co_name == function:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def test_seal_taken_beside_a_background_step_is_not_a_rollback():
+    """A seal must not interleave with the step's own autoseal.
+
+    The test thread holds the engine lock, as a background step does,
+    while a second thread calls ``persist_seal``.  If the seal reads the
+    trusted state without the lock, it claims the counter value of the
+    state before the step, then writes the newest seal after the step's
+    autoseal has moved the counter: a restart over that disk reports a
+    rollback on an honest store.  With the lock the seal waits for the
+    step and seals the state after it.
+    """
+    store = _store()
+    store.persist_seal()
+    for i in range(7):
+        store.put(b"put-%d" % i, b"value-%d" % i)
+    assert len(store.db.immutables) == 1
+    fired = threading.Event()
+    stepper = threading.current_thread()
+    to_payload = store.registry.to_payload
+
+    def spy():
+        if threading.current_thread() is not stepper:
+            fired.set()
+        return to_payload()
+
+    store.registry.to_payload = spy
+    with store.db._lock:
+        sealer = threading.Thread(target=store.persist_seal)
+        sealer.start()
+        if fired.wait(0.5):
+            # Unlocked, the sealer reads the counter next and then waits
+            # for the lock at ``flushed_ts``; step once it waits there.
+            deadline = time.monotonic() + 0.5
+            while not _parked_in(sealer, "flushed_ts"):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        assert store.db.flush_oldest_immutable()
+        fired_under_lock = fired.is_set()
+    sealer.join(0.5)
+    assert not sealer.is_alive()
+    recovered = _store(crashed=store)
+    recovered.recover_from_disk()
+    assert recovered.current_ts == 7
+    for i in range(7):
+        assert recovered.get_verified(b"put-%d" % i).value == b"value-%d" % i
+    assert not fired_under_lock
