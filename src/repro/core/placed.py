@@ -12,9 +12,13 @@ by each named store:
 
 The shell owns everything that does not depend on authentication:
 construction of the simulated machine and the engine, the timestamp
-manager, the operation lock, the plain (unverified) operations,
-maintenance, WAL-replay recovery and the placement half of ``report()``.
-eLSM-P2 subclasses it and overrides what authentication changes.
+manager, the plain (unverified) operations, maintenance, WAL-replay
+recovery and the placement half of ``report()``.  eLSM-P2 subclasses it
+and overrides what authentication changes.
+
+Every store operation takes the engine's lock, ``self.db._lock``: the
+one in-enclave mutex (5.5.2).  A background flush holds it too, so a
+verified read never sees a level root without its level.
 """
 
 from __future__ import annotations
@@ -97,10 +101,6 @@ class PlacedStore:
             reopen=reopen,
         )
         self._ts = 0
-        # The in-enclave mutex guarding concurrent operations (5.5.2) is
-        # the engine's own lock: a background flush holds it too, so a
-        # verified read never sees a level root without its level.
-        self._op_lock = self.db._lock
 
     def _before_engine(self, config: LSMConfig) -> list:
         """Build what the engine is built with; returns its listeners."""
@@ -122,7 +122,7 @@ class PlacedStore:
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> int:
         """PUT(k, v) -> ts, unverified."""
-        with self._op_lock, self.telemetry.span("elsm.put"), self.env.op_call(
+        with self.db._lock, self.telemetry.span("elsm.put"), self.env.op_call(
             "put", in_bytes=len(key) + len(value)
         ):
             ts = self._next_ts()
@@ -131,7 +131,7 @@ class PlacedStore:
 
     def delete(self, key: bytes) -> int:
         """DELETE(k) -> ts: a tombstone write."""
-        with self._op_lock, self.telemetry.span("elsm.delete"), self.env.op_call(
+        with self.db._lock, self.telemetry.span("elsm.delete"), self.env.op_call(
             "delete", in_bytes=len(key)
         ):
             ts = self._next_ts()
@@ -144,7 +144,7 @@ class PlacedStore:
         as :meth:`repro.core.store_p2.ELSMP2Store.group_commit`)."""
         encoded = parse_write_ops(ops)
         total_bytes = sum(len(key) + len(value) for _, key, value in encoded)
-        with self._op_lock, self.telemetry.span(
+        with self.db._lock, self.telemetry.span(
             "elsm.group_commit"
         ), self.env.op_call("group_commit", in_bytes=total_bytes):
             stamps = [self._next_ts() for _ in encoded]
@@ -152,7 +152,7 @@ class PlacedStore:
 
     def get(self, key: bytes, ts_query: int | None = None) -> bytes | None:
         """GET(k, tsq); ``None`` reads the newest version.  Unverified."""
-        with self._op_lock, self.telemetry.span("elsm.get"), self.env.op_call(
+        with self.db._lock, self.telemetry.span("elsm.get"), self.env.op_call(
             "get", in_bytes=len(key)
         ):
             return self.db.get(key, ts_query)
@@ -161,7 +161,7 @@ class PlacedStore:
         self, lo: bytes, hi: bytes, ts_query: int | None = None
     ) -> list[tuple[bytes, bytes]]:
         """SCAN(k1, k2, tsq); completeness is not verified."""
-        with self._op_lock, self.telemetry.span("elsm.scan"), self.env.op_call(
+        with self.db._lock, self.telemetry.span("elsm.scan"), self.env.op_call(
             "scan", in_bytes=len(lo) + len(hi)
         ):
             return [(r.key, r.value) for r in self.db.scan(lo, hi, ts_query)]

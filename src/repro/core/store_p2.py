@@ -318,7 +318,7 @@ class ELSMP2Store(PlacedStore):
         The span opens *outside* the ECall so the boundary-crossing
         charge lands in ``elsm.put``'s ledger, not its parent's.
         """
-        with self._op_lock, self.telemetry.span("elsm.put"):
+        with self.db._lock, self.telemetry.span("elsm.put"):
             stored_key = self.codec.encode_key(key)
             self._admit("put", cost=self._hot_write_cost(stored_key))
             with self.env.op_call("put", in_bytes=len(key) + len(value)):
@@ -344,7 +344,7 @@ class ELSMP2Store(PlacedStore):
         the whole group — the ``group-commit`` perf profile measures the
         effect.
         """
-        with self._op_lock, self.telemetry.span("elsm.group_commit") as span:
+        with self.db._lock, self.telemetry.span("elsm.group_commit") as span:
             parsed = parse_write_ops(ops)
             total_bytes = sum(len(key) + len(value) for _, key, value in parsed)
             encoded = [
@@ -369,7 +369,7 @@ class ELSMP2Store(PlacedStore):
         """DELETE(k): writes a tombstone.  As in :meth:`put`, the span
         opens outside the ECall so the boundary charge lands in
         ``elsm.delete``'s ledger."""
-        with self._op_lock, self.telemetry.span("elsm.delete"):
+        with self.db._lock, self.telemetry.span("elsm.delete"):
             self._admit(
                 "delete",
                 cost=self.TOMBSTONE_LEVEL_COST
@@ -410,7 +410,7 @@ class ELSMP2Store(PlacedStore):
     def get_verified(self, key: bytes, ts_query: int | None = None) -> VerifiedGet:
         """GET with the full verified proof exposed (stored-form record)."""
         # The span wraps the ECall so boundary charges land in its ledger.
-        with self._op_lock, self.telemetry.span("elsm.get") as span:
+        with self.db._lock, self.telemetry.span("elsm.get") as span:
             # Admission runs in the untrusted dispatch layer, before the
             # enclave transition: a shed request must not cost an ECall.
             self._admit("get")
@@ -477,7 +477,7 @@ class ELSMP2Store(PlacedStore):
         keys = list(keys)
         # The span wraps the ECall so the batch's boundary charges land
         # in ``elsm.multi_get``'s ledger (the paper's cost story).
-        with self._op_lock, self.telemetry.span("elsm.multi_get") as span:
+        with self.db._lock, self.telemetry.span("elsm.multi_get") as span:
             tsq = self._ts if ts_query is None else ts_query
             stored = [self.codec.encode_key(key) for key in keys]
             # Admission runs before the enclave transition: a shed
@@ -615,7 +615,7 @@ class ELSMP2Store(PlacedStore):
         self, lo: bytes, hi: bytes, ts_query: int | None = None
     ) -> list[tuple[bytes, bytes]]:
         """SCAN(k1, k2, tsq): verified-complete range result."""
-        with self._op_lock, self.telemetry.span("elsm.scan") as span:
+        with self.db._lock, self.telemetry.span("elsm.scan") as span:
             # Admission runs before the enclave transition: a shed
             # request must not cost an ECall.
             self._admit("scan")

@@ -518,3 +518,56 @@ class Worker:
 """,
     )
     assert project.lint(["EL604"]) == []
+
+
+# ---------------------------------------------------------------------------
+# The real tree: one store lock, taken by one name
+# ---------------------------------------------------------------------------
+def test_el601_fires_when_the_store_takes_a_second_lock(mutated_repo):
+    """A store operation lock apart from ``LSMStore._lock`` is a race.
+
+    One copy of the real tree gives ``PlacedStore`` its own
+    ``threading.RLock`` again, taken by every store operation in place of
+    the engine lock.  A background flush holds only the engine lock, so
+    each store-surface read of state behind it must fire EL601.
+    Findings are located by source text, not line.
+    """
+    from repro.analysis.concurrency import run_concurrency
+
+    def mutate(root):
+        core = root / "src" / "repro" / "core"
+        placed = core / "placed.py"
+        text = placed.read_text()
+        init = "        self._ts = 0\n"
+        assert text.count(init) == 1
+        text = text.replace(init, init + "        self._op_lock = threading.RLock()\n")
+        placed.write_text("import threading\n" + text)
+        for path in (placed, core / "store_p2.py"):
+            text = path.read_text()
+            assert "with self.db._lock," in text
+            path.write_text(text.replace("with self.db._lock,", "with self._op_lock,"))
+
+    index = mutated_repo(mutate)
+    fired = sorted(
+        (
+            f.path,
+            (index.root / f.path).read_text().splitlines()[f.line - 1].strip(),
+            f.message.split()[2],  # the shared attribute
+        )
+        for f in run_concurrency(index)
+        if f.rule == "EL601"
+    )
+    memtables = "return [self.memtable, *reversed(self.immutables)]"
+    durable = "self._durable_ts = self._appended_ts"
+    assert fired == [
+        ("src/repro/lsm/db.py", memtables, "repro.lsm.db.LSMStore.immutables"),
+        ("src/repro/lsm/db.py", memtables, "repro.lsm.db.LSMStore.memtable"),
+        ("src/repro/lsm/db.py", "return self._levels.get(level)", "repro.lsm.db.LSMStore._levels"),
+        (
+            "src/repro/lsm/wal.py",
+            "self._appends_since_sync = 0",
+            "repro.lsm.wal.WriteAheadLog._appends_since_sync",
+        ),
+        ("src/repro/lsm/wal.py", durable, "repro.lsm.wal.WriteAheadLog._appended_ts"),
+        ("src/repro/lsm/wal.py", durable, "repro.lsm.wal.WriteAheadLog._durable_ts"),
+    ]
