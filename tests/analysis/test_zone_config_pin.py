@@ -23,7 +23,7 @@ from repro.analysis import load_zone_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-CONFIG_DIGEST = "51af25790dd3651450cd54d4c463adb433e32bf79fd9be81fed96a06207a9425"
+CONFIG_DIGEST = "630523fb56fddf2d7a44233ad923c87f1cc6b7202a0beb2a21c0a38689ca4c07"
 
 
 def config_digest() -> str:
