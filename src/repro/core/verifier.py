@@ -102,10 +102,6 @@ class VerifiedNodeCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entries_for_root(self, root: bytes) -> int:
-        """Resident entries anchored to ``root`` (0 after invalidation)."""
-        return len(self._by_root.get(root, ()))
-
     def lookup(self, root: bytes, tree_level: int, index: int) -> bytes | None:
         """The cached node hash at a position, or None."""
         key = (root, tree_level, index)

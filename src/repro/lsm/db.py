@@ -549,11 +549,6 @@ class LSMStore:
         """Sequence number of the current (newest committed) manifest."""
         return self._manifest_seq
 
-    @property
-    def manifest_path(self) -> str:
-        """File name of the current manifest."""
-        return self._manifest_name(self._manifest_seq)
-
     def durable_ts(self) -> int:
         """Largest timestamp guaranteed to survive a power cut: covered
         either by a committed flush (in SSTables + manifest) or by a
@@ -581,12 +576,6 @@ class LSMStore:
     def level_run(self, level: int) -> LevelRun | None:
         """The sorted run at a level (None if the level never existed)."""
         return self._levels.get(level)
-
-    def total_data_bytes(self) -> int:
-        """Bytes across all levels plus the MemTable."""
-        return sum(run.total_bytes for run in self._levels.values()) + (
-            self.mem_bytes()
-        )
 
     def resize_read_buffer(self, capacity_bytes: int) -> None:
         """Swap in a fresh read buffer of a new capacity.

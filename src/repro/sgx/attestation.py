@@ -26,10 +26,6 @@ class Quote:
     signature: bytes
 
 
-class AttestationError(RuntimeError):
-    """Raised when a quote fails verification."""
-
-
 def attest(enclave: "Enclave", report_data: bytes = b"") -> Quote:  # noqa: F821
     """Produce a quote binding the enclave measurement to the platform."""
     signature = hmac.new(

@@ -92,10 +92,6 @@ class Enclave:
         """Total virtual bytes allocated inside the enclave."""
         return sum(self._regions.values())
 
-    def over_epc(self) -> bool:
-        """True when the enclave's virtual footprint exceeds the EPC."""
-        return self.total_bytes() > self.epc_bytes
-
     # ------------------------------------------------------------------
     # Trusted randomness
     # ------------------------------------------------------------------

@@ -88,14 +88,6 @@ class EventLog:
         with self._lock:
             return [dict(event) for event in self._events]
 
-    def to_jsonl(self) -> str:
-        """One compact JSON object per line (the ``--events-out`` format)."""
-        lines = [
-            json.dumps(event, sort_keys=True, default=str)
-            for event in self.export()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def reset(self) -> None:
         """Drop all recorded events."""
         with self._lock:

@@ -6,7 +6,8 @@ stores never bleed counters into each other.  The CLI's ``bench``
 subcommand, however, runs whole experiments that construct many stores
 internally — to export one combined snapshot it *activates* the hub,
 which then holds a reference to every telemetry created while active and
-can merge their registries, spans, events, and cost ledgers afterwards.
+can merge their registries, spans and events afterwards (each store's
+trace source carries its cost ledgers).
 
 Merged span export rebases each store's span ids into a disjoint range
 (store *k*'s ids are offset past store *k-1*'s maximum), so a merged
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.telemetry.ledger import CostLedger
 from repro.telemetry.metrics import merge_snapshots
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,21 +91,6 @@ class TelemetryHub:
                 event["store"] = index
                 out.append(event)
         return out
-
-    def merged_ledger(self) -> CostLedger:
-        """Sum of every tracer's attributed costs (roots + unattributed).
-
-        At a quiescent point (no open spans) this equals the sum of the
-        collected stores' clock totals — the hub-level form of the
-        exactness invariant.  A clock has a single attribution owner
-        (the latest env built over it), so even stores sharing one clock
-        deliver every charge to exactly one tracer; the merged ledger
-        never double-counts.
-        """
-        total = CostLedger()
-        for telemetry in self._collected:
-            total.merge(telemetry.tracer.attributed_total())
-        return total
 
     def dropped_spans(self) -> int:
         """Total spans evicted from collected ring buffers."""

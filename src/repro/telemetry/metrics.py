@@ -172,10 +172,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        """Convenience inverse of :meth:`inc`."""
-        self.inc(-amount, **labels)
-
     def value(self, **labels: str) -> float:
         """Current value of one labelled series (0 if never set)."""
         return self._values.get(self._key(labels), 0.0)

@@ -50,7 +50,3 @@ class DomainMonitor:
                 )
                 self._seen[hostname] = fingerprint
         return alerts
-
-    @property
-    def known_hosts(self) -> int:
-        return len(self._seen)

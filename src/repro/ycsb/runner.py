@@ -43,12 +43,6 @@ class RunResult:
     def mean_latency_us(self) -> float:
         return self.overall.mean
 
-    def throughput_kops(self) -> float:
-        """Simulated throughput in thousands of ops per second."""
-        if self.duration_us == 0:
-            return 0.0
-        return self.operations / (self.duration_us / 1e6) / 1e3
-
 
 def _telemetry(store):
     """The store's telemetry, when it exposes one (all repro stores do)."""

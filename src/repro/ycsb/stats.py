@@ -10,8 +10,6 @@ for snapshot export.
 
 from __future__ import annotations
 
-import math
-
 from repro.telemetry.metrics import LATENCY_BUCKETS_US, Histogram
 
 
@@ -31,13 +29,6 @@ class LatencyStats:
         """The backing fixed-bucket telemetry histogram."""
         return self._hist
 
-    @property
-    def _samples(self) -> list[float]:
-        series = self._hist._series.get(())
-        if series is None or series.samples is None:
-            return []
-        return series.samples
-
     def add(self, micros: float) -> None:
         """Record one latency sample (microseconds)."""
         self._hist.observe(micros)
@@ -50,15 +41,6 @@ class LatencyStats:
     def mean(self) -> float:
         return self._hist.mean()
 
-    @property
-    def stdev(self) -> float:
-        samples = self._samples
-        n = len(samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((x - mu) ** 2 for x in samples) / (n - 1))
-
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, p in [0, 100].
 
@@ -66,10 +48,6 @@ class LatencyStats:
         artefact of rank clamping).
         """
         return self._hist.percentile(p)
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
 
     @property
     def p95(self) -> float:

@@ -234,16 +234,12 @@ def test_node_cache_invalidated_on_root_change(store):
     cache = store.verifier.node_cache
     store.multi_get([kv(i)[0] for i in range(0, 60, 3)])
     assert len(cache) > 0
-    roots_before = {
-        store.registry.get(lvl).root
-        for lvl in store.registry.nonempty_levels()
-    }
     for i in range(40):
         store.put(*kv(i, version=4))
     store.flush()
     store.compact_all()
-    for root in roots_before:
-        assert cache.entries_for_root(root) == 0
+    # Every cached node was anchored to a root the merges replaced.
+    assert len(cache) == 0
     assert (
         store.telemetry.counter("verifier.cache.evict", labels=("reason",))
         .total()

@@ -148,7 +148,8 @@ def test_sstable_tampering_detected_after_reopen(persisted):
 
 def test_manifest_reflects_compactions(persisted):
     store = persisted
-    manifest = store.disk.open(store.db.manifest_path)
+    db = store.db
+    manifest = store.disk.open(f"{db.name_prefix}/MANIFEST-{db.manifest_seq:06d}")
     import json
 
     payload = json.loads(bytes(manifest.data))

@@ -29,7 +29,7 @@ def test_flush_crash_leaves_previous_manifest_on_disk():
     for i in range(60):
         store.put(*kv(i))
     store.flush()  # manifest 1 committed
-    first_manifest = store.db.manifest_path
+    first_manifest = f"{store.db.name_prefix}/MANIFEST-{store.db.manifest_seq:06d}"
     plan = FaultPlan().attach(store.disk)
     plan.crash_at("flush.after_install")
     with pytest.raises(SimulatedCrash):

@@ -72,16 +72,20 @@ def test_emitted_counter_labelled_by_kind():
     assert counter.value(kind="store.recovered") == 1
 
 
-def test_to_jsonl_one_object_per_line():
+def test_to_jsonl_one_object_per_line(tmp_path):
+    """The ``--events-out`` format: one JSON object per line."""
     log = EventLog()
     log.emit("a.b", x=1)
     log.emit("c.d", y=b"bytes-coerced")
-    lines = log.to_jsonl().splitlines()
+    path = tmp_path / "events.jsonl"
+    write_events_file(str(path), log.export())
+    lines = path.read_text().splitlines()
     assert len(lines) == 2
     parsed = [json.loads(line) for line in lines]
     assert parsed[0]["kind"] == "a.b"
     assert parsed[1]["kind"] == "c.d"
-    assert EventLog().to_jsonl() == ""
+    write_events_file(str(path), EventLog().export())
+    assert path.read_text() == ""
 
 
 def test_write_events_file_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.telemetry import Telemetry
 from repro.telemetry.hub import TelemetryHub
+from repro.telemetry.ledger import CostLedger
 from tests.conftest import kv, make_p2_store
 
 
@@ -30,13 +31,23 @@ def _collecting_hub(count=2):
     return hub, instances
 
 
+def _merged_ledger(hub):
+    """Every collected store's attributed costs, summed from the trace
+    sources a ``--trace-out`` export writes (roots + unattributed)."""
+    total = CostLedger()
+    for source in hub.trace_sources():
+        total.merge(CostLedger.from_dict(source["root_total"]))
+        total.merge(CostLedger.from_dict(source["unattributed"]))
+    return total
+
+
 def test_inactive_hub_retains_nothing():
     hub = TelemetryHub()
     hub.register(Telemetry())
     assert hub.merged_snapshot() == {}
     assert hub.spans() == []
     assert hub.events() == []
-    assert not hub.merged_ledger()
+    assert hub.trace_sources() == []
 
 
 def test_merged_snapshot_sums_counters_across_stores():
@@ -89,7 +100,7 @@ def test_merged_ledger_sums_attributed_costs():
     with a.span("work"):
         a.tracer.on_charge("ecall", 8.0)
     b.tracer.on_charge("hash", 2.0)  # unattributed in b
-    ledger = hub.merged_ledger()
+    ledger = _merged_ledger(hub)
     assert ledger.us == {"ecall": 8.0, "hash": 2.0}
 
 
@@ -119,7 +130,7 @@ def test_hub_ledger_matches_clock_totals_for_real_stores():
             store.put(*kv(i + 100 * index))
         store.flush()
         store.get(kv(3 + 100 * index)[0])
-    merged = hub.merged_ledger()
+    merged = _merged_ledger(hub)
     expected = {}
     for store in stores:
         for category, micros in store.clock.breakdown().items():

@@ -128,7 +128,7 @@ def test_gauge_set_inc_dec(registry):
     g = registry.gauge("resident")
     g.set(100)
     g.inc(10)
-    g.dec(30)
+    g.inc(-30)
     assert g.value() == 80
 
 

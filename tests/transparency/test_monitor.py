@@ -25,7 +25,7 @@ def test_first_poll_alerts_on_every_cert(log):
     monitor = DomainMonitor(log, "host0000")
     alerts = monitor.poll()
     assert alerts
-    assert monitor.known_hosts == len(alerts)
+    assert len({alert.hostname for alert in alerts}) == len(alerts)
 
 
 def test_second_poll_is_quiet(log):
