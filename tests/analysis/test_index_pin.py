@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "867cf3df145ec8ae72ac95d36bcab7e2fa3f0bff8674143e02b2007968ebdf52"
+INDEX_DIGEST = "33dacf03a5c18eec7d7f99699ca61fcbf41a57e44b30e005ff18dd080af7c3da"
 
 
 def _pinned(name: str) -> bool:
