@@ -36,8 +36,11 @@ Lock identity is *name-based*: ``lock:_lock`` accepts any ``with
 x._lock:`` block and any function all of whose reachable call chains
 pass through one ("always-held", a greatest fixpoint over the call
 graph).  Two distinct locks sharing an attribute name would alias; the
-codebase has one store lock, and the policy file is the reviewed place
-to keep that true.
+codebase has one store lock, ``LSMStore._lock``, and the store wrappers
+(``PlacedStore``, ``ELSMP2Store``) take it by that name, as
+``self.db._lock``, so a second name for it would hide their operations
+from this check.  The policy file is the reviewed place to keep that
+true.
 """
 
 from __future__ import annotations
