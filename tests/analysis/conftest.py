@@ -97,6 +97,14 @@ def rules_of(findings) -> list[str]:
     return [f.rule for f in findings]
 
 
+def source_text(index, finding) -> str:
+    """The stripped source line a finding names, read from the indexed
+    tree: mutation locks match on it, so an edit that only moves lines
+    leaves them alone."""
+    lines = (index.root / finding.path).read_text().splitlines()
+    return lines[finding.line - 1].strip()
+
+
 @pytest.fixture
 def mutated_repo(tmp_path):
     """Index a copy of the *real* repo after ``mutate(root)`` edits it.

@@ -9,7 +9,7 @@ the seeded line, negatives must stay silent, and the standard
 
 from __future__ import annotations
 
-from tests.analysis.conftest import FIXTURE_ZONES, rules_of
+from tests.analysis.conftest import FIXTURE_ZONES, rules_of, source_text
 
 CONC_ZONES = FIXTURE_ZONES + """\
 
@@ -529,8 +529,10 @@ def test_el601_fires_when_the_store_takes_a_second_lock(mutated_repo):
     One copy of the real tree gives ``PlacedStore`` its own
     ``threading.RLock`` again, taken by every store operation in place of
     the engine lock.  A background flush holds only the engine lock, so
-    each store-surface read of state behind it must fire EL601.
-    Findings are located by source text, not line.
+    each access the store operations then make to engine state through
+    an unlocked helper (``memtables``, ``level_run``,
+    ``WriteAheadLog.sync``) must fire EL601.  Findings are located by
+    source text, not line.
     """
     from repro.analysis.concurrency import run_concurrency
 
@@ -549,11 +551,7 @@ def test_el601_fires_when_the_store_takes_a_second_lock(mutated_repo):
 
     index = mutated_repo(mutate)
     fired = sorted(
-        (
-            f.path,
-            (index.root / f.path).read_text().splitlines()[f.line - 1].strip(),
-            f.message.split()[2],  # the shared attribute
-        )
+        (f.path, source_text(index, f), f.message.split()[2])  # the shared attribute
         for f in run_concurrency(index)
         if f.rule == "EL601"
     )

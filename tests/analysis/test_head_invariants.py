@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.analysis.conftest import source_text
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: The pipelined-write-path metrics added with group commit and the
@@ -192,19 +194,9 @@ def _edit(root: Path, relpath: str, old: str, new: str) -> None:
 
 
 def _located(index, findings, rules) -> list[tuple[str, str, str]]:
-    """``(rule, path, source text)`` of each finding of ``rules``, sorted.
-
-    A finding is located by the stripped text of the line it names in the
-    mutated copy, so an edit that only moves lines leaves the lock alone.
-    """
+    """``(rule, path, source text)`` of each finding of ``rules``, sorted."""
     return sorted(
-        (
-            f.rule,
-            f.path,
-            (index.root / f.path).read_text().splitlines()[f.line - 1].strip(),
-        )
-        for f in findings
-        if f.rule in rules
+        (f.rule, f.path, source_text(index, f)) for f in findings if f.rule in rules
     )
 
 
