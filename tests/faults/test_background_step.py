@@ -157,7 +157,7 @@ def test_seal_taken_beside_a_background_step_is_not_a_rollback():
                 time.sleep(0.001)
         assert store.db.flush_oldest_immutable()
         fired_under_lock = fired.is_set()
-    sealer.join(0.5)
+    sealer.join(5)
     assert not sealer.is_alive()
     recovered = _store(crashed=store)
     recovered.recover_from_disk()
