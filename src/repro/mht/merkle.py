@@ -99,15 +99,12 @@ class MerkleTree:
         return paths
 
     def hash_node_count(self) -> int:
-        """Nodes above the leaves, as charged for building the tree.
+        """Internal hashes computed to build the tree.
 
-        This counts a promoted node as hashed although it is carried up
-        unchanged, so it overcounts by one per odd-width level: 3 leaves
-        are charged 3 internal hashes for the 2 computed, and 1 001
-        leaves 1 004 for 1 000.  The simulated cost model is pinned to
-        this count.
+        A promoted node is carried up unchanged and is not counted, so
+        ``n`` leaves always cost ``n - 1`` hashes.
         """
-        return sum(len(level) for level in self._levels[1:])
+        return sum(len(level) // 2 for level in self._levels[:-1])
 
 
 def compute_root(leaf_hash: bytes, index: int, n: int, path: list[bytes]) -> bytes:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cryptoprim.hashing import hash_internal, sha256
+from repro.mht import merkle
 from repro.mht.merkle import EMPTY_ROOT, MerkleTree, ProofError, compute_root
 
 
@@ -130,8 +131,19 @@ def test_auth_paths_equal_each_auth_path(n):
         assert compute_root(ls[index], index, n, list(path)) == tree.root
 
 
-def test_hash_node_count_charges_promoted_nodes():
-    # The cost model's count, not the hashes computed: 3 leaves make 2
-    # internal hashes, 1 001 leaves make 1 000.
-    assert MerkleTree(leaves(3)).hash_node_count() == 3
-    assert MerkleTree(leaves(1001)).hash_node_count() == 1004
+def test_hash_node_count_skips_promoted_nodes():
+    assert MerkleTree(leaves(3)).hash_node_count() == 2
+    assert MerkleTree(leaves(1001)).hash_node_count() == 1000
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 33, 1001])
+def test_hash_node_count_equals_hashes_computed(n, monkeypatch):
+    calls = []
+
+    def counting(left, right):
+        calls.append(1)
+        return hash_internal(left, right)
+
+    monkeypatch.setattr(merkle, "hash_internal", counting)
+    tree = MerkleTree(leaves(n))
+    assert tree.hash_node_count() == len(calls) == max(n - 1, 0)
