@@ -8,7 +8,12 @@ a) rebuilds a Merkle tree per *untrusted* input level from the records
    the merge actually consumed and checks each root against the enclave's
    trusted copy (input authentication);
 b) streams the merge output through a digester to produce the new level
-   tree (output digesting);
+   tree (output digesting).  Only after every input root has checked
+   does the output digester see the input trees: an output group whose
+   entries equal that key's group in an input level reuses the input's
+   chain digest, suffix digests and leaf hash.  Every other group —
+   memtable records, keys merged from two levels, chains cut by
+   tombstone GC — is hashed;
 c) embeds each output record's proof — leaf index, chain position, older
    suffix digest, authentication path — into the record's ``aux``
    annotation as the output files are created (proof embedding).
@@ -108,8 +113,9 @@ class AuthCompactionListener(EventListener):
         ctx.state["output_digester"].add(record.key, record.ts, encoded)
 
     def on_compaction_finish(self, ctx: CompactionContext) -> None:
-        # a) authenticate every untrusted input level.
         """Verify every input root, then install the output digest."""
+        # a) authenticate every untrusted input level.
+        input_trees = []
         for level, digester in ctx.state["input_digesters"].items():
             tree = digester.finalize()
             trusted = self.registry.get(level)
@@ -120,8 +126,11 @@ class AuthCompactionListener(EventListener):
                 raise IntegrityViolation(
                     f"compaction input at level {level} failed authentication"
                 )
-        # b) the output digest takes effect; consumed inputs become empty.
-        output_tree = ctx.state["output_digester"].finalize()
+            input_trees.append(tree)
+        # b) digest the output, reusing every group that passed through
+        #    an authenticated input unchanged; then the output digest
+        #    takes effect and consumed inputs become empty.
+        output_tree = ctx.state["output_digester"].finalize(input_trees)
         for level in ctx.input_levels:
             if level != 0:
                 self.registry.clear(level)

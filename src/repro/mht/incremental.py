@@ -6,13 +6,20 @@ digester groups same-key runs into hash chains, emitting one Merkle leaf
 per distinct key.  The enclave runs one digester per compaction *input*
 level (to authenticate what the untrusted host fed in) and one for the
 *output* level (to produce the new root and the embedded proofs).
+
+The output digester is finalized against the authenticated input trees:
+an output group whose entries equal that key's group in an input level
+takes the input's chain digest, suffix digests and leaf hash instead of
+hashing the same bytes again.  Chain hashes are charged where they are
+computed, in :meth:`StreamingLevelDigester.finalize`, so a reused group
+costs nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cryptoprim.hashing import HASH_LEN, hash_leaf
 from repro.mht.chain import chain_digests
@@ -121,21 +128,43 @@ class StreamingLevelDigester:
             self._current_key = key
         self._current_entries.append((ts, encoded))
         self.record_count += 1
-        self._charge(len(encoded) + HASH_LEN)
 
-    def finalize(self) -> LevelTree:
-        """Close the stream and build the tree."""
+    def finalize(self, inputs: Sequence[LevelTree] = ()) -> LevelTree:
+        """Close the stream and build the tree.
+
+        ``inputs`` are already-authenticated trees whose groups may be
+        reused: a group with the same ``(ts, encoded)`` entries as the
+        key's group in one of them takes that group's suffixes and leaf
+        hash.  Every other group is hashed here, one chain hash charged
+        per record.
+        """
         if self._finalized is None:
             self._flush_group()
             leaves = []
             for group in self._groups:
-                digest, group.suffixes = chain_digests([e for _, e in group.entries])
-                leaves.append(hash_leaf(digest))
-                self._charge(HASH_LEN)
+                leaf = self._reuse(group, inputs)
+                if leaf is None:
+                    chain = [encoded for _, encoded in group.entries]
+                    for encoded in chain:
+                        self._charge(len(encoded) + HASH_LEN)
+                    digest, group.suffixes = chain_digests(chain)
+                    leaf = hash_leaf(digest)
+                    self._charge(HASH_LEN)
+                leaves.append(leaf)
             tree = MerkleTree(leaves)
             self._charge(tree.hash_node_count() * 2 * HASH_LEN)
             self._finalized = LevelTree(tree, self._groups)
         return self._finalized
+
+    @staticmethod
+    def _reuse(group: ChainGroup, inputs: Sequence[LevelTree]) -> bytes | None:
+        """Adopt an identical input group's digests; its leaf hash, or None."""
+        for level_tree in inputs:
+            _, same = level_tree.find(group.key)
+            if same is not None and same.entries == group.entries:
+                group.suffixes = same.suffixes
+                return level_tree.tree.leaf(same.leaf_index)
+        return None
 
     def _flush_group(self) -> None:
         if self._current_key is None:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cryptoprim.hashing import hash_leaf
+from repro.cryptoprim.hashing import HASH_LEN, hash_leaf
 from repro.mht.chain import chain_digest, suffix_digests
 from repro.mht.incremental import OrderingError, StreamingLevelDigester
 from repro.mht.merkle import MerkleTree
@@ -108,11 +108,38 @@ def test_position_for_ts():
 
 
 def test_on_hash_charged():
+    """One charge per chain record, then its leaf; then the tree's nodes."""
     charges = []
     digester = StreamingLevelDigester(on_hash=charges.append)
-    digester.add(b"a", 1, b"abc")
+    digester.add(b"a", 2, b"abc")
+    digester.add(b"a", 1, b"de")
+    digester.add(b"b", 1, b"f")
+    assert charges == []  # adding hashes nothing
     digester.finalize()
-    assert charges  # at least record + leaf hashes
+    assert charges == [3 + HASH_LEN, 2 + HASH_LEN, HASH_LEN, 1 + HASH_LEN, HASH_LEN, 2 * HASH_LEN]
+
+
+def test_finalize_reuses_identical_input_groups():
+    level = build([(b"a", 5, b"a5"), (b"b", 4, b"b4"), (b"b", 2, b"b2"), (b"c", 1, b"c1")])
+    b_group = level.groups[1]
+    charges = []
+    digester = StreamingLevelDigester(on_hash=charges.append)
+    records = [
+        (b"a", 6, b"a6"),  # a newer version on top: hashed
+        (b"a", 5, b"a5"),
+        (b"b", 4, b"b4"),  # b unchanged: reused
+        (b"b", 2, b"b2"),
+        (b"c", 1, b"C1"),  # same key and ts, other bytes: hashed
+        (b"d", 1, b"d1"),  # not in the input: hashed
+    ]
+    for key, ts, encoded in records:
+        digester.add(key, ts, encoded)
+    tree = digester.finalize([level])
+    assert tree.root == build(records).root
+    assert tree.groups[1].suffixes is b_group.suffixes
+    assert tree.tree.leaf(1) == level.tree.leaf(b_group.leaf_index)
+    hashed = [2 + HASH_LEN] * 2 + [HASH_LEN] + [2 + HASH_LEN, HASH_LEN] * 2
+    assert charges == hashed + [3 * 2 * HASH_LEN]
 
 
 @given(
