@@ -292,7 +292,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm0-compact": {
-        "now_us": 22481.51227539288,
+        "now_us": 21388.247041017028,
         "disk_bytes": 80052,
         "dataset_hash": (
             "51e66057c6be41d985ff7e2b0e6b007e"
@@ -315,7 +315,7 @@ GOLDEN: dict[str, dict] = {
             "enclave_touch": (15.200000000000081, 304),
             "epc_page_fault": (550.0, 11),
             "fsync": (8520.0, 71),
-            "hash": (3912.2628906253763, 6067),
+            "hash": (2818.997656250215, 4091),
             "kernel_read": (50.0, 25),
             "kernel_write": (782.5, 313),
             "ocall": (3832.0, 479),
@@ -323,7 +323,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm0-stack": {
-        "now_us": 14680.64806640565,
+        "now_us": 14570.296894530722,
         "disk_bytes": 68200,
         "dataset_hash": (
             "d1655a9d62c90a002205a0608c67d7e4"
@@ -346,7 +346,7 @@ GOLDEN: dict[str, dict] = {
             "enclave_touch": (15.200000000000081, 304),
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
-            "hash": (1332.8871093750133, 1974),
+            "hash": (1222.5359374999994, 1778),
             "kernel_read": (8.0, 4),
             "kernel_write": (710.0, 284),
             "ocall": (2928.0, 366),
@@ -354,7 +354,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm2-compact": {
-        "now_us": 12122.912480467874,
+        "now_us": 11719.95642578065,
         "disk_bytes": 79144,
         "dataset_hash": (
             "7105f506fd92af6bc0c99e1f73c35928"
@@ -377,7 +377,7 @@ GOLDEN: dict[str, dict] = {
             "enclave_touch": (16.300000000000097, 326),
             "epc_page_fault": (100.0, 2),
             "fsync": (6480.0, 54),
-            "hash": (3163.4630859377753, 4917),
+            "hash": (2326.7107421876467, 3403),
             "kernel_read": (38.0, 19),
             "kernel_write": (747.5, 299),
             "ocall": (3288.0, 411),
@@ -385,7 +385,7 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm2-stack": {
-        "now_us": 10496.737431640277,
+        "now_us": 10387.698759765348,
         "disk_bytes": 70898,
         "dataset_hash": (
             "b0d9852d6e34741efb2ae535069769df"
@@ -408,7 +408,7 @@ GOLDEN: dict[str, dict] = {
             "enclave_touch": (16.300000000000097, 326),
             "epc_page_fault": (100.0, 2),
             "fsync": (3960.0, 33),
-            "hash": (1168.0355468749913, 1754),
+            "hash": (1057.8718749999794, 1558),
             "kernel_read": (8.0, 4),
             "kernel_write": (695.0, 278),
             "ocall": (2640.0, 330),
@@ -605,7 +605,7 @@ GOLDEN: dict[str, dict] = {
 
 GOLDEN_READS: dict[str, dict] = {
     "p2-reads-default": {
-        "now_us": 15266.154794921214,
+        "now_us": 15155.803623046286,
         "disk_bytes": 68329,
         "dataset_hash": (
             "47024ebf7dfce0628cca754a64f15936"
@@ -628,7 +628,7 @@ GOLDEN_READS: dict[str, dict] = {
             "enclave_touch": (15.350000000000083, 307),
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
-            "hash": (1502.1976562500347, 2209),
+            "hash": (1391.8464843750207, 2013),
             "kernel_read": (8.0, 4),
             "kernel_write": (717.5, 287),
             "ocall": (2952.0, 369),
@@ -636,7 +636,7 @@ GOLDEN_READS: dict[str, dict] = {
         },
     },
     "p2-reads-no-early-stop": {
-        "now_us": 15385.2585058587,
+        "now_us": 15274.90733398377,
         "disk_bytes": 68329,
         "dataset_hash": (
             "47024ebf7dfce0628cca754a64f15936"
@@ -659,7 +659,7 @@ GOLDEN_READS: dict[str, dict] = {
             "enclave_touch": (15.350000000000083, 307),
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
-            "hash": (1607.3443359375503, 2361),
+            "hash": (1496.993164062535, 2165),
             "kernel_read": (8.0, 4),
             "kernel_write": (717.5, 287),
             "ocall": (2952.0, 369),
@@ -667,7 +667,7 @@ GOLDEN_READS: dict[str, dict] = {
         },
     },
     "p2-reads-on-demand": {
-        "now_us": 26030.656992198124,
+        "now_us": 25865.555820322767,
         "disk_bytes": 12239,
         "dataset_hash": (
             "47024ebf7dfce0628cca754a64f15936"
@@ -690,7 +690,7 @@ GOLDEN_READS: dict[str, dict] = {
             "enclave_touch": (15.350000000000083, 307),
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
-            "hash": (10307.772851559379, 16124),
+            "hash": (10142.671679684468, 15928),
             "kernel_read": (374.0, 187),
             "kernel_write": (717.5, 287),
             "ocall": (4416.0, 552),
@@ -698,7 +698,7 @@ GOLDEN_READS: dict[str, dict] = {
         },
     },
     "p2-reads-no-bloom": {
-        "now_us": 16014.521201170915,
+        "now_us": 15904.170029295987,
         "disk_bytes": 68329,
         "dataset_hash": (
             "47024ebf7dfce0628cca754a64f15936"
@@ -721,7 +721,7 @@ GOLDEN_READS: dict[str, dict] = {
             "enclave_touch": (15.350000000000083, 307),
             "epc_page_fault": (550.0, 11),
             "fsync": (5040.0, 42),
-            "hash": (2177.246093750136, 3365),
+            "hash": (2066.8949218751177, 3169),
             "kernel_read": (8.0, 4),
             "kernel_write": (717.5, 287),
             "ocall": (2952.0, 369),
