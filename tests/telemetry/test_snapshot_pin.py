@@ -72,10 +72,10 @@ def read_telemetry_digest(name: str) -> str:
 
 
 PINNED: dict[str, str] = {
-    "p2-imm0-compact": "113e9804d2a0226dfa1ba83ade8a0b7ce387112c3fca007c9d61b57435a847b4",
-    "p2-imm0-stack": "57e7908bca2ad82fa4d19492094c829dbd03298195defc6cc791d2362a2c2812",
-    "p2-imm2-compact": "0ec601b1c58d68710757c97220263e7fffdd868c886903fc801559f21565b1bb",
-    "p2-imm2-stack": "bb73d5c690e194e9720c76b36e47c81a9f1e9d5fd48f36186713608aa202e19d",
+    "p2-imm0-compact": "600d602a4a9db9edf2a82724dca9af3599c5b0954cbf37702ac3cd2c84a20c3b",
+    "p2-imm0-stack": "5037af6efef3faab1b861a221e2258100fac25a7d9bb77074973e7e017d0f192",
+    "p2-imm2-compact": "45f32ed5da385bd57234bf60856d3a1ef5306729d3f8b76fe70914084d51048e",
+    "p2-imm2-stack": "9fa98e06cd4274599b6583ce24ead68175c683dbcc1d4e10881390a7cbdc91fe",
     "p1-imm0-compact": "b1b9d3d7d93ee8a417935cdb675c57672d1647fe64069d90865002e2976b3c59",
     "p1-imm0-stack": "60ceabaa61708f0187df1715bf2912b670d75332ac85bd94fd6406a2151b1e58",
     "p1-imm2-compact": "6f3fba99484768bb66c1f24b83855c9d9c9ec1161d57ed87f0217bc0e94c7aca",
@@ -92,10 +92,10 @@ PINNED: dict[str, str] = {
 
 
 PINNED_READS: dict[str, str] = {
-    "p2-reads-default": "2fb4600292eaef855e5a3ee38e4f2a050450b5123e64bc517d15d891b0996e20",
-    "p2-reads-no-early-stop": "1a14b99a9813158fb918c2e8413aaa0dc2d7db2fd5ad6ca1ab2cd11d0f6fe8ce",
-    "p2-reads-on-demand": "60e3081e8853b19e93afcee623739e032753d39875e2670bd54514ede169409d",
-    "p2-reads-no-bloom": "81fad70d401ea9a1e8692e7d6250c016e41f48ec53295ad3408eb163fbe7f51d",
+    "p2-reads-default": "f23d721bdb9dc7a683413af888e3357e35d285712eb4594f32061d8338f37294",
+    "p2-reads-no-early-stop": "7ea8bc4e3cdca6cce6506ac65ef55b1ea3961875cda7ea301a41d4b5d44260ae",
+    "p2-reads-on-demand": "90ee14125604440c6f6104e590665043b920e9e87cbdc0052b43fdf426eba085",
+    "p2-reads-no-bloom": "592621a3fa019bf081bf3ca9211ea526f1d1ad87113a4706dfde58417b65f4e3",
 }
 
 
