@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "33dacf03a5c18eec7d7f99699ca61fcbf41a57e44b30e005ff18dd080af7c3da"
+INDEX_DIGEST = "8d1ce76c616beae9c8b1b630c29209e74aad7d984561a0031a06f8c133f6a923"
 
 
 def _pinned(name: str) -> bool:
