@@ -142,7 +142,6 @@ def test_level_inserted_shifts_registry(listener):
     listener.on_level_inserted(1)
     assert listener.registry.get(1).is_empty
     assert listener.registry.get(2) == old
-    assert listener.level_trees.get(2) is not None
 
 
 def test_trusted_memtable_not_verified(listener):
@@ -299,7 +298,6 @@ def test_tampered_reusable_group_fails_before_anything_is_reused(
 
     monkeypatch.setattr(StreamingLevelDigester, "finalize", recording_finalize)
     before = {level: listener.registry.get(level) for level in (1, 2)}
-    trees_before = dict(listener.level_trees)
     ctx = CompactionContext(kind="compaction", input_levels=[1], output_level=2)
     listener.on_compaction_begin(ctx)
     honest = encode_record(rec(b"b", 1))
@@ -314,7 +312,6 @@ def test_tampered_reusable_group_fails_before_anything_is_reused(
         listener.on_compaction_finish(ctx)
     assert finalized == [[]]  # the input digester only; no output digest
     assert {level: listener.registry.get(level) for level in (1, 2)} == before
-    assert listener.level_trees == trees_before
 
 
 @st.composite

@@ -91,13 +91,14 @@ def test_stale_version_in_window_detected(store):
     leaf = entry.leaves[victim]
     # Claim the chain ends here AND pretend the newest doesn't exist by
     # dropping the head record: leaf hash can no longer be recomputed.
-    from repro.mht.chain import chain_digest
-    from repro.lsm.records import encode_record
-
-    group = store.listener.level_trees[level].groups  # authoritative chains
-    target = next(g for g in group if g.key == leaf.key and g.chain_len >= 2)
+    chain = [  # the key's versions in this level, newest first
+        record.ts
+        for record, _aux in store.db.level_run(level).iter_entries(store.env)
+        if record.key == leaf.key
+    ]
+    assert len(chain) >= 2
     older_only = LeafReveal(
-        records=(replace(leaf.records[0], ts=target.entries[1][0]),),
+        records=(replace(leaf.records[0], ts=chain[1]),),
         older_digest=None,
     )
     leaves = entry.leaves[:victim] + (older_only,) + entry.leaves[victim + 1 :]
