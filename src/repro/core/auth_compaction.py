@@ -58,9 +58,6 @@ class AuthCompactionListener(EventListener):
         #: and the prover must rebuild level trees per query.
         self.embed_proofs = embed_proofs
         self.wal_digest = WAL_DIGEST_INIT
-        #: LevelTree per level, kept so the prover-side tests can inspect
-        #: the authoritative trees (the prover itself reads only files).
-        self.level_trees: dict[int, LevelTree] = {}
 
     # ------------------------------------------------------------------
     # WAL digesting (write path, step w1)
@@ -134,7 +131,6 @@ class AuthCompactionListener(EventListener):
         for level in ctx.input_levels:
             if level != 0:
                 self.registry.clear(level)
-                self.level_trees.pop(level, None)
         groups = output_tree.groups
         self.registry.set(
             ctx.output_level,
@@ -146,7 +142,6 @@ class AuthCompactionListener(EventListener):
                 max_key=groups[-1].key if groups else None,
             ),
         )
-        self.level_trees[ctx.output_level] = output_tree
         ctx.state["embed_cursor"] = [0, 0]  # (group index, chain position)
         ctx.state["output_tree"] = output_tree
         if self.embed_proofs:
@@ -194,7 +189,3 @@ class AuthCompactionListener(EventListener):
     def on_level_inserted(self, level: int) -> None:
         """Shift the registry when stacking mode inserts a new level 1."""
         self.registry.shift_deeper(level)
-        self.level_trees = {
-            (lvl + 1 if lvl >= level else lvl): tree
-            for lvl, tree in self.level_trees.items()
-        }

@@ -7,8 +7,10 @@ promotion convention), record counts, and the level's key range — all
 computed by *trusted* compaction code, so they can soundly short-circuit
 proofs (a level whose range excludes the key needs no proof).
 
-The registry also derives the dataset-wide hash that the rollback
-defence anchors to a monotonic counter (Section 5.6.1).
+The registry also derives a fingerprint of the trusted state — every
+level root plus the WAL digest — that perfbench's round check and the
+golden test compare.  The rollback defence anchors the sealed registry
+itself, not this hash (Section 5.6.1).
 """
 
 from __future__ import annotations
@@ -125,7 +127,9 @@ class DigestRegistry:
         )
 
     def dataset_hash(self, wal_digest: bytes) -> bytes:
-        """Hash of the entire dataset state, for rollback anchoring."""
+        """Fingerprint of the trusted state: the WAL digest and every
+        (level, root) pair.  Compared by perfbench's round check and the
+        golden test; the seal carries the registry, not this hash."""
         parts: list[bytes] = [wal_digest]
         for level in sorted(self._levels):
             digest = self._levels[level]

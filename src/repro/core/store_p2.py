@@ -738,19 +738,18 @@ class ELSMP2Store(PlacedStore):
     # State continuity: sealing and rollback defence (Section 5.6.1)
     # ------------------------------------------------------------------
     def dataset_hash(self) -> bytes:
-        """Hash of all level roots plus the WAL digest."""
+        """Fingerprint of the trusted state (every level root plus the WAL
+        digest); perfbench's round check and the golden test compare it."""
         return self.registry.dataset_hash(self.listener.wal_digest)
 
     def _seal_state(self) -> SealedBlob:
         """Seal the trusted state, claiming the counter value that
         :meth:`persist_seal` moves to once the blob is durable."""
-        dataset = self.dataset_hash()
         payload = {
             "registry": self.registry.to_payload(),
             "wal_digest": self.listener.wal_digest.hex(),
             "ts": self._ts,
             "counter": self.anchor.anchored_value + 1 if self.rollback_protection else 0,
-            "dataset": dataset.hex(),
             "manifest_seq": self.db.manifest_seq,
             "wal_epoch": self.db.wal.epoch,
             # The background-flush time cut: WAL records at or below this

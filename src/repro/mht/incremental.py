@@ -105,7 +105,6 @@ class StreamingLevelDigester:
         self._current_key: bytes | None = None
         self._current_entries: list[tuple[int, bytes]] = []
         self._finalized: LevelTree | None = None
-        self.record_count = 0
 
     def add(self, key: bytes, ts: int, encoded: bytes) -> None:
         """Feed the next record in (key asc, ts desc) order."""
@@ -127,7 +126,6 @@ class StreamingLevelDigester:
             self._flush_group()
             self._current_key = key
         self._current_entries.append((ts, encoded))
-        self.record_count += 1
 
     def finalize(self, inputs: Sequence[LevelTree] = ()) -> LevelTree:
         """Close the stream and build the tree.

@@ -230,3 +230,52 @@ def test_unsealed_wal_suffix_dropped_with_telemetry():
     assert dropped == 4
     # The physical file was cut back to the authenticated prefix.
     assert len(list(revived.db.wal.replay())) == 10
+
+
+# ----------------------------------------------------------------------
+# What the seal holds
+# ----------------------------------------------------------------------
+class ReadRecordingPayload(dict):
+    """An unsealed payload that remembers every key recovery reads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_recovery_reads_every_sealed_field(monkeypatch):
+    """The seal carries exactly the state recovery adopts: no field is
+    sealed that a restart never reads."""
+    store = make_p2_store(rollback_protection=True)
+    for i in range(20):
+        store.put(*kv(i))
+    store.flush()
+    for i in range(20, 25):
+        store.put(*kv(i))
+    store.persist_seal()
+    payloads = []
+
+    def recording_unseal(enclave, blob):
+        payloads.append(ReadRecordingPayload(unseal(enclave, blob)))
+        return payloads[-1]
+
+    monkeypatch.setattr("repro.core.store_p2.unseal", recording_unseal)
+    revived = make_p2_store(
+        rollback_protection=True,
+        disk=store.disk,
+        clock=store.clock,
+        counter=store.counter,
+        reopen=True,
+    )
+    revived.recover_from_disk()
+    assert len(payloads) == 1
+    assert payloads[0].read == set(payloads[0])
+    assert revived.get(kv(22)[0]) == kv(22)[1]
