@@ -77,8 +77,6 @@ class SimDisk:
             None if cache_bytes is None else max(1, cache_bytes // PAGE_SIZE)
         )
         self._last_block: dict[str, int] = {}
-        self.cache_hit_blocks = 0
-        self.cache_miss_blocks = 0
         self._m_hits = None
         self._m_misses = None
         #: Optional fault-injection plan (see :mod:`repro.faults.plan`).
@@ -327,8 +325,6 @@ class SimDisk:
             else:
                 missed_blocks += 1
                 self._insert_cached(key)
-        self.cache_hit_blocks += hit_blocks
-        self.cache_miss_blocks += missed_blocks
         if self._m_hits is not None:
             if hit_blocks:
                 self._m_hits.inc(hit_blocks)
