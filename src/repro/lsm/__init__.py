@@ -11,7 +11,6 @@ modifying the engine* (Section 5.5.3).
 from repro.lsm.records import KIND_DELETE, KIND_PUT, Record, decode_record, encode_record
 from repro.lsm.db import LSMConfig, LSMStore
 from repro.lsm.background import BackgroundFlusher
-from repro.lsm.iterator import latest_versions, merge_sorted, store_snapshot
 from repro.lsm.events import CompactionContext, EventListener
 
 __all__ = [
@@ -22,9 +21,6 @@ __all__ = [
     "decode_record",
     "LSMStore",
     "LSMConfig",
-    "merge_sorted",
-    "latest_versions",
-    "store_snapshot",
     "BackgroundFlusher",
     "EventListener",
     "CompactionContext",

@@ -44,17 +44,6 @@ class ChainGroup:
     def chain_len(self) -> int:
         return len(self.entries)
 
-    @property
-    def newest_ts(self) -> int:
-        return self.entries[0][0]
-
-    def position_for_ts(self, ts_query: int) -> int | None:
-        """Index of the newest entry with timestamp <= ts_query."""
-        for position, (ts, _) in enumerate(self.entries):
-            if ts <= ts_query:
-                return position
-        return None
-
 
 class LevelTree:
     """A finalized per-level digest: tree + chain groups, by key order."""

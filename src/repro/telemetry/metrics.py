@@ -413,10 +413,6 @@ class MetricsRegistry:
             for name, instrument in sorted(self._instruments.items())
         }
 
-    def diff(self, old: dict) -> dict:
-        """Snapshot now and subtract ``old`` (see :func:`diff_snapshots`)."""
-        return diff_snapshots(old, self.snapshot())
-
     def render_prometheus(self) -> str:
         """The registry's current state in Prometheus text format."""
         return render_prometheus(self.snapshot())

@@ -97,16 +97,6 @@ def test_suffixes_populated_after_finalize():
     assert group.suffixes[1] is None
 
 
-def test_position_for_ts():
-    tree = build([(b"a", 9, b"n"), (b"a", 5, b"m"), (b"a", 1, b"o")])
-    group = tree.groups[0]
-    assert group.position_for_ts(10) == 0
-    assert group.position_for_ts(9) == 0
-    assert group.position_for_ts(6) == 1
-    assert group.position_for_ts(1) == 2
-    assert group.position_for_ts(0) is None
-
-
 def test_on_hash_charged():
     """One charge per chain record, then its leaf; then the tree's nodes."""
     charges = []

@@ -262,7 +262,7 @@ def test_diff_counters_and_gauges(registry):
     c.inc(1, op="put")  # new series, absent from `before`
     g.set(9)
     h.observe(4)
-    delta = registry.diff(before)
+    delta = diff_snapshots(before, registry.snapshot())
     by_op = {s["labels"]["op"]: s["value"] for s in delta["ops"]["series"]}
     assert by_op == {"get": 2, "put": 1}
     assert delta["g"]["series"][0]["value"] == 9  # gauges keep new value
