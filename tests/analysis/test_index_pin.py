@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "8d1ce76c616beae9c8b1b630c29209e74aad7d984561a0031a06f8c133f6a923"
+INDEX_DIGEST = "82d3d195c82cf36680916d4e0a6b92c72d6607046164f2e27e31cf6a44a1c352"
 
 
 def _pinned(name: str) -> bool:

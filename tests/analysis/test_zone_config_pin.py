@@ -23,7 +23,7 @@ from repro.analysis import load_zone_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-CONFIG_DIGEST = "630523fb56fddf2d7a44233ad923c87f1cc6b7202a0beb2a21c0a38689ca4c07"
+CONFIG_DIGEST = "5759344f31a0a088e2edb3ce847286e95bfc742bd16a39a70aa84ceeebc63544"
 
 
 def config_digest() -> str:
