@@ -1,7 +1,7 @@
 """Ablation: rollback-counter anchor buffering (Section 5.6.1).
 
 Trusted monotonic counters cost ~10 ms per write on TPM-class hardware,
-so anchoring the dataset hash on every PUT would dominate write latency.
+so anchoring the sealed state on every PUT would dominate write latency.
 The paper buffers anchors ("the size of the write buffer is tunable by
 the system administrator"); this bench quantifies that trade-off.
 """
