@@ -6,7 +6,9 @@ compaction the listener:
 
 a) rebuilds a Merkle tree per *untrusted* input level from the records
    the merge actually consumed and checks each root against the enclave's
-   trusted copy (input authentication);
+   trusted copy (input authentication).  The MemTable and the output of
+   the previous merge of a chain never left the enclave: they are not
+   authenticated again, and the held output's tree is reused as built;
 b) streams the merge output through a digester to produce the new level
    tree (output digesting).  Only after every input root has checked
    does the output digester see the input trees: an output group whose
@@ -16,7 +18,10 @@ b) streams the merge output through a digester to produce the new level
    tombstone GC — is hashed;
 c) embeds each output record's proof — leaf index, chain position, older
    suffix digest, authentication path — into the record's ``aux``
-   annotation as the output files are created (proof embedding).
+   annotation as the output tables are built (proof embedding);
+d) installs the output digest in the registry only when the engine
+   installs the merge's output, so a chain that fails part-way leaves the
+   trusted state as it was.
 
 It also maintains the WAL digest (hook ``on_wal_append``) and tracks
 level lifecycle so the digest registry always mirrors the manifest.
@@ -77,7 +82,8 @@ class AuthCompactionListener(EventListener):
     # Authenticated COMPACTION (steps m1-m3)
     # ------------------------------------------------------------------
     def on_compaction_begin(self, ctx: CompactionContext) -> None:
-        """Create one digester per untrusted input level plus the output digester."""
+        """Create one digester per untrusted input level plus the output
+        digester; take over the held output's tree, if any."""
         charge = self.env.trusted_hash
         ctx.state["input_digesters"] = {
             level: StreamingLevelDigester(on_hash=charge)
@@ -89,6 +95,8 @@ class AuthCompactionListener(EventListener):
         # fires the output hook on the same object right after, so a
         # surviving record is encoded once.
         ctx.state["last_input"] = (None, b"")
+        if ctx.held is not None:
+            ctx.state["held_tree"] = ctx.held.state.pop("output_tree")
 
     def on_compaction_input_record(
         self, ctx: CompactionContext, level_id: int, record: Record
@@ -110,10 +118,13 @@ class AuthCompactionListener(EventListener):
         ctx.state["output_digester"].add(record.key, record.ts, encoded)
 
     def on_compaction_finish(self, ctx: CompactionContext) -> None:
-        """Verify every input root, then install the output digest."""
-        # a) authenticate every untrusted input level.
+        """Verify every untrusted input root, then digest the output."""
+        # a) authenticate every untrusted input level; a held output is
+        #    trusted as the enclave built it.
         input_trees = []
-        for level, digester in ctx.state["input_digesters"].items():
+        if ctx.held is not None:
+            input_trees.append(ctx.state.pop("held_tree"))
+        for level, digester in ctx.state.pop("input_digesters").items():
             tree = digester.finalize()
             trusted = self.registry.get(level)
             if (
@@ -125,27 +136,28 @@ class AuthCompactionListener(EventListener):
                 )
             input_trees.append(tree)
         # b) digest the output, reusing every group that passed through
-        #    an authenticated input unchanged; then the output digest
-        #    takes effect and consumed inputs become empty.
-        output_tree = ctx.state["output_digester"].finalize(input_trees)
-        for level in ctx.input_levels:
-            if level != 0:
-                self.registry.clear(level)
+        #    an authenticated input unchanged.  The digest takes effect
+        #    when the output is installed (on_compaction_installed).
+        output_tree = ctx.state.pop("output_digester").finalize(input_trees)
         groups = output_tree.groups
-        self.registry.set(
-            ctx.output_level,
-            LevelDigest(
-                root=output_tree.root,
-                leaf_count=output_tree.leaf_count,
-                record_count=output_tree.record_count,
-                min_key=groups[0].key if groups else None,
-                max_key=groups[-1].key if groups else None,
-            ),
+        ctx.state["output_digest"] = LevelDigest(
+            root=output_tree.root,
+            leaf_count=output_tree.leaf_count,
+            record_count=output_tree.record_count,
+            min_key=groups[0].key if groups else None,
+            max_key=groups[-1].key if groups else None,
         )
         ctx.state["embed_cursor"] = [0, 0]  # (group index, chain position)
         ctx.state["output_tree"] = output_tree
         if self.embed_proofs:
             ctx.state["output_paths"] = output_tree.tree.auth_paths()
+
+    def on_compaction_installed(self, ctx: CompactionContext) -> None:
+        """The output digest takes effect; consumed inputs become empty."""
+        for level in ctx.input_levels:
+            if level != 0:
+                self.registry.clear(level)
+        self.registry.set(ctx.output_level, ctx.state["output_digest"])
 
     # ------------------------------------------------------------------
     # Proof embedding (step c, event OnTableFileCreated)
@@ -181,6 +193,8 @@ class AuthCompactionListener(EventListener):
             else:
                 cursor[0] = group_index + 1
                 cursor[1] = 0
+        if cursor[0] == len(tree.groups):
+            del ctx.state["output_paths"]  # every proof is embedded
         return annotated
 
     # ------------------------------------------------------------------

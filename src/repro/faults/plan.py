@@ -55,7 +55,7 @@ CRASH_SITES: tuple[str, ...] = (
     "compaction.after_install",
     "manifest.before_write",
     "manifest.after_write",
-    # mid-merge output files (repro/lsm/compaction.py)
+    # mid-merge output tables, each before it is built (repro/lsm/compaction.py)
     "compactor.before_file",
     # sealed trusted state persistence (repro/sgx/sealing.py)
     "seal.before_write",

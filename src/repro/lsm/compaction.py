@@ -12,6 +12,10 @@ events eLSM's authenticated COMPACTION hangs off.  Guarantees:
   only when the output is the bottom level;
 * every other version survives: the paper's per-key hash chains need
   the whole version history.
+
+A merge writes nothing: its output tables are built in memory, and the
+caller either writes them (``write_table``) or hands the output records
+on to the next merge of a compaction chain (``LSMStore._merge_into``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.lsm.events import CompactionContext, EventListener
 from repro.lsm.records import Record
-from repro.lsm.sstable import Entry, SSTableBuilder, SSTableMeta
+from repro.lsm.sstable import BuiltTable, Entry, SSTableBuilder
 from repro.sgx.env import ExecutionEnv
 
 
@@ -55,19 +59,20 @@ class Compactor:
         ctx: CompactionContext,
         sources: list[tuple[int, Iterable[Entry]]],
         file_namer,
-    ) -> list[SSTableMeta]:
-        """Merge ``sources`` and write the output run's SSTable files.
+    ) -> tuple[list[Record], list[BuiltTable]]:
+        """Merge ``sources`` and build the output run's tables in memory.
 
         ``sources`` are (level_id, sorted entries) pairs; ``file_namer``
         maps a fresh file number to a file name and is called once per
-        output file.
+        output table.  Returns the output records and the built tables;
+        no file is written.
         """
         for listener in self.listeners:
             listener.on_compaction_begin(ctx)
-        output_entries = list(self._merged_output(ctx, sources))
+        output = list(self._merged_output(ctx, sources))
         for listener in self.listeners:
             listener.on_compaction_finish(ctx)
-        return self._write_files(ctx, output_entries, file_namer)
+        return output, self._build_tables(ctx, output, file_namer)
 
     # ------------------------------------------------------------------
     def _merged_output(
@@ -100,14 +105,14 @@ class Compactor:
                 listener.on_compaction_output_record(ctx, record)
             yield record
 
-    def _write_files(
+    def _build_tables(
         self,
         ctx: CompactionContext,
         records: list[Record],
         file_namer,
-    ) -> list[SSTableMeta]:
-        """Pack output records into files, never splitting a key group."""
-        metas: list[SSTableMeta] = []
+    ) -> list[BuiltTable]:
+        """Pack output records into tables, never splitting a key group."""
+        tables: list[BuiltTable] = []
         chunk: list[Record] = []
         chunk_bytes = 0
         for index, record in enumerate(records):
@@ -115,21 +120,20 @@ class Compactor:
             chunk_bytes += record.approximate_bytes()
             next_key = records[index + 1].key if index + 1 < len(records) else None
             if chunk_bytes >= self.file_max_bytes and next_key != record.key:
-                metas.append(self._build_file(ctx, chunk, file_namer))
+                tables.append(self._build_table(ctx, chunk, file_namer))
                 chunk, chunk_bytes = [], 0
         if chunk:
-            metas.append(self._build_file(ctx, chunk, file_namer))
-        return metas
+            tables.append(self._build_table(ctx, chunk, file_namer))
+        return tables
 
-    def _build_file(
+    def _build_table(
         self,
         ctx: CompactionContext,
         records: list[Record],
         file_namer,
-    ) -> SSTableMeta:
-        # A crash here leaves previously built output files as orphans on
-        # disk — recovery's cleanup_orphans reaps anything the manifest
-        # does not reference.
+    ) -> BuiltTable:
+        # Tables are built before any of them is written, so a crash
+        # here leaves nothing of this merge on disk.
         self.env.crash_point("compactor.before_file")
         entries: list[Entry] = [(record, b"") for record in records]
         for listener in self.listeners:
@@ -148,4 +152,4 @@ class Compactor:
         )
         for record, aux in entries:
             builder.add(record, aux)
-        return builder.finish()
+        return builder.build()

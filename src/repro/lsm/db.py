@@ -23,7 +23,14 @@ from repro.lsm.compaction import Compactor
 from repro.lsm.events import CompactionContext, EventListener
 from repro.lsm.memtable import SkipListMemTable
 from repro.lsm.records import KIND_DELETE, KIND_PUT, Record
-from repro.lsm.sstable import BlockFetcher, Entry, SSTableMeta, rebuild_meta
+from repro.lsm.sstable import (
+    BlockFetcher,
+    BuiltTable,
+    Entry,
+    SSTableMeta,
+    rebuild_meta,
+    write_table,
+)
 from repro.lsm.version import LevelRun
 from repro.lsm.wal import WriteAheadLog
 from repro.sgx.env import ExecutionEnv
@@ -70,7 +77,7 @@ class LSMConfig:
     block_bytes: int = 4096
     use_bloom: bool = True
     level1_max_bytes: int = 40 * 1024
-    file_max_bytes: int = 16 * 1024
+    file_max_bytes: int = 16 * 1024  # bounds records' approximate_bytes(), not file size
     read_mode: str = "buffer"  # "buffer" or "mmap"
     read_buffer_bytes: int = 256 * 1024
     buffer_location: str = LOCATION_UNTRUSTED
@@ -751,11 +758,16 @@ class LSMStore:
     # Flush & compaction
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Persist the MemTable into level 1.
+        """Persist the MemTable into level 1, and on down the levels.
 
-        Commit protocol (every step leaves a recoverable disk state):
+        The merge into level 1 is the first of a chain: an output over
+        its level's capacity is not written but merged on, from enclave
+        memory, into the next level (:meth:`_merge_into`).  Commit
+        protocol — one write, one manifest and one commit per chain, and
+        every step leaves a recoverable disk state:
 
-        1. write SSTables + new manifest (old files/manifest untouched);
+        1. write the chain's last output + new manifest (old files and
+           manifest untouched);
         2. advance the WAL to a fresh epoch (old epoch untouched);
         3. run the commit hook — eLSM persists its seal here, naming the
            new manifest and epoch, which is the actual commit point;
@@ -818,8 +830,8 @@ class LSMStore:
     def flush_oldest_immutable(self, wait: bool = False) -> bool:
         """Flush the oldest queued immutable off the foreground path.
 
-        The flush (merge into L1, manifest, commit, cascading
-        compactions) runs on a :meth:`~repro.sim.clock.SimClock.parallel_track`
+        The flush (the chain of merges from L1 down, manifest, commit)
+        runs on a :meth:`~repro.sim.clock.SimClock.parallel_track`
         forked at the instant the background worker could have started —
         the later of when the table was queued and when the previous
         background flush finished — so its cost overlaps foreground time
@@ -899,8 +911,8 @@ class LSMStore:
 
     def _flush_tables(self, source: list[Entry]) -> None:
         """Write one level-0 source into level 1: merged with the existing
-        level 1 (leveled), or — with compaction off — stacked as a new
-        level 1 above every existing level."""
+        level 1 (leveled) and on down the chain, or — with compaction off
+        — stacked as a new level 1 above every existing level."""
         sources: list[tuple[int, Iterable[Entry]]] = [(0, source)]
         if self.config.compaction_enabled:
             is_bottom = self._is_bottom(1)
@@ -914,7 +926,9 @@ class LSMStore:
                 self._levels[level + 1] = self._levels.pop(level)
             for listener in self.listeners:
                 listener.on_level_inserted(1)
-        self._merge_into("flush", sources, 1, is_bottom)
+        self._merge_into(
+            "flush", sources, 1, is_bottom, merge_on=self.config.compaction_enabled
+        )
 
     def _merge_into(
         self,
@@ -923,44 +937,94 @@ class LSMStore:
         output: int,
         is_bottom: bool,
         emptied: Iterable[int] = (),
+        merge_on: bool = False,
     ) -> None:
         """Run the authenticated merge of ``sources`` and install its
         output as level ``output``; every level in ``emptied`` is left
-        empty.  The one merge-and-install path of flushes and
-        compactions: the manifest is published only after the merge —
+        empty.  With ``merge_on`` the merge starts a chain: while an
+        output exceeds its level's capacity, it is merged on into the
+        next level — the compaction the cascade would run next — from
+        enclave memory, a trusted input like the MemTable, and its
+        tables are dropped unwritten.  Only the chain's last output is
+        written, once.
+
+        The one merge-and-install path of flushes and compactions: the
+        manifest is published once per chain, only after every merge —
         and with it eLSM's per-level root update — completed (EL811)."""
+        emptied = list(emptied)
         ctx = CompactionContext(
             kind=kind,
             input_levels=[level for level, _ in sources],
             output_level=output,
             is_bottom_level=is_bottom,
         )
-        span = (
-            self._tracer.span(
-                "lsm.compaction",
-                input_levels=list(ctx.input_levels),
+        chain = [ctx]
+        records, tables = self._merge_step(ctx, sources)
+        while merge_on and (
+            sum(table.meta.size_bytes for table in tables)
+            > self._level_capacity(output)
+        ):
+            sources = [(output, [(record, b"") for record in records])]
+            del records, tables  # the built tables go unwritten
+            emptied.append(output)
+            output += 1
+            run = self._levels.get(output)
+            if run is not None and not run.is_empty:
+                sources.append((output, run.iter_entries(self.env)))
+            ctx = CompactionContext(
+                kind="compaction",
+                input_levels=[level for level, _ in sources],
                 output_level=output,
+                is_bottom_level=self._is_bottom(output),
+                held=ctx,
             )
-            if kind == "compaction"
-            else nullcontext()
-        )
-        with span as open_span:
-            metas = self._compactor.run(ctx, sources, self._next_file)
-            written = sum(m.size_bytes for m in metas)
-            if open_span is not None:
-                open_span.set(output_bytes=written, output_files=len(metas))
-        if kind == "flush":
+            chain.append(ctx)
+            records, tables = self._merge_step(ctx, sources)
+        metas = []
+        while tables:  # a built table is dropped once it is on disk
+            metas.append(write_table(self.env, tables.pop(0)))
+        written = sum(meta.size_bytes for meta in metas)
+        if ctx.kind == "flush":
             self.stats.bytes_flushed += written
             self._m_flush_bytes.inc(written)
         else:
-            self.stats.compactions += 1
             self.stats.bytes_compacted += written
             self._m_compact_bytes.inc(written)
+        for step in chain:
+            for listener in self.listeners:
+                listener.on_compaction_installed(step)
         for level in emptied:
             self._replace_run(level, [])
         # Install (and persist the manifest) only after the emptied
         # levels are reflected in the in-memory state.
         self._install_run(output, metas)
+        if ctx.kind == "compaction":
+            self.env.crash_point("compaction.after_install")
+
+    def _merge_step(
+        self, ctx: CompactionContext, sources: list[tuple[int, Iterable[Entry]]]
+    ) -> tuple[list[Record], list[BuiltTable]]:
+        """One merge of a chain: its output records and its tables, built
+        in memory."""
+        span = (
+            self._tracer.span(
+                "lsm.compaction",
+                input_levels=list(ctx.input_levels),
+                output_level=ctx.output_level,
+            )
+            if ctx.kind == "compaction"
+            else nullcontext()
+        )
+        with span as open_span:
+            records, tables = self._compactor.run(ctx, sources, self._next_file)
+            if open_span is not None:
+                open_span.set(
+                    output_bytes=sum(table.meta.size_bytes for table in tables),
+                    output_files=len(tables),
+                )
+        if ctx.kind == "compaction":
+            self.stats.compactions += 1
+        return records, tables
 
     def compact_level(self, level: int) -> None:
         """Merge level ``level`` into ``level + 1`` (authenticated in eLSM)."""
@@ -976,7 +1040,8 @@ class LSMStore:
         The paper's COMPACTION generalisation: "it is natural to extend
         it to more complicated cases such as merging more than two
         levels".  ``levels`` must be contiguous ascending level ids; the
-        output replaces the deepest one and the rest become empty.
+        output replaces the deepest one and the rest become empty.  One
+        merge: the output is installed there, whatever its size.
         """
         with self._lock:
             levels = sorted(levels)
@@ -984,26 +1049,33 @@ class LSMStore:
                 raise ValueError("need at least two levels to merge")
             if levels != list(range(levels[0], levels[-1] + 1)):
                 raise ValueError("levels must be contiguous")
-            sources: list[tuple[int, Iterable[Entry]]] = []
-            for level in levels:
-                run = self._levels.get(level)
-                if run is not None and not run.is_empty:
-                    sources.append((level, run.iter_entries(self.env)))
-            if not sources:
-                return
-            output = levels[-1]
-            self._merge_into(
-                "compaction",
-                sources,
-                output,
-                self._is_bottom(output),
-                emptied=levels[:-1],
-            )
-            self.env.crash_point("compaction.after_install")
-            self._commit("compaction")
+            self._compact(levels, merge_on=False)
+
+    def _compact(self, levels: list[int], merge_on: bool) -> None:
+        """Merge the runs of ``levels`` into the deepest of them (and,
+        with ``merge_on``, on down the chain), then commit."""
+        sources: list[tuple[int, Iterable[Entry]]] = []
+        for level in levels:
+            run = self._levels.get(level)
+            if run is not None and not run.is_empty:
+                sources.append((level, run.iter_entries(self.env)))
+        if not sources:
+            return
+        output = levels[-1]
+        self._merge_into(
+            "compaction",
+            sources,
+            output,
+            self._is_bottom(output),
+            emptied=levels[:-1],
+            merge_on=merge_on,
+        )
+        self._commit("compaction")
 
     def _maybe_compact(self) -> None:
-        """Cascade compactions while any level exceeds its capacity."""
+        """Start a compaction chain at any level still over its capacity:
+        one a flush's chain did not reach, such as the output of an
+        explicit multi-level compaction."""
         if not self.config.compaction_enabled:
             return
         level = 1
@@ -1014,7 +1086,7 @@ class LSMStore:
             if not run.is_empty and run.total_bytes > self._level_capacity(level):
                 # An over-capacity deepest level spills into a brand-new
                 # deeper level; that is how the tree grows with the data.
-                self.compact_level(level)
+                self._compact([level, level + 1], merge_on=True)
             level += 1
 
     def _level_capacity(self, level: int) -> int:

@@ -13,7 +13,9 @@ them — no engine changes.  We expose the same surface:
   *inputs* (the paper's input MHT reconstruction);
 * ``on_wal_append`` lets the enclave digest the WAL stream;
 * ``on_compaction_finish`` is where input roots are checked and the new
-  output root takes effect;
+  output root is computed;
+* ``on_compaction_installed`` is where that root takes effect, once the
+  merge's output is installed;
 * ``on_level_inserted`` / ``on_level_replaced`` track level lifecycle so
   a digest registry can shadow the manifest.
 """
@@ -32,20 +34,25 @@ class CompactionContext:
     """Describes one flush or compaction to the listeners.
 
     ``input_levels`` uses 0 for the MemTable.  ``trusted_levels`` are the
-    inputs whose bytes never left the enclave (the MemTable): they need
-    no integrity verification.
+    inputs whose bytes never left the enclave (the MemTable, and the
+    output of the previous merge of a chain, ``held``): they need no
+    integrity verification.
     """
 
     kind: str  # "flush" or "compaction"
     input_levels: list[int]
     output_level: int
     is_bottom_level: bool = False
+    #: The previous merge of a compaction chain, whose output this merge
+    #: takes from memory as its input ``held.output_level``.
+    held: CompactionContext | None = None
     #: Listener scratch space (e.g. the eLSM digesters live here).
     state: dict[str, Any] = field(default_factory=dict)
 
     @property
     def trusted_levels(self) -> set[int]:
-        return {level for level in self.input_levels if level == 0}
+        held = self.held.output_level if self.held is not None else 0
+        return {level for level in self.input_levels if level in (0, held)}
 
 
 class EventListener:
@@ -73,10 +80,15 @@ class EventListener:
     def on_compaction_finish(self, ctx: CompactionContext) -> None:
         """All records merged; inputs may now be verified."""
 
+    def on_compaction_installed(self, ctx: CompactionContext) -> None:
+        """The merge's output now stands at ``ctx.output_level`` and its
+        inputs are consumed; fired for each merge of a chain, in order,
+        once the chain's tables are written."""
+
     def on_table_file_created(
         self, ctx: CompactionContext, entries: list[Entry]
     ) -> list[Entry]:
-        """An output file is about to be written; may rewrite ``aux``."""
+        """An output table is being built; may rewrite ``aux``."""
         return entries
 
     def on_level_inserted(self, level: int) -> None:

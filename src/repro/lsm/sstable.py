@@ -200,20 +200,18 @@ class SSTableBuilder:
         self._pending = bytearray()
         self._block_entries = []
 
-    def finish(self) -> SSTableMeta:
-        """Write the file and return its metadata."""
+    def build(self) -> BuiltTable:
+        """Cut the last block and return the table, not yet on disk."""
         self._cut_block()
         if not self._handles:
-            raise ValueError("cannot finish an empty SSTable")
+            raise ValueError("cannot build an empty SSTable")
         data = bytes(self._buf)
-        self.env.file_write(self.name, data)
-        self.env.file_fsync(self.name)  # a level's files must be durable
         bloom = BloomFilter.build(
             self._keys,
             self.bloom_bits_per_key,
             salt=derive_filter_salt(self.bloom_salt, self.file_no),
         )
-        return SSTableMeta(
+        meta = SSTableMeta(
             name=self.name,
             level=self.level,
             file_no=self.file_no,
@@ -225,6 +223,22 @@ class SSTableBuilder:
             size_bytes=len(data),
             compressed=self.compress,
         )
+        return BuiltTable(meta=meta, data=data)
+
+
+@dataclass
+class BuiltTable:
+    """An SSTable built in memory: its metadata and its file bytes."""
+
+    meta: SSTableMeta
+    data: bytes
+
+
+def write_table(env: ExecutionEnv, table: BuiltTable) -> SSTableMeta:
+    """Write and fsync a built table's file; returns its metadata."""
+    env.file_write(table.meta.name, table.data)
+    env.file_fsync(table.meta.name)  # a level's files must be durable
+    return table.meta
 
 
 def rebuild_meta(

@@ -35,13 +35,15 @@ def flush_ctx():
 
 
 def run_flush(listener, records):
-    """Drive a memtable-only flush through the listener hooks."""
+    """Drive a memtable-only flush through the listener hooks, up to the
+    install of its output."""
     ctx = flush_ctx()
     listener.on_compaction_begin(ctx)
     for record in records:
         listener.on_compaction_input_record(ctx, 0, record)
         listener.on_compaction_output_record(ctx, record)
     listener.on_compaction_finish(ctx)
+    listener.on_compaction_installed(ctx)
     return ctx
 
 
@@ -71,6 +73,8 @@ def test_compaction_verifies_untrusted_inputs(listener):
         listener.on_compaction_input_record(ctx, 1, record)
         listener.on_compaction_output_record(ctx, record)
     listener.on_compaction_finish(ctx)
+    assert listener.registry.get(1).leaf_count == 2  # not before the install
+    listener.on_compaction_installed(ctx)
     assert listener.registry.get(1).is_empty
     assert listener.registry.get(2).leaf_count == 2
 

@@ -5,6 +5,7 @@ import pytest
 from repro.lsm.compaction import Compactor
 from repro.lsm.events import CompactionContext, EventListener
 from repro.lsm.records import Record, tombstone
+from repro.lsm.sstable import write_table
 
 
 def entry(key, ts, value=b"v"):
@@ -43,7 +44,8 @@ def run_compaction(env, sources, **kw):
     listeners = kw.pop("listeners", ())
     compactor = make_compactor(env, listeners=listeners, **kw)
     context = ctx(inputs=[lvl for lvl, _ in sources], output=9, bottom=bottom)
-    metas = compactor.run(context, sources, namer)
+    _, tables = compactor.run(context, sources, namer)
+    metas = [write_table(env, table) for table in tables]
     out = []
     for meta in metas:
         for handle in meta.handles:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lsm.db import LSMConfig, LSMStore
 from repro.lsm.records import Record
-from repro.lsm.sstable import SSTableBuilder, rebuild_meta
+from repro.lsm.sstable import SSTableBuilder, rebuild_meta, write_table
 from repro.lsm.cache import ReadBuffer
 from repro.lsm.sstable import BlockFetcher
 from tests.conftest import make_p2_store, kv
@@ -19,7 +19,7 @@ def build(env, compress, n=80):
     )
     for i in range(n):
         builder.add(Record(key=b"key%04d" % i, ts=i + 1, value=COMPRESSIBLE))
-    return builder.finish()
+    return write_table(env, builder.build())
 
 
 def fetch(env, meta):

@@ -12,6 +12,7 @@ from repro.lsm.sstable import (
     SSTableBuilder,
     decode_entry,
     encode_entry,
+    write_table,
 )
 
 
@@ -25,7 +26,7 @@ def build_table(env, n=50, name="t1", block_bytes=256, protect=False, aux=b""):
     )
     for i in range(n):
         builder.add(rec(i), aux)
-    return builder.finish()
+    return write_table(env, builder.build())
 
 
 @given(
@@ -69,14 +70,14 @@ def test_same_key_versions_newest_first_ok(free_env):
     builder = SSTableBuilder(free_env, "t", level=1, file_no=1)
     builder.add(rec(5, ts=9))
     builder.add(rec(5, ts=3))  # older version after newer: valid
-    meta = builder.finish()
+    meta = builder.build().meta
     assert meta.record_count == 2
 
 
 def test_empty_table_rejected(free_env):
     builder = SSTableBuilder(free_env, "t", level=1, file_no=1)
     with pytest.raises(ValueError):
-        builder.finish()
+        builder.build()
 
 
 def test_block_for_key(free_env):

@@ -14,7 +14,12 @@ from repro.core.audit import audit_store
 from repro.core.digest import DigestRegistry
 from repro.lsm.cache import ReadBuffer
 from repro.lsm.records import Record
-from repro.lsm.sstable import BlockCorruptionError, BlockFetcher, SSTableBuilder
+from repro.lsm.sstable import (
+    BlockCorruptionError,
+    BlockFetcher,
+    SSTableBuilder,
+    write_table,
+)
 from repro.lsm.version import LevelRun
 from tests.conftest import kv, make_p1_store, make_p2_store
 
@@ -63,7 +68,7 @@ def _table(env, name, file_no, keys, compress=False, protect=False):
     )
     for i in keys:
         builder.add(Record(key=b"key%05d" % i, ts=i + 1, value=b"v%d" % i * 8), b"aux%d" % i)
-    return builder.finish()
+    return write_table(env, builder.build())
 
 
 def _charged(env, read):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from repro.lsm.cache import ReadBuffer
 from repro.lsm.records import Record
-from repro.lsm.sstable import BlockFetcher, ScopedBlockCache, SSTableBuilder
+from repro.lsm.sstable import (
+    BlockFetcher,
+    ScopedBlockCache,
+    SSTableBuilder,
+    write_table,
+)
 from repro.lsm.version import LevelRun
 from repro.sgx.env import ExecutionEnv
 from repro.sim.clock import SimClock
@@ -28,7 +33,7 @@ def build_run(env, groups, files=1, block_bytes=128):
         for key, ts_list in groups[start : start + per_file]:
             for ts in ts_list:
                 builder.add(Record(key=key, ts=ts, value=b"v%d" % ts))
-        metas.append(builder.finish())
+        metas.append(write_table(env, builder.build()))
     return LevelRun(1, metas)
 
 
@@ -146,10 +151,10 @@ def test_overlapping_tables_rejected(free_env):
     builder_a = SSTableBuilder(free_env, "o/a", level=1, file_no=1)
     builder_a.add(Record(key=b"a", ts=1))
     builder_a.add(Record(key=b"m", ts=2))
-    meta_a = builder_a.finish()
+    meta_a = write_table(free_env, builder_a.build())
     builder_b = SSTableBuilder(free_env, "o/b", level=1, file_no=2)
     builder_b.add(Record(key=b"k", ts=3))
-    meta_b = builder_b.finish()
+    meta_b = write_table(free_env, builder_b.build())
     with pytest.raises(ValueError):
         LevelRun(1, [meta_a, meta_b])
 
