@@ -180,31 +180,31 @@ def run_read_case(name: str) -> dict:
 
 GOLDEN: dict[str, dict] = {
     "p1-imm0-compact": {
-        "now_us": 18243.848437499764,
+        "now_us": 15420.12509765606,
         "disk_bytes": 10665,
         "stats": {
             "bytes_compacted": 48460,
-            "bytes_flushed": 11524,
+            "bytes_flushed": 301,
             "compactions": 10,
             "flushes": 10,
             "user_bytes_written": 10446,
         },
         "charges": {
             "compute": (1276.8000000000043, 503),
-            "crypto": (323.59130859375, 164),
-            "disk_write": (26.327734375000002, 52),
-            "dram_copy": (36.17138671875, 353),
+            "crypto": (296.19140625, 146),
+            "disk_write": (21.43515625, 34),
+            "dram_copy": (30.37353515625, 326),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (17.675781249999996, 26),
             "enclave_touch": (21.750000000000174, 435),
             "epc_page_fault": (700.0, 14),
-            "fsync": (7560.0, 63),
-            "hash": (453.90957031249883, 164),
-            "kernel_read": (96.0, 48),
-            "kernel_write": (762.5, 305),
-            "ocall": (3824.0, 478),
-            "ocall_copy": (115.74843749999998, 353),
+            "fsync": (5400.0, 45),
+            "hash": (413.8296874999991, 146),
+            "kernel_read": (78.0, 39),
+            "kernel_write": (717.5, 287),
+            "ocall": (3320.0, 415),
+            "ocall_copy": (97.19531249999976, 326),
         },
     },
     "p1-imm0-stack": {
@@ -236,31 +236,31 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p1-imm2-compact": {
-        "now_us": 10877.685644531195,
+        "now_us": 10551.827832031211,
         "disk_bytes": 14922,
         "stats": {
             "bytes_compacted": 43602,
-            "bytes_flushed": 10053,
+            "bytes_flushed": 0,
             "compactions": 8,
             "flushes": 7,
             "user_bytes_written": 10446,
         },
         "charges": {
             "compute": (1209.6000000000022, 447),
-            "crypto": (289.4140625, 142),
-            "disk_write": (26.625390625, 48),
-            "dram_copy": (32.56689453125, 335),
+            "crypto": (264.87060546875, 127),
+            "disk_write": (22.312890624999998, 34),
+            "dram_copy": (27.417236328125, 314),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_copy": (15.714062499999999, 22),
             "enclave_touch": (22.400000000000183, 448),
             "epc_page_fault": (250.0, 5),
-            "fsync": (6000.0, 50),
-            "hash": (404.0968749999993, 142),
-            "kernel_read": (80.0, 40),
-            "kernel_write": (737.5, 295),
-            "ocall": (3360.0, 420),
-            "ocall_copy": (104.21406249999977, 335),
+            "fsync": (4320.0, 36),
+            "hash": (368.6447265624995, 127),
+            "kernel_read": (66.0, 33),
+            "kernel_write": (702.5, 281),
+            "ocall": (2968.0, 371),
+            "ocall_copy": (87.7351562499997, 314),
         },
     },
     "p1-imm2-stack": {
@@ -292,34 +292,34 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm0-compact": {
-        "now_us": 21388.247041017028,
+        "now_us": 16131.908466795921,
         "disk_bytes": 80052,
         "dataset_hash": (
             "51e66057c6be41d985ff7e2b0e6b007e"
             "acff22152f7169c19562c78558cf897f"
         ),
         "stats": {
-            "bytes_compacted": 347209,
-            "bytes_flushed": 63473,
+            "bytes_compacted": 280894,
+            "bytes_flushed": 0,
             "compactions": 15,
             "flushes": 10,
             "user_bytes_written": 10446,
         },
         "charges": {
             "compute": (828.0000000000002, 297),
-            "disk_write": (163.713671875, 60),
-            "dram_copy": (185.195556640625, 338),
+            "disk_write": (112.16289062500002, 32),
+            "dram_copy": (121.289794921875, 296),
             "dram_touch": (4.779999999999986, 239),
             "ecall": (3024.0, 378),
             "ecall_copy": (21.234375000000124, 453),
             "enclave_touch": (15.200000000000081, 304),
             "epc_page_fault": (550.0, 11),
-            "fsync": (8520.0, 71),
-            "hash": (2818.997656250215, 4091),
-            "kernel_read": (50.0, 25),
-            "kernel_write": (782.5, 313),
-            "ocall": (3832.0, 479),
-            "ocall_copy": (592.62578125, 338),
+            "fsync": (5160.0, 43),
+            "hash": (2124.614062500117, 2988),
+            "kernel_read": (22.0, 11),
+            "kernel_write": (712.5, 285),
+            "ocall": (3048.0, 381),
+            "ocall_copy": (388.1273437500012, 296),
         },
     },
     "p2-imm0-stack": {
@@ -354,34 +354,34 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "p2-imm2-compact": {
-        "now_us": 11719.95642578065,
+        "now_us": 10769.166191405846,
         "disk_bytes": 79144,
         "dataset_hash": (
             "7105f506fd92af6bc0c99e1f73c35928"
             "4ed28314f53f71d657fa5eed72a0cf1e"
         ),
         "stats": {
-            "bytes_compacted": 274527,
-            "bytes_flushed": 60859,
+            "bytes_compacted": 216492,
+            "bytes_flushed": 0,
             "compactions": 11,
             "flushes": 7,
             "user_bytes_written": 10446,
         },
         "charges": {
             "compute": (808.7999999999998, 281),
-            "disk_write": (136.959765625, 52),
-            "dram_copy": (149.718017578125, 318),
+            "disk_write": (89.92031250000001, 32),
+            "dram_copy": (91.29150390625, 288),
             "dram_touch": (3.4200000000000026, 171),
             "ecall": (3024.0, 378),
             "ecall_copy": (14.532031250000008, 423),
             "enclave_touch": (16.300000000000097, 326),
             "epc_page_fault": (100.0, 2),
-            "fsync": (6480.0, 54),
-            "hash": (2326.7107421876467, 3403),
-            "kernel_read": (38.0, 19),
-            "kernel_write": (747.5, 299),
-            "ocall": (3288.0, 411),
-            "ocall_copy": (479.09765625000125, 318),
+            "fsync": (4080.0, 34),
+            "hash": (1711.7634765625621, 2428),
+            "kernel_read": (18.0, 9),
+            "kernel_write": (697.5, 279),
+            "ocall": (2728.0, 341),
+            "ocall_copy": (292.13281250000136, 288),
         },
     },
     "p2-imm2-stack": {
@@ -416,29 +416,29 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-enclave-imm0-compact": {
-        "now_us": 16247.138828124976,
+        "now_us": 13491.077939453126,
         "disk_bytes": 10626,
         "stats": {
             "bytes_compacted": 48460,
-            "bytes_flushed": 11524,
+            "bytes_flushed": 301,
             "compactions": 10,
             "flushes": 10,
             "user_bytes_written": 10446,
         },
         "charges": {
             "compute": (1276.8000000000043, 503),
-            "disk_write": (26.169531250000006, 47),
-            "dram_copy": (30.548828125, 318),
+            "disk_write": (21.32734375, 29),
+            "dram_copy": (24.782470703125, 291),
             "dram_touch": (2.940000000000002, 147),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_touch": (15.550000000000086, 311),
             "epc_page_fault": (550.0, 11),
-            "fsync": (6960.0, 58),
-            "kernel_read": (36.0, 18),
-            "kernel_write": (750.0, 300),
-            "ocall": (3472.0, 434),
-            "ocall_copy": (97.75624999999978, 318),
+            "fsync": (4800.0, 40),
+            "kernel_read": (18.0, 9),
+            "kernel_write": (705.0, 282),
+            "ocall": (2968.0, 371),
+            "ocall_copy": (79.30390624999974, 291),
         },
     },
     "plain-enclave-imm0-stack": {
@@ -468,29 +468,29 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-enclave-imm2-compact": {
-        "now_us": 9871.752451171902,
+        "now_us": 9561.851279296903,
         "disk_bytes": 14880,
         "stats": {
             "bytes_compacted": 43602,
-            "bytes_flushed": 10053,
+            "bytes_flushed": 0,
             "compactions": 8,
             "flushes": 7,
             "user_bytes_written": 10446,
         },
         "charges": {
             "compute": (1209.6000000000022, 447),
-            "disk_write": (26.509375000000006, 43),
-            "dram_copy": (27.583740234375, 304),
+            "disk_write": (22.234765625, 29),
+            "dram_copy": (22.457763671875, 283),
             "dram_touch": (1.640000000000001, 82),
             "ecall": (3024.0, 378),
             "ecall_copy": (5.374218749999972, 377),
             "enclave_touch": (18.75000000000013, 375),
             "epc_page_fault": (100.0, 2),
-            "fsync": (5400.0, 45),
-            "kernel_read": (28.0, 14),
-            "kernel_write": (725.0, 290),
-            "ocall": (3040.0, 380),
-            "ocall_copy": (88.26796874999971, 304),
+            "fsync": (3720.0, 31),
+            "kernel_read": (14.0, 7),
+            "kernel_write": (690.0, 276),
+            "ocall": (2648.0, 331),
+            "ocall_copy": (71.86484374999966, 283),
         },
     },
     "plain-enclave-imm2-stack": {
@@ -520,23 +520,23 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-imm0-compact": {
-        "now_us": 9082.458359375069,
+        "now_us": 6848.849814453136,
         "disk_bytes": 10626,
         "stats": {
             "bytes_compacted": 48460,
-            "bytes_flushed": 11524,
+            "bytes_flushed": 301,
             "compactions": 10,
             "flushes": 10,
             "user_bytes_written": 10446,
         },
         "charges": {
             "compute": (1276.8000000000043, 503),
-            "disk_write": (26.169531250000006, 47),
-            "dram_copy": (30.548828125, 318),
+            "disk_write": (21.32734375, 29),
+            "dram_copy": (24.782470703125, 291),
             "dram_touch": (2.940000000000002, 147),
-            "fsync": (6960.0, 58),
-            "kernel_read": (36.0, 18),
-            "kernel_write": (750.0, 300),
+            "fsync": (4800.0, 40),
+            "kernel_read": (18.0, 9),
+            "kernel_write": (705.0, 282),
         },
     },
     "plain-imm0-stack": {
@@ -560,24 +560,23 @@ GOLDEN: dict[str, dict] = {
         },
     },
     "plain-imm2-compact": {
-        "now_us": 4541.548789062488,
+        "now_us": 4054.8622167968692,
         "disk_bytes": 14880,
         "stats": {
             "bytes_compacted": 43602,
-            "bytes_flushed": 10053,
+            "bytes_flushed": 0,
             "compactions": 8,
             "flushes": 7,
             "user_bytes_written": 10446,
         },
         "charges": {
             "compute": (1209.6000000000022, 447),
-            "disk_write": (26.509375000000006, 43),
-            "dram_copy": (27.583740234375, 304),
+            "disk_write": (22.234765625, 29),
+            "dram_copy": (22.457763671875, 283),
             "dram_touch": (1.640000000000001, 82),
-            "flush_wait": (237.1854003906251, 2),
-            "fsync": (5400.0, 45),
-            "kernel_read": (28.0, 14),
-            "kernel_write": (725.0, 290),
+            "fsync": (3720.0, 31),
+            "kernel_read": (14.0, 7),
+            "kernel_write": (690.0, 276),
         },
     },
     "plain-imm2-stack": {
