@@ -25,7 +25,6 @@ from repro.lsm.memtable import SkipListMemTable
 from repro.lsm.records import KIND_DELETE, KIND_PUT, Record
 from repro.lsm.sstable import (
     BlockFetcher,
-    BuiltTable,
     Entry,
     SSTableMeta,
     rebuild_meta,
@@ -959,13 +958,10 @@ class LSMStore:
             is_bottom_level=is_bottom,
         )
         chain = [ctx]
-        records, tables = self._merge_step(ctx, sources)
-        while merge_on and (
-            sum(table.meta.size_bytes for table in tables)
-            > self._level_capacity(output)
-        ):
+        records, metas = self._merge_step(ctx, sources, merge_on)
+        while metas is None:
             sources = [(output, [(record, b"") for record in records])]
-            del records, tables  # the built tables go unwritten
+            del records
             emptied.append(output)
             output += 1
             run = self._levels.get(output)
@@ -979,10 +975,7 @@ class LSMStore:
                 held=ctx,
             )
             chain.append(ctx)
-            records, tables = self._merge_step(ctx, sources)
-        metas = []
-        while tables:  # a built table is dropped once it is on disk
-            metas.append(write_table(self.env, tables.pop(0)))
+            records, metas = self._merge_step(ctx, sources, merge_on)
         written = sum(meta.size_bytes for meta in metas)
         if ctx.kind == "flush":
             self.stats.bytes_flushed += written
@@ -1002,10 +995,15 @@ class LSMStore:
             self.env.crash_point("compaction.after_install")
 
     def _merge_step(
-        self, ctx: CompactionContext, sources: list[tuple[int, Iterable[Entry]]]
-    ) -> tuple[list[Record], list[BuiltTable]]:
-        """One merge of a chain: its output records and its tables, built
-        in memory."""
+        self,
+        ctx: CompactionContext,
+        sources: list[tuple[int, Iterable[Entry]]],
+        merge_on: bool,
+    ) -> tuple[list[Record], list[SSTableMeta] | None]:
+        """One merge of a chain: its output records, and its tables'
+        metadata once written.  The tables are built in memory; with
+        ``merge_on``, an output over its level's capacity goes on to the
+        next merge and its tables are dropped unwritten (None)."""
         span = (
             self._tracer.span(
                 "lsm.compaction",
@@ -1017,14 +1015,17 @@ class LSMStore:
         )
         with span as open_span:
             records, tables = self._compactor.run(ctx, sources, self._next_file)
+            built = sum(table.meta.size_bytes for table in tables)
             if open_span is not None:
-                open_span.set(
-                    output_bytes=sum(table.meta.size_bytes for table in tables),
-                    output_files=len(tables),
-                )
-        if ctx.kind == "compaction":
-            self.stats.compactions += 1
-        return records, tables
+                open_span.set(output_bytes=built, output_files=len(tables))
+            if ctx.kind == "compaction":
+                self.stats.compactions += 1
+            if merge_on and built > self._level_capacity(ctx.output_level):
+                return records, None
+            metas = []
+            while tables:  # a built table is dropped once it is on disk
+                metas.append(write_table(self.env, tables.pop(0)))
+        return records, metas
 
     def compact_level(self, level: int) -> None:
         """Merge level ``level`` into ``level + 1`` (authenticated in eLSM)."""
