@@ -72,21 +72,21 @@ def read_telemetry_digest(name: str) -> str:
 
 
 PINNED: dict[str, str] = {
-    "p2-imm0-compact": "600d602a4a9db9edf2a82724dca9af3599c5b0954cbf37702ac3cd2c84a20c3b",
+    "p2-imm0-compact": "d100c0e180a3f1b984936f391307e873c305eb4ba234a0013133161f92b9a8a4",
     "p2-imm0-stack": "5037af6efef3faab1b861a221e2258100fac25a7d9bb77074973e7e017d0f192",
-    "p2-imm2-compact": "45f32ed5da385bd57234bf60856d3a1ef5306729d3f8b76fe70914084d51048e",
+    "p2-imm2-compact": "b13bdbdbe8cfbd17b74497281d10c4804d38e927653d4777cc497c2ff5870715",
     "p2-imm2-stack": "9fa98e06cd4274599b6583ce24ead68175c683dbcc1d4e10881390a7cbdc91fe",
-    "p1-imm0-compact": "b1b9d3d7d93ee8a417935cdb675c57672d1647fe64069d90865002e2976b3c59",
+    "p1-imm0-compact": "be6f02949d2ee036a9c17fab1b034c1a25879881eb7b759fcb3f3a44e152f9bb",
     "p1-imm0-stack": "60ceabaa61708f0187df1715bf2912b670d75332ac85bd94fd6406a2151b1e58",
-    "p1-imm2-compact": "6f3fba99484768bb66c1f24b83855c9d9c9ec1161d57ed87f0217bc0e94c7aca",
+    "p1-imm2-compact": "8ce4b4876ff01740f833768c0e52a90575a1271db7a15f11df4890a1a54ad550",
     "p1-imm2-stack": "3bea6015437872949d7be5e1f817549ee56c48678a8a8f457df976624dea263b",
-    "plain-enclave-imm0-compact": "08d8d02b371f1c63763413bf58ee284296ab9b5995e6517debc7a40d50e07ae6",
+    "plain-enclave-imm0-compact": "03b154423789f788aa302a556aaa7bedcdf2039f2d7534b43fa42cf1011271ee",
     "plain-enclave-imm0-stack": "f835edfb4effe4141784f43d3bb32b71241c8aea8c01879bfcf24e23c2c14bf5",
-    "plain-enclave-imm2-compact": "27d7e93b61b8ce9b4d72f7dc5d218145450a0bb3a3a2cfa7ebb7928a317ee90c",
+    "plain-enclave-imm2-compact": "c8d9826a8549e5949ca6e29205f55fdab9235ed84e218ef5a4a512a146268472",
     "plain-enclave-imm2-stack": "d7fd34a62da25599a05b06227e5ee7978419a77db3d3d3ff8da66b7e21bf74e3",
-    "plain-imm0-compact": "a1c246641b8417e812b354c7aa50520baa8acdc93d7f3567d0bad51ef3dbc1b4",
+    "plain-imm0-compact": "b5e8ced7aa65bf02d32bfef493ef50ac7c8079c699d2b32b145affa503637ca7",
     "plain-imm0-stack": "f845965b7c04ccd14baabe275478ba83b2d89331ee8e298229d09052448e41f9",
-    "plain-imm2-compact": "d7cc92f98ec4a350de3cdd49468c08ca07c89a4cd9a79b1d249171534f403923",
+    "plain-imm2-compact": "02c9a8b074b6eee0d79e55d2c5259dc5e74390aa1224d523567ce6e72e3af035",
     "plain-imm2-stack": "d57abfba633667e39f3fb334a41676e8ba576890f44c99f5bbf6ede8ef4edb9b",
 }
 
