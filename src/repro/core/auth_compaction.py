@@ -82,8 +82,7 @@ class AuthCompactionListener(EventListener):
     # Authenticated COMPACTION (steps m1-m3)
     # ------------------------------------------------------------------
     def on_compaction_begin(self, ctx: CompactionContext) -> None:
-        """Create one digester per untrusted input level plus the output
-        digester; take over the held output's tree, if any."""
+        """Create one digester per untrusted input level plus the output digester."""
         charge = self.env.trusted_hash
         ctx.state["input_digesters"] = {
             level: StreamingLevelDigester(on_hash=charge)
@@ -95,8 +94,6 @@ class AuthCompactionListener(EventListener):
         # fires the output hook on the same object right after, so a
         # surviving record is encoded once.
         ctx.state["last_input"] = (None, b"")
-        if ctx.held is not None:
-            ctx.state["held_tree"] = ctx.held.state.pop("output_tree")
 
     def on_compaction_input_record(
         self, ctx: CompactionContext, level_id: int, record: Record
@@ -119,11 +116,13 @@ class AuthCompactionListener(EventListener):
 
     def on_compaction_finish(self, ctx: CompactionContext) -> None:
         """Verify every untrusted input root, then digest the output."""
-        # a) authenticate every untrusted input level; a held output is
-        #    trusted as the enclave built it.
+        # a) authenticate every untrusted input level; a held output's
+        #    tree is trusted as the previous merge built it.  (Trees are
+        #    popped once used: a chain keeps its contexts until it
+        #    installs.)
         input_trees = []
         if ctx.held is not None:
-            input_trees.append(ctx.state.pop("held_tree"))
+            input_trees.append(ctx.held.state.pop("output_tree"))
         for level, digester in ctx.state.pop("input_digesters").items():
             tree = digester.finalize()
             trusted = self.registry.get(level)
@@ -194,7 +193,7 @@ class AuthCompactionListener(EventListener):
                 cursor[0] = group_index + 1
                 cursor[1] = 0
         if cursor[0] == len(tree.groups):
-            del ctx.state["output_paths"]  # every proof is embedded
+            del ctx.state["output_paths"]  # every proof embedded; free them
         return annotated
 
     # ------------------------------------------------------------------

@@ -961,7 +961,6 @@ class LSMStore:
         records, metas = self._merge_step(ctx, sources, merge_on)
         while metas is None:
             sources = [(output, [(record, b"") for record in records])]
-            del records
             emptied.append(output)
             output += 1
             run = self._levels.get(output)
