@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "82d3d195c82cf36680916d4e0a6b92c72d6607046164f2e27e31cf6a44a1c352"
+INDEX_DIGEST = "2f748613361a86a5d75df8c483c7a3122a96cf7cbeba4fb4180bef2ca0a324db"
 
 
 def _pinned(name: str) -> bool:

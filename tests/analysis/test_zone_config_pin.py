@@ -23,7 +23,7 @@ from repro.analysis import load_zone_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-CONFIG_DIGEST = "5759344f31a0a088e2edb3ce847286e95bfc742bd16a39a70aa84ceeebc63544"
+CONFIG_DIGEST = "9af36141e93430ce45f2f6e998015d12f26755f0b97d4a8845290027177da892"
 
 
 def config_digest() -> str:
