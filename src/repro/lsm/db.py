@@ -1019,7 +1019,7 @@ class LSMStore:
                 open_span.set(output_bytes=built, output_files=len(tables))
             if ctx.kind == "compaction":
                 self.stats.compactions += 1
-            if merge_on and built > self._level_capacity(ctx.output_level):
+            if merge_on and self._over_capacity(ctx.output_level, built):
                 return records, None
             metas = []
             while tables:  # a built table is dropped once it is on disk
@@ -1083,14 +1083,17 @@ class LSMStore:
             run = self._levels.get(level)
             if run is None:
                 break
-            if not run.is_empty and run.total_bytes > self._level_capacity(level):
+            if not run.is_empty and self._over_capacity(level, run.total_bytes):
                 # An over-capacity deepest level spills into a brand-new
                 # deeper level; that is how the tree grows with the data.
                 self._compact([level, level + 1], merge_on=True)
             level += 1
 
-    def _level_capacity(self, level: int) -> int:
-        return self.config.level1_max_bytes * LEVEL_SIZE_RATIO ** (level - 1)
+    def _over_capacity(self, level: int, nbytes: int) -> bool:
+        """Whether ``nbytes`` at ``level`` goes on to the next level."""
+        return nbytes > self.config.level1_max_bytes * LEVEL_SIZE_RATIO ** (
+            level - 1
+        )
 
     def _is_bottom(self, level: int) -> bool:
         return all(
