@@ -688,8 +688,11 @@ class LSMStore:
         """
         if self.env.enclave is None:
             return
-        region_bytes = max(1, self.env.enclave.region_bytes(_MEMTABLE_REGION))
-        offset = zlib.crc32(key) % region_bytes
+        region_bytes = self.env.enclave.region_bytes(_MEMTABLE_REGION)
+        # An insert lands in the active table, laid out above the frozen
+        # immutables; only a lookup reads those.
+        base = sum(t.approximate_bytes for t in self.immutables) if write else 0
+        offset = base + zlib.crc32(key) % max(1, region_bytes - base)
         self.env.meta_touch(_MEMTABLE_REGION, offset, nbytes, write=write)
 
     # ------------------------------------------------------------------

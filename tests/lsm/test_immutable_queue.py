@@ -119,3 +119,26 @@ def test_legacy_mode_still_flushes_inline():
     assert not store.db.immutables
     assert store.db._rotations == 0
     assert store.db.stats.flushes >= 1
+
+
+def test_inserts_do_not_page_in_queued_tables():
+    """An insert writes the active table only.  With frozen tables queued
+    past the EPC's size, inserts that stay in the active table fault in
+    at most its own pages, not the frozen ones'."""
+    from repro.sim.costs import PAGE_SIZE
+
+    store = pipelined_store(max_immutable_memtables=4, write_buffer_bytes=8192)
+    pager = store.db.env.enclave.pager
+    i = 0
+    while len(store.db.immutables) < 4:
+        store.put(*kv(i))
+        i += 1
+    queued = sum(t.approximate_bytes for t in store.db.immutables)
+    assert queued > pager.capacity_pages * PAGE_SIZE
+    faults = pager.fault_count
+    while store.db.memtable.approximate_bytes < 4096:
+        store.put(*kv(i))
+        i += 1
+    assert len(store.db.immutables) == 4  # no rotation, no flush
+    active_pages = -(-store.db.memtable.approximate_bytes // PAGE_SIZE) + 1
+    assert pager.fault_count - faults <= active_pages
