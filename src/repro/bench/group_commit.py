@@ -29,13 +29,7 @@ from repro.ycsb.distributions import ScrambledZipfianGenerator
 
 GROUP_SIZE = 64
 #: Pipelined us/PUT must beat sequential us/PUT by at least this factor.
-#: The sequential side runs its flushes and compactions on the foreground,
-#: so cheaper maintenance shrinks the factor while the pipelined us/PUT
-#: stays put: 3.49x when the bar was set at 3.0, 2.68x once a flush's
-#: compaction chain is written once (the pipelined side at 14.82 us/PUT
-#: throughout that change).  The pipelined path's own regression gate is
-#: the committed batch_us row.
-MIN_SPEEDUP_X = 2.5
+MIN_SPEEDUP_X = 3.0
 
 GC_PARAMS = {"records": 2000, "distinct_keys": 600}
 
