@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "2f748613361a86a5d75df8c483c7a3122a96cf7cbeba4fb4180bef2ca0a324db"
+INDEX_DIGEST = "036074da4515289b73614007a8328cc35bab405668c38773f99b09093369e8a5"
 
 
 def _pinned(name: str) -> bool:
