@@ -201,15 +201,18 @@ def _located(index, findings, rules) -> list[tuple[str, str, str]]:
 
 
 def test_must_walk_rules_fire_on_mutated_tree(mutated_repo):
-    """EL602, EL810 and EL811 each catch one seeded defect in the real code.
+    """EL501, EL602, EL810 and EL811 each catch one seeded defect in the
+    real code.
 
-    Three edits in one copy: mutate the memtable right after freezing it;
+    Four edits in one copy: mutate the memtable right after freezing it;
     drop shadowed records before they reach the Filter() hook; publish
-    the manifest before the authenticated merge runs.  (The early publish
+    the manifest before the authenticated merge runs; recover from a
+    sealed blob without unsealing (MAC-checking) it.  (The early publish
     also drifts the cost certificate; this lock ignores EL803.)
     """
     from repro.analysis.concurrency import run_concurrency
     from repro.analysis.costmodel import run_costmodel
+    from repro.analysis.taint import run_taint
 
     def mutate(root: Path) -> None:
         _edit(
@@ -236,14 +239,25 @@ def test_must_walk_rules_fire_on_mutated_tree(mutated_repo):
             "        self._install_run(output, [])\n"
             "        with span as open_span:\n",
         )
+        _edit(
+            root,
+            "core/store_p2.py",
+            "payload = unseal(self.enclave, load_blob(self.env, self._seal_name(seq)))",
+            "payload = load_blob(self.env, self._seal_name(seq))",
+        )
 
     index = mutated_repo(mutate)
     fired = _located(
         index,
-        run_concurrency(index) + run_costmodel(index),
-        ("EL602", "EL810", "EL811"),
+        run_concurrency(index) + run_costmodel(index) + run_taint(index),
+        ("EL501", "EL602", "EL810", "EL811"),
     )
     assert fired == [
+        (
+            "EL501",
+            "src/repro/core/store_p2.py",
+            'self.registry.load_payload(payload["registry"])',
+        ),
         ("EL602", "src/repro/lsm/db.py", "self.memtable.clear()"),
         (
             "EL810",
