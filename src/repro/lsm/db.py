@@ -1123,8 +1123,6 @@ class LSMStore:
                 self.fetcher.invalidate_file(meta.name)
                 self._pending_deletes.append(meta.name)
         self._levels[level] = LevelRun(level, metas)
-        for listener in self.listeners:
-            listener.on_level_replaced(level)
 
     def _install_run(self, level: int, metas: list[SSTableMeta]) -> None:
         self._replace_run(level, metas)

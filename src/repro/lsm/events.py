@@ -16,8 +16,8 @@ them — no engine changes.  We expose the same surface:
   output root is computed;
 * ``on_compaction_installed`` is where that root takes effect, once the
   merge's output is installed;
-* ``on_level_inserted`` / ``on_level_replaced`` track level lifecycle so
-  a digest registry can shadow the manifest.
+* ``on_level_inserted`` tracks level insertion so a digest registry
+  can shadow the manifest.
 """
 
 from __future__ import annotations
@@ -93,6 +93,3 @@ class EventListener:
 
     def on_level_inserted(self, level: int) -> None:
         """A new level was inserted at ``level`` (deeper levels shifted)."""
-
-    def on_level_replaced(self, level: int) -> None:
-        """The run at ``level`` was replaced by a compaction output."""

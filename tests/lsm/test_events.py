@@ -62,8 +62,8 @@ def test_full_hook_sequence(free_env):
             events.append("file")
             return entries
 
-        def on_level_replaced(self, level):
-            events.append("replaced")
+        def on_compaction_installed(self, ctx):
+            events.append("installed")
 
     store = LSMStore(
         free_env,
@@ -79,7 +79,7 @@ def test_full_hook_sequence(free_env):
     assert body.index("input") < body.index("output")
     assert body.index("output") < body.index("finish")
     assert body.index("finish") < body.index("file")
-    assert body.index("file") < body.index("replaced")
+    assert body.index("file") < body.index("installed")
     assert events[-1] == "wal_reset"
 
 
@@ -105,8 +105,8 @@ def test_flush_then_compaction_sequences(free_env):
             events.append((ctx.kind, "file"))
             return entries
 
-        def on_level_replaced(self, level):
-            events.append(("*", "replaced"))
+        def on_compaction_installed(self, ctx):
+            events.append((ctx.kind, "installed"))
 
     store = LSMStore(
         free_env,
@@ -116,19 +116,19 @@ def test_flush_then_compaction_sequences(free_env):
     for i in range(20):
         store.put(b"key%03d" % i, b"v" * 10)
     store.flush()
-    flush_hooks = [hook for kind, hook in events if kind in ("flush", "*")]
+    flush_hooks = [hook for kind, hook in events if kind == "flush"]
     assert flush_hooks[0] == "begin"
     assert flush_hooks.count("input") == 20
     assert flush_hooks.count("output") == 20
     # Records stream through the merge: inputs and outputs interleave,
     # but every record is read before it is written out...
     assert flush_hooks.index("input") < flush_hooks.index("output")
-    # ...and the tail is strictly finish -> file -> replaced.
-    assert flush_hooks[-3:] == ["finish", "file", "replaced"]
+    # ...and the tail is strictly finish -> file -> installed.
+    assert flush_hooks[-3:] == ["finish", "file", "installed"]
 
     events.clear()
     store.compact_level(1)
-    kinds = {kind for kind, _ in events if kind != "*"}
+    kinds = {kind for kind, _ in events}
     assert kinds == {"compaction"}
     hooks = [hook for _, hook in events]
     assert hooks[0] == "begin"
@@ -142,8 +142,8 @@ def test_flush_then_compaction_sequences(free_env):
         "finish"
     )
     assert hooks.index("finish") < hooks.index("file")
-    assert hooks.index("file") < hooks.index("replaced")
-    assert hooks[-1] == "replaced"
+    assert hooks.index("file") < hooks.index("installed")
+    assert hooks[-1] == "installed"
 
 
 def test_stacking_mode_fires_level_inserted(free_env):
