@@ -28,7 +28,7 @@ from repro.analysis.engine import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-INDEX_DIGEST = "036074da4515289b73614007a8328cc35bab405668c38773f99b09093369e8a5"
+INDEX_DIGEST = "0fe691848d7f61408f045b1e19903fb174a7e70443b2b51bdadb83da6b1a3045"
 
 
 def _pinned(name: str) -> bool:
