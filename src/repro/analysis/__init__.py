@@ -33,7 +33,7 @@ pluggable policy must satisfy.
 
 These passes share one copy of their machinery
 (:mod:`repro.analysis.flow`): call sites resolved once per function by
-the call graph, the must-walker, the callee memo, graph reachability,
+the call graph, the statement walker, the callee memo, graph reachability,
 and :func:`~repro.analysis.rules.findings_from`, the one funnel from a
 pass's ``(rule, path, line, message)`` tuples to sorted findings.
 

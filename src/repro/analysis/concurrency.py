@@ -30,7 +30,7 @@ work they charge models another core).  Reachability is
 :func:`~repro.analysis.flow.closure` over the call graph's per-function
 call sites, widened for virtual dispatch (a call resolving to a
 base-class method also reaches every same-named override).  EL602's
-freeze-then-mutate check is a :class:`~repro.analysis.flow.MustWalk`.
+freeze-then-mutate check is a :class:`~repro.analysis.flow.Walk`.
 
 Lock identity is *name-based*: ``lock:_lock`` accepts any ``with
 x._lock:`` block and any function all of whose reachable call chains
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from repro.analysis.callgraph import CallGraph, get_callgraph
 from repro.analysis.engine import NodeIndex, ProjectIndex
-from repro.analysis.flow import MustWalk, _chain_of, closure
+from repro.analysis.flow import Walk, _chain_of, closure
 from repro.analysis.model import Finding
 from repro.analysis.rules import _handler_names, findings_from
 from repro.analysis.zones import ConcurrencyConfig
@@ -748,7 +748,7 @@ def _is_monotone_fork(start: ast.expr, nodes: NodeIndex) -> bool:
     return bool(bindings) and all(id(node) in max_bound for node in bindings)
 
 
-class _FreezeWalk(MustWalk):
+class _FreezeWalk(Walk):
     """EL602 freeze-then-mutate: the state is the set of name chains
     (``self.memtable``) frozen on every path so far."""
 

@@ -28,9 +28,10 @@ nowhere contribute zero (a documented under-approximation: the
 untrusted prover's host-side work is deliberately outside the enclave
 cost certificate), and calls matching ``amortized`` patterns
 (``_maybe_flush``) are certified under their own entry point instead of
-every caller's.  EL810/EL811 are must-checks on the shared
-:class:`~repro.analysis.flow.MustWalk`, where a loop over a declared
-``unit_loops`` registry (``self.listeners``) runs its body once.
+every caller's.  The certificates and the EL810/EL811 must-checks
+walk code through the shared :class:`~repro.analysis.flow.Walk`, where
+a loop over a declared ``unit_loops`` registry (``self.listeners``)
+runs its body once.
 
 Rules:
 
@@ -62,10 +63,10 @@ from repro.analysis.flow import (
     CalleeMemo,
     Effects,
     Matcher,
-    MustWalk,
+    Walk,
     _chain_of,
-    _FuncDef,
     _terminals,
+    ends_in_jump,
     is_unit_loop,
 )
 from repro.analysis.model import Finding
@@ -94,7 +95,13 @@ class _Cost:
     hi: dict[str, list[int]] = field(default_factory=dict)
     #: (effect, degree) -> {(relpath, line, display)}
     sites: dict[tuple[str, int], set] = field(default_factory=dict)
-    terminates: bool = False
+
+    def copy(self) -> "_Cost":
+        return _Cost(
+            {effect: list(row) for effect, row in self.lo.items()},
+            {effect: list(row) for effect, row in self.hi.items()},
+            {key: set(sites) for key, sites in self.sites.items()},
+        )
 
     def _row(self, table: dict[str, list[int]], effect: str) -> list[int]:
         row = table.get(effect)
@@ -119,18 +126,15 @@ class _Cost:
             mine = self._row(self.lo, effect)
             for d in range(MAX_DEGREE + 1):
                 mine[d] = _sat(mine[d] + row[d])
-        self._add_hi(other)
+        self.add_upper(other)
 
-    def _add_hi(self, other: "_Cost") -> None:
+    def add_upper(self, other: "_Cost") -> None:
+        """The other region may run (short circuit): hi only."""
         for effect, row in other.hi.items():
             mine = self._row(self.hi, effect)
             for d in range(MAX_DEGREE + 1):
                 mine[d] = _sat(mine[d] + row[d])
         self._merge_sites(other)
-
-    def add_upper(self, other: "_Cost") -> None:
-        """The other region may run (terminating path): hi only."""
-        self._add_hi(other)
 
     def widen_upper(self, other: "_Cost") -> None:
         """Alternative region (exception handler): hi = max, lo kept."""
@@ -143,7 +147,7 @@ class _Cost:
     def shifted(self) -> "_Cost":
         """Region runs once per item: every degree moves up one (n^2
         absorbs deeper nesting)."""
-        out = _Cost(terminates=False)
+        out = _Cost()
         for table, mine in ((self.lo, out.lo), (self.hi, out.hi)):
             for effect, row in table.items():
                 shifted = [0] * (MAX_DEGREE + 1)
@@ -162,39 +166,29 @@ class _Cost:
         return sum(self.hi.get(effect, ()))
 
 
-def _join(a: _Cost, b: _Cost, guard: bool) -> _Cost:
-    """Branch join.  ``guard`` marks a configured happy-path test: the
-    richer branch is assumed taken, so ``lo`` joins with max instead of
-    min (``if self.wal is not None: ... fsync()`` keeps its fsync)."""
+def _join(
+    a: _Cost, b: _Cost, guard: bool, a_ends: bool = False, b_ends: bool = False
+) -> _Cost:
+    """Branch join.  A branch that ends its path (``a_ends``: it
+    returns, raises, breaks or continues) leaves ``lo`` to the other.
+    ``guard`` marks a configured happy-path test: the richer branch is
+    assumed taken, so ``lo`` joins with max instead of min
+    (``if self.wal is not None: ... fsync()`` keeps its fsync)."""
     out = _Cost()
-    if a.terminates and not b.terminates:
-        lo_pick = "b"
-    elif b.terminates and not a.terminates:
-        lo_pick = "a"
-    else:
-        lo_pick = "max" if guard else "min"
-    effects = set(a.lo) | set(b.lo) | set(a.hi) | set(b.hi)
     zero = [0] * (MAX_DEGREE + 1)
-    for effect in effects:
-        a_lo = a.lo.get(effect, zero)
-        b_lo = b.lo.get(effect, zero)
-        if lo_pick == "a":
-            lo = list(a_lo)
-        elif lo_pick == "b":
-            lo = list(b_lo)
-        elif lo_pick == "max":
-            lo = [max(x, y) for x, y in zip(a_lo, b_lo)]
+    pick = max if guard else min
+    for effect in set(a.lo) | set(b.lo) | set(a.hi) | set(b.hi):
+        a_lo, b_lo = a.lo.get(effect, zero), b.lo.get(effect, zero)
+        if a_ends != b_ends:
+            out.lo[effect] = list(b_lo if a_ends else a_lo)
         else:
-            lo = [min(x, y) for x, y in zip(a_lo, b_lo)]
-        hi = [
+            out.lo[effect] = [pick(x, y) for x, y in zip(a_lo, b_lo)]
+        out.hi[effect] = [
             max(x, y)
             for x, y in zip(a.hi.get(effect, zero), b.hi.get(effect, zero))
         ]
-        out.lo[effect] = lo
-        out.hi[effect] = hi
     out._merge_sites(a)
     out._merge_sites(b)
-    out.terminates = a.terminates and b.terminates
     return out
 
 
@@ -227,8 +221,15 @@ class CostAnalysisResult:
     missing: dict[str, str] = field(default_factory=dict)
 
 
-class CostAnalysis:
-    """The loop-structure-aware abstract interpreter."""
+class CostAnalysis(Walk):
+    """The loop-structure-aware abstract interpreter.
+
+    The state is the :class:`_Cost` of the path so far.  Branches join
+    through :func:`_join`; the loop rule walks a body from zero and
+    adds it one degree up (a ``while`` test runs again each iteration);
+    an ``except`` handler widens the upper bound only; a jump ends the
+    rest of its block (:meth:`ends`).
+    """
 
     def __init__(self, index: ProjectIndex, graph: CallGraph) -> None:
         self.index = index
@@ -242,101 +243,43 @@ class CostAnalysis:
         self.summary = CalleeMemo(self._summarize, _Cost)
 
     def _summarize(self, qual: str) -> _Cost:
-        cost = self._block(self.graph.functions[qual].node.body)
-        cost.terminates = False
-        return cost
+        return self.block(self.graph.functions[qual].node.body, _Cost())
 
     # ------------------------------------------------------------------
-    # Statement walking
+    # Statement transfers (the walk is flow.Walk's)
     # ------------------------------------------------------------------
-    def _block(self, stmts: list[ast.stmt]) -> _Cost:
-        cost = _Cost()
-        for stmt in stmts:
-            sc = self._stmt(stmt)
-            cost.add(sc)
-            if sc.terminates:
-                cost.terminates = True
-                break
+    def expr(self, node: ast.expr, cost: _Cost) -> _Cost:
+        cost.add(self._expr(node))
         return cost
 
-    def _stmt(self, stmt: ast.stmt) -> _Cost:
-        if isinstance(stmt, ast.If):
-            cost = self._expr(stmt.test)
-            guard = bool(_terminals(stmt.test) & self.guard_terms)
-            cost.add(
-                _join(self._block(stmt.body), self._block(stmt.orelse), guard)
-            )
-            return cost
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            cost = self._expr(stmt.iter)
-            body = self._block(stmt.body)
-            body.terminates = False  # break/continue are loop-local
-            if is_unit_loop(self.unit_loops, stmt.iter):
-                cost.add(body)
-            else:
-                cost.add(body.shifted())
-            cost.add(self._block(stmt.orelse))
-            return cost
-        if isinstance(stmt, ast.While):
-            head = self._expr(stmt.test)
-            body = self._block(stmt.body)
-            body.add(head)  # test re-evaluated each iteration
-            body.terminates = False
-            cost = self._expr(stmt.test)
-            cost.add(body.shifted())
-            cost.add(self._block(stmt.orelse))
-            return cost
-        if isinstance(stmt, ast.Try):
-            cost = self._block(stmt.body)
-            terminates = cost.terminates
-            cost.terminates = False
-            for handler in stmt.handlers:
-                cost.widen_upper(self._block(handler.body))
-            if not terminates:
-                cost.add(self._block(stmt.orelse))
-                terminates = cost.terminates
-            final = self._block(stmt.finalbody)
-            cost.terminates = False
-            cost.add(final)
-            cost.terminates = terminates or final.terminates
-            return cost
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            cost = _Cost()
-            for item in stmt.items:
-                cost.add(self._expr(item.context_expr))
-            body = self._block(stmt.body)
-            cost.add(body)
-            cost.terminates = body.terminates
-            return cost
-        if isinstance(stmt, ast.Return):
-            cost = self._expr(stmt.value) if stmt.value else _Cost()
-            cost.terminates = True
-            return cost
-        if isinstance(stmt, ast.Raise):
-            cost = _Cost()
-            if stmt.exc is not None:
-                cost.add(self._expr(stmt.exc))
-            cost.terminates = True
-            return cost
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return _Cost(terminates=True)
-        if isinstance(stmt, (*_FuncDef, ast.ClassDef)):
-            return _Cost()  # definitions execute nothing
-        if isinstance(stmt, ast.Match):
-            cost = self._expr(stmt.subject)
-            joined: _Cost | None = None
-            for case in stmt.cases:
-                branch = self._block(case.body)
-                joined = branch if joined is None else _join(joined, branch, False)
-            if joined is not None:
-                # A match may fall through every case unmatched.
-                cost.add(_join(joined, _Cost(), False))
-            return cost
-        cost = _Cost()
+    def simple(self, stmt: ast.stmt, cost: _Cost) -> _Cost:
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.expr):
                 cost.add(self._expr(child))
         return cost
+
+    def join(self, a: _Cost, b: _Cost) -> _Cost:
+        return _join(a, b, False)
+
+    def join_branches(self, stmt: ast.If, body: _Cost, orelse: _Cost) -> _Cost:
+        guard = bool(_terminals(stmt.test) & self.guard_terms)
+        return _join(
+            body, orelse, guard, ends_in_jump(stmt.body), ends_in_jump(stmt.orelse)
+        )
+
+    def join_handler(self, joined: _Cost, caught: _Cost) -> _Cost:
+        joined.widen_upper(caught)
+        return joined
+
+    def loop(self, stmt: ast.stmt, cost: _Cost) -> _Cost:
+        body = self.block(stmt.body, _Cost())
+        if isinstance(stmt, ast.While):
+            self.expr(stmt.test, body)  # the test runs again each iteration
+        cost.add(body.shifted())
+        return cost
+
+    def ends(self, stmt: ast.stmt) -> bool:
+        return ends_in_jump([stmt])
 
     # ------------------------------------------------------------------
     # Expression walking
@@ -630,7 +573,7 @@ def run_costmodel(index: ProjectIndex) -> list[Finding]:
     return findings_from(raw)
 
 
-class _DriverWalk(MustWalk):
+class _DriverWalk(Walk):
     """EL811: the state is ``{"done"}`` where a ``done_by`` call (the
     authenticated merge) already ran on every path; a ``publish`` call
     (the manifest) anywhere else is a finding."""

@@ -1,13 +1,14 @@
 """Machinery shared by the dataflow passes.
 
 The taint (EL5xx), concurrency (EL6xx), protocol (EL7xx) and cost
-(EL8xx) passes differ only in their lattice, their transfer function
-and their loop rule.  Everything else exists once, here:
+(EL8xx) passes differ only in their lattice, their transfers, their
+joins and their loop rule.  Everything else exists once, here:
 
 * :class:`Matcher` and :class:`Effects` — call patterns matched against
   a resolved call site (:meth:`~repro.analysis.callgraph.CallGraph.site`);
-* :class:`MustWalk` — the statement walker for "established on every
-  path" checks (EL602 freeze-then-mutate, EL701-EL703, EL810, EL811);
+* :class:`Walk` — the one statement dispatcher: taint, the cost
+  certificates and the "established on every path" checks (EL602
+  freeze-then-mutate, EL701-EL703, EL810, EL811) walk code through it;
 * :class:`CalleeMemo` — per-function summaries with a recursion guard;
 * :func:`closure` — reachability over any successor function (call
   graph, reverse call graph, import graph).
@@ -122,6 +123,23 @@ def is_unit_loop(unit_loops: Matcher | None, iterable: ast.expr) -> bool:
     return bool(unit_loops and chain and unit_loops.match(None, ".".join(chain)))
 
 
+def ends_in_jump(stmts: list[ast.stmt]) -> bool:
+    """Does ``stmts`` hold a ``return``, ``raise``, ``break`` or
+    ``continue``, directly or in the body of a ``with``, or in the body
+    or ``finally`` of a ``try``?  Statements after it are not on the
+    block's fall-through path.  Branches and loops are not looked into."""
+    for stmt in stmts:
+        if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
+            return True
+        if isinstance(stmt, (ast.With, ast.AsyncWith)) and ends_in_jump(stmt.body):
+            return True
+        if isinstance(stmt, ast.Try) and (
+            ends_in_jump(stmt.body) or ends_in_jump(stmt.finalbody)
+        ):
+            return True
+    return False
+
+
 class CalleeMemo:
     """Per-function summaries, each computed once by ``compute(qual)``.
 
@@ -151,28 +169,31 @@ class CalleeMemo:
         return result
 
 
-class MustWalk:
-    """One statement walker for "established on every path" checks.
+class Walk:
+    """The one statement dispatcher every dataflow pass walks code with.
 
-    The state holds the facts established on every path so far.  Each
-    branch walks its own ``state.copy()`` and the branches meet in
-    :meth:`join` (set intersection unless overridden; an ``if`` joins
-    through :meth:`join_branches`, which sees the test).  ``try``
-    handlers start from the state before the ``try`` and join the body;
-    ``else`` and ``finally`` follow the join.  Nested ``def``/``class``
-    bodies are skipped (:meth:`nested`).
+    Only this class branches on compound statements, and it fixes their
+    order: an ``if`` evaluates its test, walks each branch from its own
+    ``state.copy()`` and joins them (:meth:`join_branches`); a loop binds
+    its head, runs its body by the pass's :meth:`loop` rule, then its
+    ``else``; a ``try`` walks its body, starts each handler from the
+    state before the ``try`` (:meth:`catch`), joins the handlers in
+    (:meth:`join_handler`), then walks ``else`` and ``finally``; a
+    ``with`` binds its items and walks its body; a ``match`` evaluates
+    its subject and joins every case with the unmatched fall-through;
+    a nested ``def``/``class`` goes to :meth:`nested`.  After each
+    statement :meth:`ends` may stop the rest of the block.
 
-    The loop rule: the body of a loop over a declared unit iterable
-    (``unit_loops``, e.g. ``self.listeners``) runs once, straight-line.
-    Any other body may run zero times or repeat, so it is walked twice
-    (the second pass sees facts carried round the back edge) and the
-    result joins the entry state.
-
-    Subclasses define :meth:`expr` — the transfer for an expression a
-    compound statement evaluates (an ``if`` test, a loop iterable, a
-    ``with`` item) — and may override :meth:`simple`, the transfer for a
-    simple statement.  Both may update the state in place; both return
-    it.
+    A pass supplies :meth:`expr`, the transfer for an expression (a
+    test, an iterable, a ``with`` item), and may override the other
+    hooks.  Transfers may update the state in place; all return it.
+    The defaults serve the "established on every path" checks (EL602,
+    EL701-EL703, EL810, EL811): branches intersect, and the loop rule
+    walks the body twice (the second pass sees facts carried round the
+    back edge) and joins the entry state, since a body may run zero
+    times or repeat.  Whatever a pass's own rule, the body of a ``for``
+    over a declared unit iterable (``unit_loops``, e.g.
+    ``self.listeners``) runs once, straight-line.
     """
 
     unit_loops: Matcher | None = None
@@ -180,36 +201,42 @@ class MustWalk:
     def block(self, stmts: list[ast.stmt], state):
         for stmt in stmts:
             state = self.stmt(stmt, state)
+            if self.ends(stmt):
+                break
         return state
 
     def stmt(self, stmt: ast.stmt, state):
         if isinstance(stmt, ast.If):
             state = self.expr(stmt.test, state)
             return self.join_branches(
-                stmt.test,
+                stmt,
                 self.block(stmt.body, state.copy()),
                 self.block(stmt.orelse, state.copy()),
             )
-        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            head = stmt.test if isinstance(stmt, ast.While) else stmt.iter
-            state = self.expr(head, state)
-            if not isinstance(stmt, ast.While) and is_unit_loop(
-                self.unit_loops, head
-            ):
-                state = self.block(stmt.body, state)
-            else:
-                once = self.block(stmt.body, state.copy())
-                state = self.join(state, self.block(stmt.body, once))
-            return self.block(stmt.orelse, state)
+        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+            state = self.bind(stmt.target, stmt.iter, state)
+            if is_unit_loop(self.unit_loops, stmt.iter):
+                return self.block(stmt.orelse, self.block(stmt.body, state))
+            return self.block(stmt.orelse, self.loop(stmt, state))
+        if isinstance(stmt, ast.While):
+            state = self.expr(stmt.test, state)
+            return self.block(stmt.orelse, self.loop(stmt, state))
         if isinstance(stmt, ast.Try):
             joined = self.block(stmt.body, state.copy())
             for handler in stmt.handlers:
-                joined = self.join(joined, self.block(handler.body, state.copy()))
+                caught = self.block(handler.body, self.catch(handler, state.copy()))
+                joined = self.join_handler(joined, caught)
             return self.block(stmt.finalbody, self.block(stmt.orelse, joined))
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                state = self.expr(item.context_expr, state)
+                state = self.bind(item.optional_vars, item.context_expr, state)
             return self.block(stmt.body, state)
+        if isinstance(stmt, ast.Match):
+            state = self.expr(stmt.subject, state)
+            joined = state  # no case may match
+            for case in stmt.cases:
+                joined = self.join(joined, self.block(case.body, state.copy()))
+            return joined
         if isinstance(stmt, (*_FuncDef, ast.ClassDef)):
             return self.nested(stmt, state)
         return self.simple(stmt, state)
@@ -220,11 +247,28 @@ class MustWalk:
     def simple(self, stmt: ast.stmt, state):
         return self.expr(stmt, state)
 
+    def bind(self, target: ast.expr | None, value: ast.expr, state):
+        """A loop head or ``with`` item: ``value`` evaluated into ``target``."""
+        return self.expr(value, state)
+
     def join(self, a, b):
         return a & b
 
-    def join_branches(self, test: ast.expr, body, orelse):
+    def join_branches(self, stmt: ast.If, body, orelse):
         return self.join(body, orelse)
+
+    def join_handler(self, joined, caught):
+        return self.join(joined, caught)
+
+    def catch(self, handler: ast.ExceptHandler, state):
+        return state
+
+    def loop(self, stmt: ast.For | ast.AsyncFor | ast.While, state):
+        once = self.block(stmt.body, state.copy())
+        return self.join(state, self.block(stmt.body, once))
 
     def nested(self, stmt: ast.stmt, state):
         return state
+
+    def ends(self, stmt: ast.stmt) -> bool:
+        return False

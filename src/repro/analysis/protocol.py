@@ -23,7 +23,7 @@ intraprocedurally:
   bijection stays honest — if a state transition cannot be crashed
   into, the recovery tests cannot witness it).
 
-The walk is :class:`~repro.analysis.flow.MustWalk`'s (branches, loops,
+The walk is :class:`~repro.analysis.flow.Walk`'s (branches, loops,
 handlers): established effects intersect at joins while pending crash
 coverage and before-return obligations union.  An ``if`` whose test
 names a declared guard terminal (``if self.wal is not None: ... sync()``)
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import CallGraph, get_callgraph
 from repro.analysis.engine import ProjectIndex
-from repro.analysis.flow import CalleeMemo, Effects, MustWalk, _terminals
+from repro.analysis.flow import CalleeMemo, Effects, Walk, _terminals
 from repro.analysis.model import Finding
 from repro.analysis.rules import findings_from
 
@@ -140,7 +140,7 @@ class ProtocolAnalysis:
         return _Summary(walk.paired, state.pending, state.established)
 
 
-class _Walk(MustWalk):
+class _Walk(Walk):
     """One function body: checked on its own, or walked as a callee
     summary (``sentinel``: findings are left to the callee's own walk)."""
 
@@ -194,9 +194,9 @@ class _Walk(MustWalk):
             owed=a.owed | b.owed,
         )
 
-    def join_branches(self, test: ast.expr, body: _State, orelse: _State) -> _State:
+    def join_branches(self, stmt: ast.If, body: _State, orelse: _State) -> _State:
         joined = self.join(body, orelse)
-        terminals = _terminals(test)
+        terminals = _terminals(stmt.test)
         for effect in body.established - joined.established:
             if set(self.analysis.cfg.guards.get(effect, ())) & terminals:
                 joined.established.add(effect)

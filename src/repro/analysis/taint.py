@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from repro.analysis.callgraph import CallGraph, FunctionNode, get_callgraph
 from repro.analysis.engine import ProjectIndex
-from repro.analysis.flow import Matcher, closure
+from repro.analysis.flow import Matcher, Walk, closure
 from repro.analysis.model import Finding
 from repro.analysis.rules import findings_from
 from repro.analysis.zones import TaintConfig, Zone
@@ -127,6 +127,7 @@ class TaintAnalysis:
         self.m_untrusted_sinks = Matcher(config.untrusted_sinks)
         self.m_verifiers = Matcher(config.verifiers)
         self.summaries: dict[str, Summary] = {}
+        self.children: dict[ast.expr, list[ast.expr]] = {}
         #: module -> Zone, memoised (zone_of walks every pattern).
         self.zone_of = functools.cache(index.config.zone_of)
 
@@ -185,8 +186,13 @@ class TaintAnalysis:
 # ----------------------------------------------------------------------
 # Intraprocedural transfer functions
 # ----------------------------------------------------------------------
-class _Analyzer:
-    """One flow-sensitive pass over one function body."""
+class _Analyzer(Walk):
+    """One flow-sensitive pass over one function body.
+
+    The state is an environment: name (or ``self.<attr>``) -> :class:`Val`.
+    Branches join by union; the loop rule runs a body twice, joining the
+    entry state each time, so loop-carried taint reaches round two.
+    """
 
     def __init__(
         self,
@@ -214,7 +220,7 @@ class _Analyzer:
                 labels = UNTRUSTED
                 origins = frozenset({(UNTRUSTED, f"parameter {name!r}")})
             env[name] = Val(labels, frozenset({i}), origins)
-        self.exec_stmts(self.fn.node.body, env)
+        self.block(self.fn.node.body, env)
         return Summary(
             ret_labels=self.ret.labels,
             ret_params=self.ret.params,
@@ -222,13 +228,13 @@ class _Analyzer:
         )
 
     # ------------------------------------------------------------------
-    # Statements
+    # Statement transfers (the walk is flow.Walk's)
     # ------------------------------------------------------------------
-    def exec_stmts(self, stmts: list[ast.stmt], env: dict[str, Val]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt, env)
+    def expr(self, node: ast.expr, env: dict[str, Val]) -> dict[str, Val]:
+        self.eval(node, env)
+        return env
 
-    def exec_stmt(self, stmt: ast.stmt, env: dict[str, Val]) -> None:
+    def simple(self, stmt: ast.stmt, env: dict[str, Val]) -> dict[str, Val]:
         if isinstance(stmt, ast.Expr):
             self.eval(stmt.value, env)
             if isinstance(stmt.value, ast.Call):
@@ -237,61 +243,25 @@ class _Analyzer:
             val = self.eval(stmt.value, env)
             for target in stmt.targets:
                 self.assign(target, val, env)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self.assign(stmt.target, self.eval(stmt.value, env), env)
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            self.assign(stmt.target, self.eval(stmt.value, env), env)
         elif isinstance(stmt, ast.AugAssign):
             val = self.eval(stmt.value, env)
             old = self.eval(stmt.target, env)
             self.assign(stmt.target, _join(old, val), env)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self.ret = _join(self.ret, self.eval(stmt.value, env))
-        elif isinstance(stmt, ast.Raise):
-            self._exec_raise(stmt, env)
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test, env)
-            then_env = dict(env)
-            self.exec_stmts(stmt.body, then_env)
-            else_env = dict(env)
-            self.exec_stmts(stmt.orelse, else_env)
-            env.clear()
-            env.update(self._join_envs(then_env, else_env))
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_val = self.eval(stmt.iter, env)
-            self.assign(stmt.target, iter_val, env)
-            self._exec_loop(stmt.body, env)
-            self.exec_stmts(stmt.orelse, env)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test, env)
-            self._exec_loop(stmt.body, env)
-            self.exec_stmts(stmt.orelse, env)
-        elif isinstance(stmt, ast.Try):
-            self.exec_stmts(stmt.body, env)
-            base = dict(env)
-            for handler in stmt.handlers:
-                handler_env = dict(base)
-                if handler.name:
-                    handler_env[handler.name] = CLEAN
-                self.exec_stmts(handler.body, handler_env)
-                env.update(self._join_envs(env, handler_env))
-            self.exec_stmts(stmt.orelse, env)
-            self.exec_stmts(stmt.finalbody, env)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                ctx = self.eval(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self.assign(item.optional_vars, ctx, env)
-            self.exec_stmts(stmt.body, env)
-        elif isinstance(stmt, ast.Match):
-            self.eval(stmt.subject, env)
-            merged = dict(env)
-            for case in stmt.cases:
-                case_env = dict(env)
-                self.exec_stmts(case.body, case_env)
-                merged = self._join_envs(merged, case_env)
-            env.clear()
-            env.update(merged)
+        elif isinstance(stmt, ast.Return) and stmt.value is not None:
+            self.ret = _join(self.ret, self.eval(stmt.value, env))
+        elif isinstance(stmt, ast.Raise) and stmt.exc is not None:
+            val = self.eval(stmt.exc, env)
+            if val.labels & SECRET:
+                self._report(
+                    "EL502",
+                    stmt.lineno,
+                    f"enclave secret ({_origin_names(val, SECRET)}) flows into an "
+                    f"exception message; exceptions cross into untrusted logs",
+                )
+            for param in val.params:
+                self.param_sinks.add((param, "untrusted", "exception message"))
         elif isinstance(stmt, ast.Assert):
             self.eval(stmt.test, env)
             if stmt.msg is not None:
@@ -300,35 +270,35 @@ class _Analyzer:
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
                     env.pop(target.id, None)
-        # FunctionDef/ClassDef/Import/Global/Pass/Break/Continue: no flow.
+        # Import/Global/Pass/Break/Continue: no flow.
+        return env
 
-    def _exec_loop(self, body: list[ast.stmt], env: dict[str, Val]) -> None:
-        """Run a loop body twice so loop-carried taint reaches round two."""
+    def bind(
+        self, target: ast.expr | None, value: ast.expr, env: dict[str, Val]
+    ) -> dict[str, Val]:
+        val = self.eval(value, env)
+        if target is not None:
+            self.assign(target, val, env)
+        return env
+
+    def catch(
+        self, handler: ast.ExceptHandler, env: dict[str, Val]
+    ) -> dict[str, Val]:
+        if handler.name:
+            env[handler.name] = CLEAN
+        return env
+
+    def loop(self, stmt: ast.stmt, env: dict[str, Val]) -> dict[str, Val]:
         for _ in range(2):
-            body_env = dict(env)
-            self.exec_stmts(body, body_env)
-            env.update(self._join_envs(env, body_env))
+            env = self.join(env, self.block(stmt.body, dict(env)))
+        return env
 
     @staticmethod
-    def _join_envs(a: dict[str, Val], b: dict[str, Val]) -> dict[str, Val]:
+    def join(a: dict[str, Val], b: dict[str, Val]) -> dict[str, Val]:
         out = dict(a)
         for key, val in b.items():
             out[key] = _join(out.get(key, CLEAN), val)
         return out
-
-    def _exec_raise(self, stmt: ast.Raise, env: dict[str, Val]) -> None:
-        if stmt.exc is None:
-            return
-        val = self.eval(stmt.exc, env)
-        if val.labels & SECRET:
-            self._report(
-                "EL502",
-                stmt.lineno,
-                f"enclave secret ({_origin_names(val, SECRET)}) flows into an "
-                f"exception message; exceptions cross into untrusted logs",
-            )
-        for param in val.params:
-            self.param_sinks.add((param, "untrusted", "exception message"))
 
     def assign(self, target: ast.expr, val: Val, env: dict[str, Val]) -> None:
         if isinstance(target, ast.Name):
@@ -365,15 +335,6 @@ class _Analyzer:
             return self._eval_attribute(node, env)
         if isinstance(node, ast.Call):
             return self._eval_call(node, env)
-        if isinstance(node, ast.BinOp):
-            return _join(self.eval(node.left, env), self.eval(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            return self.eval(node.operand, env)
-        if isinstance(node, ast.BoolOp):
-            out = CLEAN
-            for value in node.values:
-                out = _join(out, self.eval(value, env))
-            return out
         if isinstance(node, ast.Compare):
             # A comparison yields a bool: the check itself, not the data.
             self.eval(node.left, env)
@@ -383,44 +344,12 @@ class _Analyzer:
         if isinstance(node, ast.IfExp):
             self.eval(node.test, env)
             return _join(self.eval(node.body, env), self.eval(node.orelse, env))
-        if isinstance(node, ast.Subscript):
-            return _join(self.eval(node.value, env), self.eval(node.slice, env))
-        if isinstance(node, ast.Slice):
-            out = CLEAN
-            for part in (node.lower, node.upper, node.step):
-                if part is not None:
-                    out = _join(out, self.eval(part, env))
-            return out
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            out = CLEAN
-            for elt in node.elts:
-                out = _join(out, self.eval(elt, env))
-            return out
-        if isinstance(node, ast.Dict):
-            out = CLEAN
-            for key in node.keys:
-                if key is not None:
-                    out = _join(out, self.eval(key, env))
-            for value in node.values:
-                out = _join(out, self.eval(value, env))
-            return out
-        if isinstance(node, ast.JoinedStr):
-            out = CLEAN
-            for part in node.values:
-                out = _join(out, self.eval(part, env))
-            return out
-        if isinstance(node, ast.FormattedValue):
-            return self.eval(node.value, env)
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             return self._eval_comprehension(node.generators, [node.elt], env)
         if isinstance(node, ast.DictComp):
             return self._eval_comprehension(
                 node.generators, [node.key, node.value], env
             )
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value, env)
-        if isinstance(node, ast.Await):
-            return self.eval(node.value, env)
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             if node.value is not None:
                 val = self.eval(node.value, env)
@@ -432,7 +361,17 @@ class _Analyzer:
             return val
         if isinstance(node, ast.Lambda):
             return CLEAN
-        return CLEAN
+        # Operators, containers, subscripts, slices, f-strings, starred
+        # and awaited values: the join of the children.
+        children = self.engine.children.get(node)
+        if children is None:
+            children = self.engine.children[node] = [
+                child for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr)
+            ]
+        out = CLEAN
+        for child in children:
+            out = _join(out, self.eval(child, env))
+        return out
 
     def _eval_comprehension(
         self,

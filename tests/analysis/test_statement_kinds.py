@@ -81,6 +81,26 @@ def test_taint_flows_through_statement_kind(project, kind):
     assert "host_read" in findings[0].message
 
 
+def test_taint_handler_starts_before_the_try(project):
+    """An ``except`` handler starts from the state before its ``try``,
+    as in every pass: a verifier that raises leaves the host bytes in
+    ``blob``, and a handler that does not leave the path hands them to
+    the sink after the ``try``."""
+    source = REGISTRY_AND_SOURCES + """
+    def install(registry: Registry, root):
+        blob = host_read("manifest")
+        try:
+            blob = verify_get(blob, root)
+        except ValueError:
+            pass
+        registry.set(0, blob)  # sink
+    """
+    path = project.add_module("enc.flows", source)
+    sink_line = path.read_text().splitlines().index("    registry.set(0, blob)  # sink") + 1
+    findings = project.lint(["EL501"])
+    assert [(f.rule, f.line) for f in findings] == [("EL501", sink_line)]
+
+
 WALK_ZONES = FIXTURE_ZONES + """
 
 [costmodel]
