@@ -267,7 +267,9 @@ class CostAnalysis(Walk):
             body, orelse, guard, ends_in_jump(stmt.body), ends_in_jump(stmt.orelse)
         )
 
-    def join_handler(self, joined: _Cost, caught: _Cost) -> _Cost:
+    def join_handler(
+        self, handler: ast.ExceptHandler, joined: _Cost, caught: _Cost
+    ) -> _Cost:
         joined.widen_upper(caught)
         return joined
 

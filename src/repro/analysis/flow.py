@@ -225,7 +225,7 @@ class Walk:
             joined = self.block(stmt.body, state.copy())
             for handler in stmt.handlers:
                 caught = self.block(handler.body, self.catch(handler, state.copy()))
-                joined = self.join_handler(joined, caught)
+                joined = self.join_handler(handler, joined, caught)
             return self.block(stmt.finalbody, self.block(stmt.orelse, joined))
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
@@ -257,7 +257,7 @@ class Walk:
     def join_branches(self, stmt: ast.If, body, orelse):
         return self.join(body, orelse)
 
-    def join_handler(self, joined, caught):
+    def join_handler(self, handler: ast.ExceptHandler, joined, caught):
         return self.join(joined, caught)
 
     def catch(self, handler: ast.ExceptHandler, state):

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from repro.analysis.callgraph import CallGraph, FunctionNode, get_callgraph
 from repro.analysis.engine import ProjectIndex
-from repro.analysis.flow import Matcher, Walk, closure
+from repro.analysis.flow import Matcher, Walk, closure, ends_in_jump
 from repro.analysis.model import Finding
 from repro.analysis.rules import findings_from
 from repro.analysis.zones import TaintConfig, Zone
@@ -287,6 +287,14 @@ class _Analyzer(Walk):
         if handler.name:
             env[handler.name] = CLEAN
         return env
+
+    def join_handler(
+        self, handler: ast.ExceptHandler, joined: dict[str, Val], caught: dict[str, Val]
+    ) -> dict[str, Val]:
+        # A handler that raises or returns never reaches the code after
+        # the try: ``except E: raise`` around a verifier keeps its
+        # verdict.
+        return joined if ends_in_jump(handler.body) else self.join(joined, caught)
 
     def loop(self, stmt: ast.stmt, env: dict[str, Val]) -> dict[str, Val]:
         for _ in range(2):

@@ -101,6 +101,22 @@ def test_taint_handler_starts_before_the_try(project):
     assert [(f.rule, f.line) for f in findings] == [("EL501", sink_line)]
 
 
+def test_taint_handler_that_raises_does_not_reach_past_the_try(project):
+    """Fail closed: a handler that raises never reaches the sink, so the
+    verified value is all that does."""
+    source = REGISTRY_AND_SOURCES + """
+    def install(registry: Registry, root):
+        blob = host_read("manifest")
+        try:
+            blob = verify_get(blob, root)
+        except ValueError:
+            raise RuntimeError("unverified manifest")
+        registry.set(0, blob)
+    """
+    project.add_module("enc.flows", source)
+    assert project.lint(["EL501"]) == []
+
+
 WALK_ZONES = FIXTURE_ZONES + """
 
 [costmodel]
