@@ -68,6 +68,7 @@ from repro.analysis.flow import (
     _terminals,
     ends_in_jump,
     is_unit_loop,
+    reached,
 )
 from repro.analysis.model import Finding
 from repro.analysis.rules import findings_from
@@ -228,7 +229,7 @@ class CostAnalysis(Walk):
     through :func:`_join`; the loop rule walks a body from zero and
     adds it one degree up (a ``while`` test runs again each iteration);
     an ``except`` handler widens the upper bound only; a jump ends the
-    rest of its block (:meth:`ends`).
+    rest of its block (:func:`~repro.analysis.flow.reached`).
     """
 
     def __init__(self, index: ProjectIndex, graph: CallGraph) -> None:
@@ -280,8 +281,8 @@ class CostAnalysis(Walk):
         cost.add(body.shifted())
         return cost
 
-    def ends(self, stmt: ast.stmt) -> bool:
-        return ends_in_jump([stmt])
+    def block(self, stmts: list[ast.stmt], cost: _Cost) -> _Cost:
+        return super().block(reached(stmts), cost)
 
     # ------------------------------------------------------------------
     # Expression walking

@@ -1,7 +1,7 @@
 """Machinery shared by the dataflow passes.
 
 The taint (EL5xx), concurrency (EL6xx), protocol (EL7xx) and cost
-(EL8xx) passes differ only in their lattice, their transfers, their
+(EL8xx) passes differ only in their state, their transfers, their
 joins and their loop rule.  Everything else exists once, here:
 
 * :class:`Matcher` and :class:`Effects` — call patterns matched against
@@ -24,6 +24,15 @@ from fnmatch import fnmatchcase
 from typing import Callable, Iterable
 
 _FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: The statements :meth:`Walk.stmt` walks into; the rest are simple.
+_COMPOUND = frozenset(
+    {
+        ast.If, ast.For, ast.AsyncFor, ast.While, ast.Try, ast.With,
+        ast.AsyncWith, ast.Match, ast.FunctionDef, ast.AsyncFunctionDef,
+        ast.ClassDef,
+    }
+)
 
 
 def _chain_of(node: ast.expr) -> list[str]:
@@ -140,6 +149,14 @@ def ends_in_jump(stmts: list[ast.stmt]) -> bool:
     return False
 
 
+def reached(stmts: list[ast.stmt]) -> list[ast.stmt]:
+    """``stmts`` up to the first that :func:`ends_in_jump`, inclusive."""
+    for i, stmt in enumerate(stmts):
+        if ends_in_jump([stmt]):
+            return stmts[: i + 1]
+    return stmts
+
+
 class CalleeMemo:
     """Per-function summaries, each computed once by ``compute(qual)``.
 
@@ -181,8 +198,7 @@ class Walk:
     (:meth:`join_handler`), then walks ``else`` and ``finally``; a
     ``with`` binds its items and walks its body; a ``match`` evaluates
     its subject and joins every case with the unmatched fall-through;
-    a nested ``def``/``class`` goes to :meth:`nested`.  After each
-    statement :meth:`ends` may stop the rest of the block.
+    a nested ``def``/``class`` goes to :meth:`nested`.
 
     A pass supplies :meth:`expr`, the transfer for an expression (a
     test, an iterable, a ``with`` item), and may override the other
@@ -201,11 +217,11 @@ class Walk:
     def block(self, stmts: list[ast.stmt], state):
         for stmt in stmts:
             state = self.stmt(stmt, state)
-            if self.ends(stmt):
-                break
         return state
 
     def stmt(self, stmt: ast.stmt, state):
+        if type(stmt) not in _COMPOUND:
+            return self.simple(stmt, state)
         if isinstance(stmt, ast.If):
             state = self.expr(stmt.test, state)
             return self.join_branches(
@@ -237,9 +253,7 @@ class Walk:
             for case in stmt.cases:
                 joined = self.join(joined, self.block(case.body, state.copy()))
             return joined
-        if isinstance(stmt, (*_FuncDef, ast.ClassDef)):
-            return self.nested(stmt, state)
-        return self.simple(stmt, state)
+        return self.nested(stmt, state)  # a def or class
 
     def expr(self, node: ast.AST, state):
         raise NotImplementedError
@@ -269,6 +283,3 @@ class Walk:
 
     def nested(self, stmt: ast.stmt, state):
         return state
-
-    def ends(self, stmt: ast.stmt) -> bool:
-        return False
