@@ -190,8 +190,9 @@ class Walk:
     """The one statement dispatcher every dataflow pass walks code with.
 
     Only this class branches on compound statements, and it fixes their
-    order: an ``if`` evaluates its test, walks each branch from its own
-    ``state.copy()`` and joins them (:meth:`join_branches`); a loop binds
+    order: an ``if`` evaluates its test, walks its body from a
+    ``state.copy()`` and its ``else`` from the state itself, and joins
+    them (:meth:`join_branches`); a loop binds
     its head, runs its body by the pass's :meth:`loop` rule, then its
     ``else``; a ``try`` walks its body, starts each handler from the
     state before the ``try`` (:meth:`catch`), joins the handlers in
@@ -224,11 +225,8 @@ class Walk:
             return self.simple(stmt, state)
         if isinstance(stmt, ast.If):
             state = self.expr(stmt.test, state)
-            return self.join_branches(
-                stmt,
-                self.block(stmt.body, state.copy()),
-                self.block(stmt.orelse, state.copy()),
-            )
+            body = self.block(stmt.body, state.copy())
+            return self.join_branches(stmt, body, self.block(stmt.orelse, state))
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             state = self.bind(stmt.target, stmt.iter, state)
             if is_unit_loop(self.unit_loops, stmt.iter):
