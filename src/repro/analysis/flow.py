@@ -192,14 +192,14 @@ class Walk:
     Only this class branches on compound statements, and it fixes their
     order: an ``if`` evaluates its test, walks its body from a
     ``state.copy()`` and its ``else`` from the state itself, and joins
-    them (:meth:`join_branches`); a loop binds
-    its head, runs its body by the pass's :meth:`loop` rule, then its
-    ``else``; a ``try`` walks its body, starts each handler from the
-    state before the ``try`` (:meth:`catch`), joins the handlers in
-    (:meth:`join_handler`), then walks ``else`` and ``finally``; a
-    ``with`` binds its items and walks its body; a ``match`` evaluates
-    its subject and joins every case with the unmatched fall-through;
-    a nested ``def``/``class`` goes to :meth:`nested`.
+    them (:meth:`join_branches`); a loop binds its head, runs its body
+    by the pass's :meth:`loop` rule, then its ``else``; a ``try`` walks
+    its body, starts each handler from the state before the ``try``
+    (:meth:`catch`), joins the handlers in (:meth:`join_handler`), then
+    walks ``else`` and ``finally``; a ``with`` binds its items and walks
+    its body; a ``match`` evaluates its subject and joins every case
+    with the unmatched fall-through; a nested ``def``/``class`` goes to
+    :meth:`nested`.
 
     A pass supplies :meth:`expr`, the transfer for an expression (a
     test, an iterable, a ``with`` item), and may override the other
