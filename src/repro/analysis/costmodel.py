@@ -68,7 +68,6 @@ from repro.analysis.flow import (
     _terminals,
     ends_in_jump,
     is_unit_loop,
-    reached,
 )
 from repro.analysis.model import Finding
 from repro.analysis.rules import findings_from
@@ -229,7 +228,7 @@ class CostAnalysis(Walk):
     through :func:`_join`; the loop rule walks a body from zero and
     adds it one degree up (a ``while`` test runs again each iteration);
     an ``except`` handler widens the upper bound only; a jump ends the
-    rest of its block (:func:`~repro.analysis.flow.reached`).
+    rest of its block (:func:`~repro.analysis.flow.ends_in_jump`).
     """
 
     def __init__(self, index: ProjectIndex, graph: CallGraph) -> None:
@@ -282,7 +281,11 @@ class CostAnalysis(Walk):
         return cost
 
     def block(self, stmts: list[ast.stmt], cost: _Cost) -> _Cost:
-        return super().block(reached(stmts), cost)
+        for stmt in stmts:
+            cost = self.stmt(stmt, cost)
+            if ends_in_jump([stmt]):
+                break  # the rest of the block is not on this path
+        return cost
 
     # ------------------------------------------------------------------
     # Expression walking

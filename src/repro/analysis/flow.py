@@ -25,16 +25,6 @@ from typing import Callable, Iterable
 
 _FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-#: The statements :meth:`Walk.stmt` walks into; the rest are simple.
-_COMPOUND = frozenset(
-    {
-        ast.If, ast.For, ast.AsyncFor, ast.While, ast.Try, ast.With,
-        ast.AsyncWith, ast.Match, ast.FunctionDef, ast.AsyncFunctionDef,
-        ast.ClassDef,
-    }
-)
-
-
 def _chain_of(node: ast.expr) -> list[str]:
     """``a.b.c`` -> ["a", "b", "c"]; [] for anything not a name chain."""
     parts: list[str] = []
@@ -132,29 +122,27 @@ def is_unit_loop(unit_loops: Matcher | None, iterable: ast.expr) -> bool:
     return bool(unit_loops and chain and unit_loops.match(None, ".".join(chain)))
 
 
-def ends_in_jump(stmts: list[ast.stmt]) -> bool:
-    """Does ``stmts`` hold a ``return``, ``raise``, ``break`` or
-    ``continue``, directly or in the body of a ``with``, or in the body
-    or ``finally`` of a ``try``?  Statements after it are not on the
-    block's fall-through path.  Branches and loops are not looked into."""
+_JUMPS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
+
+
+def ends_in_jump(stmts: list[ast.stmt], jumps: tuple[type, ...] = _JUMPS) -> bool:
+    """Does ``stmts`` hold one of ``jumps`` (by default ``return``,
+    ``raise``, ``break`` or ``continue``), directly or in the body of a
+    ``with``, or in the body or ``finally`` of a ``try``?  Statements
+    after it are not on the block's fall-through path.  Branches and
+    loops are not looked into."""
     for stmt in stmts:
-        if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
+        if isinstance(stmt, jumps):
             return True
-        if isinstance(stmt, (ast.With, ast.AsyncWith)) and ends_in_jump(stmt.body):
+        if isinstance(stmt, (ast.With, ast.AsyncWith)) and ends_in_jump(
+            stmt.body, jumps
+        ):
             return True
         if isinstance(stmt, ast.Try) and (
-            ends_in_jump(stmt.body) or ends_in_jump(stmt.finalbody)
+            ends_in_jump(stmt.body, jumps) or ends_in_jump(stmt.finalbody, jumps)
         ):
             return True
     return False
-
-
-def reached(stmts: list[ast.stmt]) -> list[ast.stmt]:
-    """``stmts`` up to the first that :func:`ends_in_jump`, inclusive."""
-    for i, stmt in enumerate(stmts):
-        if ends_in_jump([stmt]):
-            return stmts[: i + 1]
-    return stmts
 
 
 class CalleeMemo:
@@ -189,28 +177,20 @@ class CalleeMemo:
 class Walk:
     """The one statement dispatcher every dataflow pass walks code with.
 
-    Only this class branches on compound statements, and it fixes their
-    order: an ``if`` evaluates its test, walks its body from a
-    ``state.copy()`` and its ``else`` from the state itself, and joins
-    them (:meth:`join_branches`); a loop binds its head, runs its body
-    by the pass's :meth:`loop` rule, then its ``else``; a ``try`` walks
-    its body, starts each handler from the state before the ``try``
-    (:meth:`catch`), joins the handlers in (:meth:`join_handler`), then
-    walks ``else`` and ``finally``; a ``with`` binds its items and walks
-    its body; a ``match`` evaluates its subject and joins every case
-    with the unmatched fall-through; a nested ``def``/``class`` goes to
-    :meth:`nested`.
-
-    A pass supplies :meth:`expr`, the transfer for an expression (a
-    test, an iterable, a ``with`` item), and may override the other
+    Only this class branches on statement kinds (:data:`_WALKS`), and
+    its ``walk_*`` methods fix the order in which a statement's parts
+    run.  A pass supplies :meth:`expr`, the transfer for an expression
+    (a test, an iterable, a ``with`` item), and may override the other
     hooks.  Transfers may update the state in place; all return it.
+
     The defaults serve the "established on every path" checks (EL602,
-    EL701-EL703, EL810, EL811): branches intersect, and the loop rule
-    walks the body twice (the second pass sees facts carried round the
-    back edge) and joins the entry state, since a body may run zero
-    times or repeat.  Whatever a pass's own rule, the body of a ``for``
-    over a declared unit iterable (``unit_loops``, e.g.
-    ``self.listeners``) runs once, straight-line.
+    EL701-EL703, EL810, EL811): branches intersect, a handler starts
+    from the state before its ``try``, and the loop rule walks the body
+    twice (the second pass sees facts carried round the back edge) and
+    joins the entry state, since a body may run zero times or repeat.
+    Whatever a pass's own rule, the body of a ``for`` over a declared
+    unit iterable (``unit_loops``, e.g. ``self.listeners``) runs once,
+    straight-line.
     """
 
     unit_loops: Matcher | None = None
@@ -221,37 +201,44 @@ class Walk:
         return state
 
     def stmt(self, stmt: ast.stmt, state):
-        if type(stmt) not in _COMPOUND:
+        walk = _WALKS.get(type(stmt))
+        if walk is None:
             return self.simple(stmt, state)
-        if isinstance(stmt, ast.If):
-            state = self.expr(stmt.test, state)
-            body = self.block(stmt.body, state.copy())
-            return self.join_branches(stmt, body, self.block(stmt.orelse, state))
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            state = self.bind(stmt.target, stmt.iter, state)
-            if is_unit_loop(self.unit_loops, stmt.iter):
-                return self.block(stmt.orelse, self.block(stmt.body, state))
-            return self.block(stmt.orelse, self.loop(stmt, state))
-        if isinstance(stmt, ast.While):
-            state = self.expr(stmt.test, state)
-            return self.block(stmt.orelse, self.loop(stmt, state))
-        if isinstance(stmt, ast.Try):
-            joined = self.block(stmt.body, state.copy())
-            for handler in stmt.handlers:
-                caught = self.block(handler.body, self.catch(handler, state.copy()))
-                joined = self.join_handler(handler, joined, caught)
-            return self.block(stmt.finalbody, self.block(stmt.orelse, joined))
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                state = self.bind(item.optional_vars, item.context_expr, state)
-            return self.block(stmt.body, state)
-        if isinstance(stmt, ast.Match):
-            state = self.expr(stmt.subject, state)
-            joined = state  # no case may match
-            for case in stmt.cases:
-                joined = self.join(joined, self.block(case.body, state.copy()))
-            return joined
-        return self.nested(stmt, state)  # a def or class
+        return getattr(self, walk)(stmt, state)
+
+    def walk_if(self, stmt: ast.If, state):
+        state = self.expr(stmt.test, state)
+        body = self.block(stmt.body, state.copy())
+        return self.join_branches(stmt, body, self.block(stmt.orelse, state))
+
+    def walk_for(self, stmt: ast.For | ast.AsyncFor, state):
+        state = self.bind(stmt.target, stmt.iter, state)
+        if is_unit_loop(self.unit_loops, stmt.iter):
+            return self.block(stmt.orelse, self.block(stmt.body, state))
+        return self.block(stmt.orelse, self.loop(stmt, state))
+
+    def walk_while(self, stmt: ast.While, state):
+        state = self.expr(stmt.test, state)
+        return self.block(stmt.orelse, self.loop(stmt, state))
+
+    def walk_try(self, stmt: ast.Try, state):
+        body = joined = self.block(stmt.body, state.copy())
+        for handler in stmt.handlers:
+            caught = self.catch(handler, state.copy(), body)
+            joined = self.join_handler(handler, joined, self.block(handler.body, caught))
+        return self.block(stmt.finalbody, self.block(stmt.orelse, joined))
+
+    def walk_with(self, stmt: ast.With | ast.AsyncWith, state):
+        for item in stmt.items:
+            state = self.bind(item.optional_vars, item.context_expr, state)
+        return self.block(stmt.body, state)
+
+    def walk_match(self, stmt: ast.Match, state):
+        state = self.expr(stmt.subject, state)
+        joined = state  # no case may match
+        for case in stmt.cases:
+            joined = self.join(joined, self.block(case.body, state.copy()))
+        return joined
 
     def expr(self, node: ast.AST, state):
         raise NotImplementedError
@@ -272,8 +259,11 @@ class Walk:
     def join_handler(self, handler: ast.ExceptHandler, joined, caught):
         return self.join(joined, caught)
 
-    def catch(self, handler: ast.ExceptHandler, state):
-        return state
+    def catch(self, handler: ast.ExceptHandler, before, body):
+        """A handler's entry state: ``before`` is a copy of the state
+        before the ``try``, ``body`` the state after its body (the
+        exception may come from anywhere in between)."""
+        return before
 
     def loop(self, stmt: ast.For | ast.AsyncFor | ast.While, state):
         once = self.block(stmt.body, state.copy())
@@ -281,3 +271,19 @@ class Walk:
 
     def nested(self, stmt: ast.stmt, state):
         return state
+
+
+#: Statement kind -> the :class:`Walk` method that walks it.
+_WALKS = {
+    ast.If: "walk_if",
+    ast.For: "walk_for",
+    ast.AsyncFor: "walk_for",
+    ast.While: "walk_while",
+    ast.Try: "walk_try",
+    ast.With: "walk_with",
+    ast.AsyncWith: "walk_with",
+    ast.Match: "walk_match",
+    ast.FunctionDef: "nested",
+    ast.AsyncFunctionDef: "nested",
+    ast.ClassDef: "nested",
+}

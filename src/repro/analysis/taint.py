@@ -58,6 +58,9 @@ _CLEAN_BUILTINS = frozenset(
     {"len", "isinstance", "issubclass", "hasattr", "callable", "type", "id"}
 )
 
+#: The jumps that leave a function, not just a loop iteration.
+_EXITS = (ast.Return, ast.Raise)
+
 #: Safety valve: no function body is re-analysed more often than this.
 _MAX_ROUNDS_PER_FUNCTION = 32
 
@@ -191,7 +194,10 @@ class _Analyzer(Walk):
 
     The state is an environment: name (or ``self.<attr>``) -> :class:`Val`.
     Branches join by union; the loop rule runs a body twice, joining the
-    entry state each time, so loop-carried taint reaches round two.
+    entry state each time, so loop-carried taint reaches round two.  An
+    ``except`` handler starts from the union of the states before the
+    ``try`` and after its body: the exception may come from anywhere in
+    between.
     """
 
     def __init__(
@@ -282,8 +288,9 @@ class _Analyzer(Walk):
         return env
 
     def catch(
-        self, handler: ast.ExceptHandler, env: dict[str, Val]
+        self, handler: ast.ExceptHandler, before: dict[str, Val], body: dict[str, Val]
     ) -> dict[str, Val]:
+        env = self.join(before, body)
         if handler.name:
             env[handler.name] = CLEAN
         return env
@@ -291,10 +298,28 @@ class _Analyzer(Walk):
     def join_handler(
         self, handler: ast.ExceptHandler, joined: dict[str, Val], caught: dict[str, Val]
     ) -> dict[str, Val]:
-        # A handler that raises or returns never reaches the code after
-        # the try: ``except E: raise`` around a verifier keeps its
-        # verdict.
-        return joined if ends_in_jump(handler.body) else self.join(joined, caught)
+        # A handler that raises or returns reaches no code after its try:
+        # ``except E: raise`` around a verifier keeps its verdict.
+        if ends_in_jump(handler.body, _EXITS) and self._leaves_function(handler):
+            return joined
+        return self.join(joined, caught)
+
+    def _leaves_function(self, handler: ast.ExceptHandler) -> bool:
+        """Does a raise or return in ``handler`` leave the function: no
+        ``finally`` runs after it, and no ``try`` around its own may
+        catch it?"""
+        start = (handler.lineno, handler.col_offset)
+        end = (handler.end_lineno, handler.end_col_offset)
+        for node in self.fn.nodes.of(ast.Try):
+            if node.finalbody:  # runs after all that precedes it
+                last = (node.finalbody[0].lineno, node.finalbody[0].col_offset)
+            elif handler in node.handlers:  # its own try
+                continue
+            else:
+                last = (node.end_lineno, node.end_col_offset)
+            if (node.lineno, node.col_offset) < start and end <= last:
+                return False
+        return True
 
     def loop(self, stmt: ast.stmt, env: dict[str, Val]) -> dict[str, Val]:
         for _ in range(2):

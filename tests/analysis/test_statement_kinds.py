@@ -81,12 +81,11 @@ def test_taint_flows_through_statement_kind(project, kind):
     assert "host_read" in findings[0].message
 
 
-def test_taint_handler_starts_before_the_try(project):
-    """An ``except`` handler starts from the state before its ``try``,
-    as in every pass: a verifier that raises leaves the host bytes in
-    ``blob``, and a handler that does not leave the path hands them to
-    the sink after the ``try``."""
-    source = REGISTRY_AND_SOURCES + """
+#: ``except`` handlers: what reaches a handler, and where its state goes.
+HANDLER_CASES = {
+    # A verifier that raises leaves the host bytes in ``blob``; a
+    # handler that falls through hands them to the sink after the try.
+    "starts_before_the_try": """
     def install(registry: Registry, root):
         blob = host_read("manifest")
         try:
@@ -94,9 +93,91 @@ def test_taint_handler_starts_before_the_try(project):
         except ValueError:
             pass
         registry.set(0, blob)  # sink
-    """
+    """,
+    # The exception may come after the body tainted ``blob``.
+    "reads_what_the_body_tainted": """
+    def install(registry: Registry):
+        try:
+            blob = host_read("manifest")
+            int(blob)
+        except ValueError:
+            registry.set(0, blob)  # sink
+    """,
+    # ``break`` leaves the loop, not the function: the handler's state
+    # reaches the code after the loop.
+    "breaks": """
+    def install(registry: Registry, names):
+        blob = b""
+        for name in names:
+            try:
+                int(name)
+            except ValueError:
+                blob = host_read(name)
+                break
+        registry.set(0, blob)  # sink
+    """,
+    # ``continue`` carries the handler's state round the back edge.
+    "continues": """
+    def install(registry: Registry, names):
+        blob = b""
+        for name in names:
+            try:
+                int(name)
+            except ValueError:
+                blob = host_read(name)
+                continue
+        registry.set(0, blob)  # sink
+    """,
+    # A handler that raises still runs its try's ``finally``.
+    "raises_into_its_finally": """
+    def install(registry: Registry, root):
+        blob = b""
+        try:
+            int(root)
+        except ValueError:
+            blob = host_read("manifest")
+            raise
+        finally:
+            registry.set(0, blob)  # sink
+    """,
+    # ... and the ``finally`` of a try around its own.
+    "raises_into_an_enclosing_finally": """
+    def install(registry: Registry, root):
+        blob = b""
+        try:
+            try:
+                int(root)
+            except ValueError:
+                blob = host_read("manifest")
+                return
+        finally:
+            registry.set(0, blob)  # sink
+    """,
+    # A try around its own may catch what the handler raises.
+    "raises_into_an_enclosing_handler": """
+    def install(registry: Registry, root):
+        blob = b""
+        try:
+            try:
+                int(root)
+            except ValueError:
+                blob = host_read("manifest")
+                raise
+        except ValueError:
+            registry.set(0, blob)  # sink
+    """,
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANDLER_CASES))
+def test_taint_flows_through_handler(project, case):
+    source = REGISTRY_AND_SOURCES + HANDLER_CASES[case]
     path = project.add_module("enc.flows", source)
-    sink_line = path.read_text().splitlines().index("    registry.set(0, blob)  # sink") + 1
+    sink_line = next(
+        i
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if line.endswith("# sink")
+    )
     findings = project.lint(["EL501"])
     assert [(f.rule, f.line) for f in findings] == [("EL501", sink_line)]
 
