@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from repro.analysis.callgraph import CallGraph, FunctionNode, get_callgraph
 from repro.analysis.engine import ProjectIndex
-from repro.analysis.flow import Matcher, Walk, closure, ends_in_jump
+from repro.analysis.flow import Effects, Matcher, Walk, closure, ends_in_jump
 from repro.analysis.model import Finding
 from repro.analysis.rules import findings_from
 from repro.analysis.zones import TaintConfig, Zone
@@ -119,16 +119,21 @@ class TaintAnalysis:
         self.index = index
         self.graph = graph
         self.config = config
-        self.m_untrusted_calls = Matcher(config.untrusted_calls)
         self.m_untrusted_attrs = Matcher(config.untrusted_attrs)
         self.m_untrusted_params = Matcher(config.untrusted_params)
-        self.m_secret_calls = Matcher(config.secret_calls)
         self.m_secret_attrs = Matcher(config.secret_attrs)
-        self.m_sanitizers = Matcher(config.sanitizers)
-        self.m_declassifiers = Matcher(config.declassifiers)
-        self.m_trusted_sinks = Matcher(config.trusted_sinks)
-        self.m_untrusted_sinks = Matcher(config.untrusted_sinks)
-        self.m_verifiers = Matcher(config.verifiers)
+        #: What a call site is to taint, matched once per distinct site.
+        self.roles = Effects(
+            {
+                "untrusted": config.untrusted_calls,
+                "secret": config.secret_calls,
+                "sanitizer": config.sanitizers,
+                "declassifier": config.declassifiers,
+                "trusted_sink": config.trusted_sinks,
+                "untrusted_sink": config.untrusted_sinks,
+                "verifier": config.verifiers,
+            }
+        )
         self.summaries: dict[str, Summary] = {}
         self.children: dict[ast.expr, list[ast.expr]] = {}
         #: module -> Zone, memoised (zone_of walks every pattern).
@@ -511,7 +516,8 @@ class _Analyzer(Walk):
                     vals_by_param[i] = _join(vals_by_param.get(i, CLEAN), extra)
 
         # --- result value ---
-        if engine.m_sanitizers.match(qual, display):
+        roles = engine.roles.of(site)
+        if "sanitizer" in roles:
             result = CLEAN
         elif fn_node is not None and class_node is None:
             summary = engine.summaries.get(fn_node.qualname, EMPTY_SUMMARY)
@@ -542,28 +548,28 @@ class _Analyzer(Walk):
             # (str(), .hex(), dict lookups, stdlib helpers...).
             result = arg_union
 
-        if engine.m_untrusted_calls.match(qual, display):
+        if "untrusted" in roles:
             result = Val(
                 result.labels | UNTRUSTED,
                 result.params,
                 result.origins | {(UNTRUSTED, f"{display}()")},
             )
-        if engine.m_secret_calls.match(qual, display):
+        if "secret" in roles:
             result = Val(
                 result.labels | SECRET,
                 result.params,
                 result.origins | {(SECRET, f"{display}()")},
             )
-        if engine.m_declassifiers.match(qual, display):
+        if "declassifier" in roles:
             result = Val(
                 result.labels & ~SECRET,
                 result.params,
                 frozenset(o for o in result.origins if o[0] != SECRET),
             )
-        if engine.m_sanitizers.match(qual, display):
+        if "sanitizer" in roles:
             result = CLEAN
 
-        self._check_sinks(call, qual, display, fn_node, vals_by_param,
+        self._check_sinks(call, qual, display, roles, fn_node, vals_by_param,
                           pos_vals, kw_vals, extra)
         return result
 
@@ -572,6 +578,7 @@ class _Analyzer(Walk):
         call: ast.Call,
         qual: str | None,
         display: str,
+        roles: tuple[str, ...],
         fn_node: FunctionNode | None,
         vals_by_param: dict[int, Val],
         pos_vals: list[Val],
@@ -579,15 +586,15 @@ class _Analyzer(Walk):
         extra: Val,
     ) -> None:
         engine = self.engine
-        if engine.m_sanitizers.match(qual, display):
+        if "sanitizer" in roles:
             return  # a sanitizer consumes tainted data by design
         sink_desc = _short(qual) if qual else display
         data_vals = list(pos_vals) + list(kw_vals.values())
         if extra is not CLEAN:
             data_vals.append(extra)
 
-        is_trusted_sink = engine.m_trusted_sinks.match(qual, display)
-        is_untrusted_sink = engine.m_untrusted_sinks.match(qual, display)
+        is_trusted_sink = "trusted_sink" in roles
+        is_untrusted_sink = "untrusted_sink" in roles
         if not is_untrusted_sink and fn_node is not None:
             # Passing data into an untrusted-zone function hands it to the
             # host: an automatic SECRET sink.
@@ -648,7 +655,7 @@ class _Analyzer(Walk):
 
     def _check_discarded_verifier(self, call: ast.Call) -> None:
         site = self.engine.graph.site(call)
-        if self.engine.m_verifiers.match(site.target, site.display):
+        if "verifier" in self.engine.roles.of(site):
             self._report(
                 "EL503",
                 call.lineno,
