@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 
 _FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+
 def _chain_of(node: ast.expr) -> list[str]:
     """``a.b.c`` -> ["a", "b", "c"]; [] for anything not a name chain."""
     parts: list[str] = []
